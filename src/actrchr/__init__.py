@@ -1,106 +1,31 @@
 """Production-rule models, their constraint-rule translation, and a
-bounded bisimulation check between the two executions."""
+bounded bisimulation check between the two executions.
 
-from .bisim import BisimReport, Counterexample, bisim_check, effect_lemma_check
-from .core import (
-    Chunk,
-    ChunkStore,
-    CoreError,
-    IdClash,
-    IdGen,
-    IdMap,
-    NIL,
-    Symbol,
-    TypeTable,
-    Variable,
-    merge,
-    merge_all,
-)
-from .engine import (
-    ArchitectureConfig,
-    DROPPED,
-    Effect,
-    Graph,
-    apply_transition,
-    canonical_key,
-    explore,
-    interpret_rule,
-    is_normal_form,
-    match_rule,
-    normalize_model,
-    random_walk,
-    select,
-    set_normal_form,
-    state_fingerprint,
-    successors,
-)
-from .chr import (
-    ChrRule,
-    ChrState,
-    Undecided,
-    canonical_form,
-    chr_step,
-    render_program,
-    render_state,
-    solve_builtins,
-    state_equiv,
-)
-from .model import AbstractState, Action, BufferTest, Model, Rule, validate
+The package namespace holds the pipeline's entry points and the types
+they return or raise; everything else is imported from its layer module
+(``actrchr.core``, ``.model``, ``.parser``, ``.engine``, ``.chr``,
+``.translate``, ``.bisim``).
+"""
+
+from .bisim import BisimReport, Counterexample, bisim_check
+from .chr import ChrRule
+from .engine import Graph, explore
+from .model import Diagnostic, Model, validate
 from .parser import ParseError, parse_model, print_model
-from .translate import chr_of_model, chr_of_rule, chr_of_state
+from .translate import chr_of_model
 
 __all__ = [
-    "AbstractState",
-    "Action",
-    "ArchitectureConfig",
     "BisimReport",
-    "BufferTest",
-    "Chunk",
-    "ChunkStore",
     "ChrRule",
-    "ChrState",
-    "CoreError",
     "Counterexample",
-    "DROPPED",
-    "Effect",
+    "Diagnostic",
     "Graph",
-    "IdClash",
-    "IdGen",
-    "IdMap",
     "Model",
-    "NIL",
     "ParseError",
-    "Rule",
-    "Symbol",
-    "TypeTable",
-    "Undecided",
-    "Variable",
-    "apply_transition",
     "bisim_check",
-    "canonical_form",
-    "canonical_key",
     "chr_of_model",
-    "chr_of_rule",
-    "chr_of_state",
-    "chr_step",
-    "effect_lemma_check",
     "explore",
-    "interpret_rule",
-    "is_normal_form",
-    "match_rule",
-    "merge",
-    "merge_all",
-    "normalize_model",
     "parse_model",
     "print_model",
-    "random_walk",
-    "render_program",
-    "render_state",
-    "select",
-    "set_normal_form",
-    "solve_builtins",
-    "state_equiv",
-    "state_fingerprint",
-    "successors",
     "validate",
 ]

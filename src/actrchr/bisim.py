@@ -5,8 +5,11 @@ agree on its labelled transitions: each abstract step needs a translated
 step with the same label landing in an equivalent state, and vice versa.
 Abstract successors are compared through their translation, so both sides
 meet in one notion of equivalence, canonical-form equality of translated
-states.  Per label the successor classes must also correspond one to one,
-which checks the per-rule effect correspondence at every visited pair.
+states.  That form decodes a translated state back into the abstract state
+it encodes and takes the engine's canonical key, so there is a single
+fresh-identifier canonicalisation for both sides.  Per label the successor
+classes must also correspond one to one, which checks the per-rule effect
+correspondence at every visited pair.
 """
 
 from __future__ import annotations

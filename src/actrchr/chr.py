@@ -8,10 +8,13 @@ States produced by a step are normalised representatives of their
 equivalence class: solved guard and body built-ins are eliminated, only
 uninterpreted ground facts stay in the built-in store.
 
-:func:`state_equiv` decides state equivalence for toolchain states:
-substitution closure, elimination of decided built-ins, chunk lists
-compared as multisets, fresh chunk identifiers compared up to renaming,
-all failed states equivalent.
+:func:`state_equiv` decides state equivalence for toolchain states after
+substitution closure and elimination of decided built-ins; all failed
+states are equivalent.  A state of the translated shape is decoded into
+the abstract state it encodes, so two such states are equivalent exactly
+when those abstract states have equal :func:`~actrchr.engine.canonical_key`
+(equal up to renaming of fresh chunk identifiers) and their chunk terms
+list slots alike.  Other states compare as literal constraint multisets.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .core import (
-    FRESH_PREFIX,
     IdGen,
     NIL,
     Chunk,
@@ -29,10 +31,10 @@ from .core import (
     Symbol,
     TypeTable,
     Variable,
-    is_fresh_id,
+    fresh_gen_avoiding,
     merge_all,
 )
-from .engine import ArchitectureConfig, interpret_action
+from .engine import ArchitectureConfig, canonical_key, interpret_action
 from .model import AbstractState, Action, Atom, MODIFY, REQUEST
 
 
@@ -458,7 +460,7 @@ def _solve_merge(c: Constraint, env: Env, types: TypeTable) -> list[Solution]:
     lst, out_pat = (subst(x, env) for x in c.args)
     if not (isinstance(lst, TList) and is_ground(lst)):
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    merged, _ = merge_all(decode_store(t) for t in lst.items)
+    merged = merge_all(decode_store(t) for t in lst.items)
     e = unify(out_pat, encode_store(merged, types), env)
     return [] if e is None else [(e, ())]
 
@@ -499,23 +501,22 @@ def facts_of(state: ChrState) -> Facts:
 
 def fresh_gen_for(state: ChrState) -> IdGen:
     """Generator whose identifiers avoid every fresh id in the state."""
-    high = 0
+    found: list[Symbol] = []
+
     def scan(t: Term) -> None:
-        nonlocal high
-        if isinstance(t, Symbol) and is_fresh_id(t):
-            tail = t.name[len(FRESH_PREFIX):]
-            if tail.isdigit():
-                high = max(high, int(tail) + 1)
+        if isinstance(t, Symbol):
+            found.append(t)
         elif isinstance(t, Compound):
             for a in t.args:
                 scan(a)
         elif isinstance(t, TList):
             for a in t.items:
                 scan(a)
+
     for c in (*state.goal, *state.builtins):
         for a in c.args:
             scan(a)
-    return IdGen(high)
+    return fresh_gen_avoiding(found)
 
 
 def _head_matchings(
@@ -640,101 +641,74 @@ def is_failed(state: ChrState) -> bool:
     return _normalize(state) is _FAILED
 
 
-def _canonical_fresh_renaming(
-    chunks: dict[Symbol, Compound], gammas: list[Constraint]
-) -> dict[Symbol, Symbol]:
-    seen: set[Symbol] = set()
-    ren: dict[Symbol, Symbol] = {}
+def _decode_translated(
+    goal: tuple[Constraint, ...], facts: tuple[Constraint, ...]
+) -> Optional[tuple[AbstractState, tuple]]:
+    """The abstract state a normalised goal and fact store encode, with the
+    slot layout of its chunk terms, or None outside the translated shape.
 
-    def visit(cid: Symbol) -> None:
-        if cid in seen:
-            return
-        seen.add(cid)
-        if is_fresh_id(cid):
-            ren[cid] = Symbol(f"{FRESH_PREFIX}{len(ren)}")
-        term = chunks.get(cid)
-        if term is None:
-            return
-        pairs = term.args[2]
-        if isinstance(pairs, TList):
-            for p in pairs.items:
-                if isinstance(p, Compound) and len(p.args) == 2 and isinstance(p.args[1], Symbol):
-                    visit(p.args[1])
-
-    for g in sorted(gammas, key=lambda g: render_term(g.args[0])):
-        if isinstance(g.args[1], Symbol):
-            visit(g.args[1])
-
-    def stale_key(item: tuple[Symbol, Compound]):
-        cid, term = item
-        type = term.args[1]
-        vals = []
-        pairs = term.args[2]
-        if isinstance(pairs, TList):
-            for p in pairs.items:
-                v = p.args[1] if isinstance(p, Compound) and len(p.args) == 2 else p
-                if isinstance(v, Symbol) and v in ren:
-                    vals.append(ren[v].name)
-                elif isinstance(v, Symbol) and is_fresh_id(v):
-                    vals.append("￿" + v.name)
-                else:
-                    vals.append(render_term(v))
-        return (render_term(type), tuple(vals), cid.name)
-
-    stale = [(cid, t) for cid, t in chunks.items() if cid not in seen and is_fresh_id(cid)]
-    for cid, _ in sorted(stale, key=stale_key):
-        ren[cid] = Symbol(f"{FRESH_PREFIX}{len(ren)}")
-    return ren
+    The shape is one ``delta`` over a list of chunk terms with pairwise
+    distinct identifiers, at most one ``gamma(buffer, chunk, 0|1)`` per
+    buffer pointing at a listed chunk, facts over symbols and no other goal
+    constraint.  Chunk terms of one type and slot set must list their
+    slots in one order, which the layout records by type.
+    """
+    deltas = [c for c in goal if c.kind == USER and c.name == "delta" and len(c.args) == 1]
+    gammas = [c for c in goal if c.kind == USER and c.name == "gamma" and len(c.args) == 3]
+    if len(deltas) != 1 or 1 + len(gammas) != len(goal):
+        return None
+    terms = deltas[0].args[0]
+    if not isinstance(terms, TList):
+        return None
+    try:
+        chunks = [decode_chunk(t) for t in terms.items]
+    except ChrError:
+        return None
+    ids = {c.id for c in chunks}
+    if len(ids) != len(chunks):
+        return None
+    layout: dict[tuple[Symbol, frozenset], tuple[str, ...]] = {}
+    for t, chunk in zip(terms.items, chunks):
+        order = tuple(p.args[0].name for p in t.args[2].items)  # type: ignore[union-attr]
+        if layout.setdefault((chunk.type, frozenset(order)), order) != order:
+            return None
+    rows = []
+    for g in gammas:
+        b, cid, d = g.args
+        if not (isinstance(b, Symbol) and cid in ids and d in (0, 1)):
+            return None
+        rows.append((b, cid, d))
+    if len({b for b, _, _ in rows}) != len(rows):
+        return None
+    if not all(isinstance(a, Symbol) for c in facts for a in c.args):
+        return None
+    state = AbstractState(
+        ChunkStore(chunks),
+        tuple(sorted(rows, key=lambda r: r[0].name)),
+        tuple(Atom(c.name, c.args) for c in facts),  # type: ignore[arg-type]
+    )
+    return state, tuple(sorted((ty.name, order) for (ty, _), order in layout.items()))
 
 
 def canonical_form(state: ChrState):
     """Hashable canonical form; two states are equivalent iff their forms
-    are equal.  Chunk lists compare as multisets and fresh identifiers up
-    to renaming; all failed states share one form."""
+    are equal.
+
+    A state of the translated shape (see :func:`_decode_translated`) is
+    decoded into the abstract state it encodes, whose
+    :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
+    identifiers up to renaming; the slot layout of its chunk terms is kept
+    beside it.  Any other state compares as literal goal and fact
+    multisets, and all failed states share one form.
+    """
     norm = _normalize(state)
     if norm is _FAILED:
         return ("failed",)
     goal, facts, globs = norm
-
-    deltas = [c for c in goal if c.kind == USER and c.name == "delta" and len(c.args) == 1]
-    gammas = [c for c in goal if c.kind == USER and c.name == "gamma" and len(c.args) == 3]
-    rest = [c for c in goal if not (c in deltas or c in gammas)]
-
-    if len(deltas) == 1 and isinstance(deltas[0].args[0], TList) and not rest:
-        chunk_terms = deltas[0].args[0].items
-        chunks: dict[Symbol, Compound] = {}
-        shaped = all(
-            isinstance(t, Compound)
-            and t.functor == "chunk"
-            and len(t.args) == 3
-            and isinstance(t.args[0], Symbol)
-            for t in chunk_terms
-        )
-        if shaped:
-            for t in chunk_terms:
-                chunks[t.args[0]] = t  # type: ignore[index]
-            ren = _canonical_fresh_renaming(chunks, gammas)
-
-            def rterm(t: Term) -> Term:
-                if isinstance(t, Symbol):
-                    return ren.get(t, t)
-                if isinstance(t, Compound):
-                    return Compound(t.functor, tuple(rterm(a) for a in t.args))
-                if isinstance(t, TList):
-                    return TList(tuple(rterm(a) for a in t.items))
-                return t
-
-            def rcon(c: Constraint) -> str:
-                return render_constraint(
-                    Constraint(c.name, tuple(rterm(a) for a in c.args), c.kind)
-                )
-
-            chunk_key = tuple(sorted(render_term(rterm(t)) for t in chunk_terms))
-            gamma_key = tuple(sorted(rcon(g) for g in gammas))
-            fact_key = tuple(sorted(rcon(c) for c in facts))
-            return ("state", chunk_key, gamma_key, fact_key, tuple(sorted(v.name for v in globs)))
-
-    # Fallback for states outside the translated shape: literal multisets.
+    decoded = _decode_translated(goal, facts)
+    if decoded is not None:
+        abstract, layout = decoded
+        return ("state", canonical_key(abstract, abstract.buffers(), TypeTable()), layout)
     goal_key = tuple(sorted(render_constraint(c) for c in goal))
     fact_key = tuple(sorted(render_constraint(c) for c in facts))
     return ("raw", goal_key, fact_key, tuple(sorted(v.name for v in globs)))

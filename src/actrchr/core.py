@@ -4,8 +4,8 @@ A chunk is an immutable typed record whose slots hold identifiers of other
 chunks.  A chunk store keeps finitely many chunks under pairwise distinct
 identifiers; identifier lookup is total, falling back to the distinguished
 empty chunk ``nil``.  Stores combine with :func:`merge`, an
-id-deduplicating union: shared identifiers must carry equal chunks, and the
-accompanying identifier map is the identity.
+id-deduplicating union: shared identifiers must carry equal chunks, so no
+identifier ever needs remapping.
 """
 
 from __future__ import annotations
@@ -72,6 +72,17 @@ class IdGen:
 
     def __repr__(self) -> str:
         return f"IdGen({self.count})"
+
+
+def fresh_gen_avoiding(symbols: Iterable[Symbol]) -> IdGen:
+    """Generator whose identifiers avoid every fresh id among the symbols."""
+    high = 0
+    for s in symbols:
+        if is_fresh_id(s):
+            tail = s.name[len(FRESH_PREFIX):]
+            if tail.isdigit():
+                high = max(high, int(tail) + 1)
+    return IdGen(high)
 
 
 class TypeTable:
@@ -221,24 +232,7 @@ class ChunkStore:
         return f"ChunkStore({list(self._by_id.values())!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class IdMap:
-    """Identifier map returned by a merge.
-
-    Total on the identifiers of the merged store; for the union merge it is
-    the identity everywhere, and in particular on the left operand.
-    """
-
-    pairs: tuple[tuple[Symbol, Symbol], ...] = ()
-
-    def apply(self, id: Symbol) -> Symbol:
-        for old, new in self.pairs:
-            if old == id:
-                return new
-        return id
-
-
-def merge(left: ChunkStore, right: ChunkStore) -> tuple[ChunkStore, IdMap]:
+def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
     """Union of two stores; a shared identifier must carry equal chunks.
 
     Raises :class:`IdClash` when the operands disagree about an identifier.
@@ -252,12 +246,12 @@ def merge(left: ChunkStore, right: ChunkStore) -> tuple[ChunkStore, IdMap]:
             combined[c.id] = c
         elif mine != c:
             raise IdClash(f"merge: id {c.id} bound to {mine!r} and {c!r}")
-    return ChunkStore(combined.values()), IdMap()
+    return ChunkStore(combined.values())
 
 
-def merge_all(stores: Iterable[ChunkStore]) -> tuple[ChunkStore, IdMap]:
+def merge_all(stores: Iterable[ChunkStore]) -> ChunkStore:
     """Left fold of :func:`merge` starting from the empty store."""
     acc = ChunkStore()
     for s in stores:
-        acc, _ = merge(acc, s)
-    return acc, IdMap()
+        acc = merge(acc, s)
+    return acc

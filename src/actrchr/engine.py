@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .core import (
     FRESH_PREFIX,
@@ -25,6 +25,7 @@ from .core import (
     TypeTable,
     Value,
     Variable,
+    fresh_gen_avoiding,
     is_fresh_id,
     merge,
 )
@@ -91,9 +92,6 @@ class Substitution:
 
     def apply_pairs(self, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
         return tuple((s, self.apply(v)) for s, v in pairs)
-
-    def as_dict(self) -> dict[Variable, Symbol]:
-        return dict(self.pairs)
 
 
 def match_rule(rule: Rule, state: AbstractState) -> Substitution | None:
@@ -427,14 +425,12 @@ def interpret_action(
 
 def combine_effects(left: Effect, right: Effect) -> Effect:
     """Glue two effects: merged stores, disjoint buffer updates, joined
-    facts.  The merge id map carries identifier updates into gamma."""
+    facts."""
     overlap = left.buffers() & right.buffers()
     if overlap:
         raise DomainOverlap(f"effects overlap on buffers {sorted(overlap, key=str)}")
-    store, idmap = merge(left.store, right.store)
-    gamma = {b: (idmap.apply(c), d) for b, c, d in left.gamma}
-    gamma.update({b: (idmap.apply(c), d) for b, c, d in right.gamma})
-    return Effect.make(store, gamma, left.atoms + right.atoms)
+    gamma = {b: (c, d) for b, c, d in left.gamma + right.gamma}
+    return Effect.make(merge(left.store, right.store), gamma, left.atoms + right.atoms)
 
 
 def interpret_rule(
@@ -467,11 +463,11 @@ def interpret_rule(
 
 def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     """Successor state: merged store, updated buffers, grown fact set."""
-    store, idmap = merge(state.store, effect.store)
     gamma = state.gamma_map()
-    for b, c, d in effect.gamma:
-        gamma[b] = (idmap.apply(c), d)
-    return AbstractState.make(store, gamma, state.upsilon + effect.atoms)
+    gamma.update((b, (c, d)) for b, c, d in effect.gamma)
+    return AbstractState.make(
+        merge(state.store, effect.store), gamma, state.upsilon + effect.atoms
+    )
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
@@ -487,25 +483,18 @@ def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
 
 def fresh_gen_for(state: AbstractState) -> IdGen:
     """Generator whose identifiers avoid every fresh id in the state."""
-    high = 0
 
-    def bump(s: Symbol) -> None:
-        nonlocal high
-        if is_fresh_id(s):
-            tail = s.name[len(FRESH_PREFIX):]
-            if tail.isdigit():
-                high = max(high, int(tail) + 1)
+    def symbols() -> Iterator[Symbol]:
+        for chunk in state.store:
+            yield chunk.id
+            for _, v in chunk.pairs:
+                yield v
+        for _, c, _ in state.gamma:
+            yield c
+        for atom in state.upsilon:
+            yield from atom.args
 
-    for chunk in state.store:
-        bump(chunk.id)
-        for _, v in chunk.pairs:
-            bump(v)
-    for _, c, _ in state.gamma:
-        bump(c)
-    for atom in state.upsilon:
-        for a in atom.args:
-            bump(a)
-    return IdGen(high)
+    return fresh_gen_avoiding(symbols())
 
 
 def successors(
@@ -630,9 +619,6 @@ class Graph:
     states: list[AbstractState]
     edges: list[tuple[int, str, int]]
     truncated: bool = False
-
-    def edge_labels(self, src: int) -> list[str]:
-        return [l for s, l, _ in self.edges if s == src]
 
 
 def explore(

@@ -193,20 +193,6 @@ class Diagnostic:
         return f"{where}{self.code}: {self.message}"
 
 
-def _complete_pairs(
-    types: TypeTable, type: Symbol, given: Mapping[Symbol, Symbol]
-) -> tuple[Pair, ...]:
-    return tuple((s, given.get(s, NIL)) for s in types.slots(type))
-
-
-def make_chunk(
-    types: TypeTable, id: Symbol, type: Symbol, val: Mapping[Symbol, Symbol]
-) -> Chunk:
-    """Build a chunk whose value domain is exactly the type's slot list;
-    unspecified slots default to nil."""
-    return Chunk(id, type, _complete_pairs(types, type, val))
-
-
 def validate(model: Model) -> list[Diagnostic]:
     """Static checks; an empty result means the model is runnable."""
     out: list[Diagnostic] = []

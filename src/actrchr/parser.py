@@ -142,12 +142,6 @@ class _Parser:
             raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "kw" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
-
     def name(self, what: str) -> Symbol:
         tok = self.peek()
         if tok.kind not in ("lident", "number"):

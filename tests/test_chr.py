@@ -1,9 +1,20 @@
 """Constraint-store machinery: terms, built-in theory, step relation,
 state equivalence."""
 
+import random
+
 import pytest
 
-from actrchr.core import Chunk, ChunkStore, IdClash, NIL, Symbol, TypeTable, Variable
+from actrchr.core import (
+    Chunk,
+    ChunkStore,
+    IdClash,
+    NIL,
+    Symbol,
+    TypeTable,
+    Variable,
+    is_fresh_id,
+)
 from actrchr.chr import (
     ChrRule,
     ChrState,
@@ -38,8 +49,10 @@ from actrchr.chr import (
     walk,
 )
 from actrchr.chr import encode_cogstate
-from actrchr.model import Action, Atom, MODIFY, REQUEST
-from actrchr.translate import encode_action
+from actrchr.engine import canonical_key, explore, normalize_model
+from actrchr.model import AbstractState, Action, Atom, MODIFY, REQUEST
+from actrchr.modelgen import random_model
+from actrchr.translate import chr_of_state, encode_action
 
 
 def sym(name: str) -> Symbol:
@@ -420,6 +433,85 @@ class TestStateEquivalence:
             (user("p", sym("a")), user("q", sym("b"))), ()
         )
         assert state_equiv(swapped, ordered)
+
+
+    @staticmethod
+    def reachable(seed: int, models: int = 30, depth: int = 5):
+        """Seeded random models with every state reached without
+        deduplication, so states differing only in fresh ids all appear."""
+        rng = random.Random(seed)
+        for _ in range(models):
+            m = normalize_model(random_model(rng))
+            yield m, explore(m, depth=depth, dedup="exact").states
+
+    @staticmethod
+    def permute_fresh(state: AbstractState, rng: random.Random) -> AbstractState:
+        fresh = [c.id for c in state.store if is_fresh_id(c.id)]
+        names = [sym(f"c#{n}") for n in range(3 * len(fresh))]
+        ren = dict(zip(fresh, rng.sample(names, len(fresh))))
+
+        def r(s: Symbol) -> Symbol:
+            return ren.get(s, s)
+
+        store = ChunkStore(
+            Chunk(r(c.id), c.type, [(s, r(v)) for s, v in c.pairs]) for c in state.store
+        )
+        gamma = [(b, r(c), d) for b, c, d in state.gamma]
+        atoms = [Atom(a.pred, tuple(r(x) for x in a.args)) for a in state.upsilon]
+        return AbstractState.make(store, gamma, atoms)
+
+    def test_translated_equivalence_is_the_abstract_key(self):
+        renamings = 0
+        for m, states in self.reachable(71):
+            keys = [canonical_key(s, m.buffers, m.types) for s in states]
+            forms = [canonical_form(chr_of_state(s, m.types)) for s in states]
+            # equal keys exactly when equal forms: the pairing is a bijection
+            assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms)))
+            renamings += len(states) - len(set(keys))
+        assert renamings > 100
+
+    def test_both_forms_ignore_a_permutation_of_fresh_ids(self):
+        rng = random.Random(72)
+        renamed = 0
+        for m, states in self.reachable(73, models=15):
+            for state in states:
+                other = self.permute_fresh(state, rng)
+                renamed += other != state
+                assert canonical_key(other, m.buffers, m.types) == canonical_key(
+                    state, m.buffers, m.types
+                )
+                assert canonical_form(chr_of_state(other, m.types)) == canonical_form(
+                    chr_of_state(state, m.types)
+                )
+        assert renamed > 50
+
+    def test_ill_shaped_states_stay_apart_from_their_original(self):
+        a = Chunk(sym("c#0"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
+        b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("c#0"), sym("b"): NIL})
+        delta = delta_c(encode_store(ChunkStore([a, b]), TYPES))
+        goal_g = gamma_c(sym("goal"), sym("c#1"), 0)
+        facts = (builtin("dm", sym("c#0")),)
+        original = ChrState((delta, goal_g), facts)
+        a_term, b_term = delta.args[0].items
+        swapped = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[::-1])))
+        variants = [
+            # the same gamma twice, and two gammas for one buffer
+            ChrState((delta, goal_g, goal_g), facts),
+            ChrState((delta, goal_g, gamma_c(sym("goal"), sym("c#0"), 0)), facts),
+            # a chunk id listed twice, with equal and with different content
+            ChrState((delta_c(TList((a_term, b_term, b_term))), goal_g), facts),
+            ChrState((delta_c(TList((a_term, b_term, encode_chunk(
+                Chunk(sym("c#1"), sym("t"), {}), TYPES)))), goal_g), facts),
+            # a gamma pointing at no listed chunk
+            ChrState((delta_c(TList((a_term,))), goal_g), facts),
+            ChrState((delta, gamma_c(sym("goal"), sym("c#7"), 0)), facts),
+            # slots listed in another order than the other chunk of the type
+            ChrState((delta_c(TList((swapped, b_term))), goal_g), facts),
+        ]
+        assert canonical_form(original)[0] == "state"
+        for i, variant in enumerate(variants):
+            assert canonical_form(variant)[0] == "raw", i
+            assert not state_equiv(variant, original)
 
 
 class TestRendering:

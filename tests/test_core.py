@@ -10,7 +10,6 @@ from actrchr.core import (
     CoreError,
     IdClash,
     IdGen,
-    IdMap,
     NIL,
     NIL_CHUNK,
     Symbol,
@@ -124,13 +123,12 @@ class TestIdGen:
 
 class TestMergeHandExamples:
     def test_disjoint_union(self):
-        merged, idmap = merge(store(A), store(B))
+        merged = merge(store(A), store(B))
         assert merged.get(sym("a")) == A
         assert merged.get(sym("b")) == B
-        assert idmap == IdMap(())
 
     def test_shared_id_with_equal_content_dedups(self):
-        merged, _ = merge(store(A, B), store(A))
+        merged = merge(store(A, B), store(A))
         assert same_chunks(merged, store(A, B))
 
     def test_shared_id_with_different_content_clashes(self):
@@ -138,12 +136,11 @@ class TestMergeHandExamples:
             merge(store(A), store(A_OTHER))
 
     def test_identity_element(self):
-        merged, idmap = merge(store(A), ChunkStore())
+        merged = merge(store(A), ChunkStore())
         assert same_chunks(merged, store(A))
-        assert idmap == IdMap(())
 
     def test_merge_all_folds_left(self):
-        merged, _ = merge_all([store(A), store(B), ChunkStore()])
+        merged = merge_all([store(A), store(B), ChunkStore()])
         assert same_chunks(merged, store(A, B))
 
 
@@ -159,34 +156,34 @@ class TestMergeLaws:
         rng, pool, stores = self.pools(11, 400)
         for _ in range(400):
             a, b = rng.choice(stores), rng.choice(stores)
-            ab, _ = merge(a, b)
-            ba, _ = merge(b, a)
+            ab = merge(a, b)
+            ba = merge(b, a)
             assert same_chunks(ab, ba)
 
     def test_associative(self):
         rng, pool, stores = self.pools(12, 200)
         for _ in range(400):
             a, b, c = (rng.choice(stores) for _ in range(3))
-            left, _ = merge(merge(a, b)[0], c)
-            right, _ = merge(a, merge(b, c)[0])
+            left = merge(merge(a, b), c)
+            right = merge(a, merge(b, c))
             assert same_chunks(left, right)
 
     def test_empty_store_is_identity(self):
         _, _, stores = self.pools(13, 200)
         for s in stores:
-            assert same_chunks(merge(s, ChunkStore())[0], s)
-            assert same_chunks(merge(ChunkStore(), s)[0], s)
+            assert same_chunks(merge(s, ChunkStore()), s)
+            assert same_chunks(merge(ChunkStore(), s), s)
 
     def test_idempotent(self):
         _, _, stores = self.pools(14, 200)
         for s in stores:
-            assert same_chunks(merge(s, s)[0], s)
+            assert same_chunks(merge(s, s), s)
 
     def test_result_embeds_both_operands(self):
         rng, _, stores = self.pools(15, 200)
         for _ in range(200):
             a, b = rng.choice(stores), rng.choice(stores)
-            ab, _ = merge(a, b)
+            ab = merge(a, b)
             assert all(ab.get(c.id) == c for c in a)
             assert all(ab.get(c.id) == c for c in b)
 

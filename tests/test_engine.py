@@ -177,7 +177,7 @@ class TestMatching:
                     assert oracle == []
                 else:
                     matched += 1
-                    assert oracle and theta.as_dict() == oracle[0]
+                    assert oracle and dict(theta.pairs) == oracle[0]
         assert checked > 300 and matched > 30
 
     def test_pending_buffer_never_matches(self):
