@@ -8,6 +8,12 @@ States produced by a step are normalised representatives of their
 equivalence class: solved guard and body built-ins are eliminated, only
 uninterpreted ground facts stay in the built-in store.
 
+Translated states are ground, so ground terms are the cheap case.
+Compounds and lists cache their groundness once asked, substitution
+returns ground terms as they are, a ground goal is matched against the
+rules as they are instead of renamed-apart variants, and normalisation
+without bindings or globals returns the state's goal and facts unchanged.
+
 :func:`state_equiv` decides state equivalence for toolchain states after
 substitution closure and elimination of decided built-ins; all failed
 states are equivalent.  A state of the translated shape is decoded into
@@ -19,8 +25,7 @@ list slots alike.  Other states compare as literal constraint multisets.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .core import (
@@ -56,11 +61,20 @@ Term = Union[Symbol, Variable, int, "Compound", "TList"]
 class Compound:
     functor: str
     args: tuple[Term, ...]
+    # groundness, filled in by the first is_ground query (see there)
+    _ground: bool = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):  # the flag may be unset, so copy the fields only
+        return Compound, (self.functor, self.args)
 
 
 @dataclass(frozen=True, slots=True)
 class TList:
     items: tuple[Term, ...]
+    _ground: bool = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return TList, (self.items,)
 
 
 def tuple_term(*args: Term) -> Compound:
@@ -78,10 +92,17 @@ def walk(t: Term, env: Env) -> Term:
 
 
 def subst(t: Term, env: Env) -> Term:
+    """Apply the bindings; ground terms come back as they are."""
+    if not env:
+        return t
     t = walk(t, env)
     if isinstance(t, Compound):
+        if is_ground(t):
+            return t
         return Compound(t.functor, tuple(subst(a, env) for a in t.args))
     if isinstance(t, TList):
+        if is_ground(t):
+            return t
         return TList(tuple(subst(a, env) for a in t.items))
     return t
 
@@ -122,23 +143,36 @@ def unify(a: Term, b: Term, env: Env) -> Optional[Env]:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
+    """Whether the term holds no variable.
+
+    Compounds and lists compute this on the first query and keep it in
+    their ``_ground`` slot, left unset at construction because most
+    encoded terms are never asked.
+    """
     if isinstance(t, Compound):
-        return all(is_ground(a) for a in t.args)
-    if isinstance(t, TList):
-        return all(is_ground(a) for a in t.items)
-    return True
+        g = getattr(t, "_ground", None)
+        if g is not None:
+            return g
+        g = all(is_ground(a) for a in t.args)
+    elif isinstance(t, TList):
+        g = getattr(t, "_ground", None)
+        if g is not None:
+            return g
+        g = all(is_ground(a) for a in t.items)
+    else:
+        return not isinstance(t, Variable)
+    object.__setattr__(t, "_ground", g)
+    return g
 
 
 def term_vars(t: Term) -> set[Variable]:
     if isinstance(t, Variable):
         return {t}
+    if is_ground(t):
+        return set()
     if isinstance(t, Compound):
-        return set().union(*[term_vars(a) for a in t.args]) if t.args else set()
-    if isinstance(t, TList):
-        return set().union(*[term_vars(a) for a in t.items]) if t.items else set()
-    return set()
+        return set().union(*[term_vars(a) for a in t.args])
+    return set().union(*[term_vars(a) for a in t.items])  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +249,13 @@ class ChrRule:
         return out
 
 
-_variant_ids = itertools.count()
+def rule_variant(rule: ChrRule, n: int) -> ChrRule:
+    """Copy of the rule with every variable ``V`` renamed to ``V~n``.
 
-
-def rule_variant(rule: ChrRule) -> ChrRule:
-    """Fresh copy of the rule: every variable renamed apart."""
-    n = next(_variant_ids)
+    :func:`chr_step` passes the rule's position in the program, so its
+    output depends on nothing but its arguments.  Goal variables must not
+    use the ``~`` names.
+    """
     ren = {v: Variable(f"{v.name}~{n}") for v in rule.variables()}
 
     def conv(cs: tuple[Constraint, ...]) -> tuple[Constraint, ...]:
@@ -398,13 +433,12 @@ def _solve_one(
             raise Undecided(f"non-numeric comparison: {render_constraint(c)}")
         return [(env, ())] if a > b else []
     if name == "in":
-        pattern, lst = c.args
-        lst = subst(lst, env)
+        pattern, lst = (subst(x, env) for x in c.args)
         if not (isinstance(lst, TList) and is_ground(lst)):
             raise Undecided(f"membership over unbound list: {render_constraint(c)}")
         out = []
         for item in lst.items:
-            e = unify(subst(pattern, env), item, env)
+            e = unify(pattern, item, env)
             if e is not None:
                 out.append((e, ()))
         return out
@@ -556,8 +590,11 @@ def chr_step(
 ) -> list[tuple[str, ChrState]]:
     """All successor states, labelled by the rule that produced them.
 
-    Rules are tried in program order with a fresh variant per attempt;
-    every injective head matching and every guard/body solution yields one
+    Rules are tried in program order.  A goal with variables is matched
+    against a variant of each rule renamed apart (:func:`rule_variant`);
+    a ground goal shares no variable with a rule, and every attempt starts
+    from an empty environment, so it uses the rules as they are.  Every
+    injective head matching and every guard/body solution yields one
     successor.  Successors are normalised representatives: the body's user
     constraints are added ground, and the built-in store grows only by the
     facts contributed by ``action``.
@@ -565,9 +602,10 @@ def chr_step(
     config = config or ArchitectureConfig()
     ids = ids or fresh_gen_for(state)
     facts = facts_of(state)
+    ground = all(is_ground(a) for c in state.goal for a in c.args)
     out: list[tuple[str, ChrState]] = []
-    for rule in program:
-        variant = rule_variant(rule)
+    for n, rule in enumerate(program):
+        variant = rule if ground else rule_variant(rule, n)
         kept_n = len(variant.kept)
         for env, used in _head_matchings(variant.heads(), state.goal):
             removed = set(used[kept_n:])
@@ -628,6 +666,8 @@ def _normalize(state: ChrState):
             raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
         else:
             residual.append(c)
+    if not env and not state.globals:  # always so for translated states
+        return state.goal, tuple(residual), frozenset()
     goal = tuple(subst_constraint(c, env) for c in state.goal)
     facts = tuple(subst_constraint(c, env) for c in residual)
     occurring = set()

@@ -10,8 +10,9 @@ identifier ever needs remapping.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 
 class CoreError(Exception):

@@ -8,8 +8,9 @@ front end can report every problem at once.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .core import Chunk, ChunkStore, NIL, Symbol, TypeTable, Value, Variable
 

@@ -16,7 +16,14 @@ from actrchr.bisim import (
     effect_lemma_check,
 )
 from actrchr.chr import ChrRule, builtin
-from actrchr.engine import match_rule, normalize_model, successors
+from actrchr.engine import (
+    FAIL_NIL,
+    FAIL_STUCK,
+    ArchitectureConfig,
+    match_rule,
+    normalize_model,
+    successors,
+)
 from actrchr.modelgen import random_model
 from actrchr.parser import parse_model
 from actrchr.translate import chr_of_model
@@ -155,6 +162,9 @@ class TestFaultInjection:
         report = bisim_check(counting_model, depth=3, program=(confused, prog[1]))
         assert not report.ok
         assert any(c.direction == UNDECIDED for c in report.counterexamples)
+        # the messages name no variable from an earlier run
+        again = bisim_check(counting_model, depth=3, program=(confused, prog[1]))
+        assert again.records() == report.records()
 
 
 class TestEffectCorrespondence:
@@ -192,3 +202,16 @@ class TestRandomCorpus:
             model = random_model(rng)
             report = bisim_check(model, depth=2)
             assert report.ok, report.text()
+
+    def test_small_random_corpus_is_bisimilar_when_failed_requests_stick(self):
+        rng = random.Random(62)
+        stuck = ArchitectureConfig(fail_request=FAIL_STUCK)
+        pairs = {FAIL_STUCK: 0, FAIL_NIL: 0}
+        for _ in range(30):
+            model = random_model(rng)
+            report = bisim_check(model, depth=3, config=stuck)
+            assert report.ok, report.text()
+            pairs[FAIL_STUCK] += report.nodes
+            pairs[FAIL_NIL] += bisim_check(model, depth=3).nodes
+        # failed requests do occur: dropping them leaves fewer pairs
+        assert pairs[FAIL_STUCK] < pairs[FAIL_NIL]

@@ -1,6 +1,8 @@
 """Constraint-store machinery: terms, built-in theory, step relation,
 state equivalence."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -52,7 +54,7 @@ from actrchr.chr import encode_cogstate
 from actrchr.engine import canonical_key, explore, normalize_model
 from actrchr.model import AbstractState, Action, Atom, MODIFY, REQUEST
 from actrchr.modelgen import random_model
-from actrchr.translate import chr_of_state, encode_action
+from actrchr.translate import chr_of_model, chr_of_state, encode_action
 
 
 def sym(name: str) -> Symbol:
@@ -100,6 +102,57 @@ class TestUnification:
         assert not is_ground(t)
         assert term_vars(t) == {var("X")}
         assert is_ground(subst(t, {var("X"): sym("b")}))
+
+    def test_cached_groundness_matches_the_definition(self):
+        def kids(t):
+            return t.args if isinstance(t, Compound) else t.items
+
+        def by_definition(t):
+            if isinstance(t, (Compound, TList)):
+                return all(by_definition(a) for a in kids(t))
+            return not isinstance(t, Variable)
+
+        rng = random.Random(5)
+
+        def build(depth):
+            r = rng.random()
+            if depth == 0 or r < 0.3:
+                return rng.choice([sym("a"), sym("b"), 0, var("X"), var("Y")])
+            args = tuple(build(depth - 1) for _ in range(rng.randint(0, 3)))
+            return Compound("f", args) if r < 0.65 else TList(args)
+
+        def subterms(t):
+            yield t
+            if isinstance(t, (Compound, TList)):
+                for a in kids(t):
+                    yield from subterms(a)
+
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            t = build(4)
+            terms = list(subterms(t))
+            rng.shuffle(terms)  # parents and children queried in any order
+            for u in terms + terms:  # the second round reads cached flags
+                assert is_ground(u) == by_definition(u)
+                assert (term_vars(u) == set()) == by_definition(u)
+            seen[is_ground(t)] += 1
+            # the flag is no part of equality, hashing or rendering
+            asked, unasked = Compound("g", (t,)), Compound("g", (t,))
+            is_ground(asked)
+            assert asked == unasked and hash(asked) == hash(unasked)
+            assert repr(asked) == repr(unasked)
+            # nor of copying, asked or not
+            for u in (asked, unasked):
+                assert pickle.loads(pickle.dumps(u)) == u == copy.deepcopy(u)
+        assert seen[True] > 20 and seen[False] > 20
+
+    def test_subst_returns_ground_terms_as_they_are(self):
+        t = Compound("f", (TList((sym("a"), 1)), sym("b")))
+        assert subst(t, {var("X"): sym("b")}) is t
+        assert subst(t, {}) is t
+        assert subst(var("X"), {var("X"): t}) is t
+        open_term = Compound("f", (var("X"),))
+        assert subst(open_term, {}) is open_term
 
 
 TYPES = table(t=("a", "b"))
@@ -367,8 +420,22 @@ class TestStepRelation:
         with pytest.raises(Undecided):
             chr_step(state, [fires_on_fact], TYPES)
 
+    def test_goal_with_variables_is_still_renamed_apart(self):
+        # the rule's X is not the goal's X: the head matches only renamed
+        rule = ChrRule(
+            name="r",
+            kept=(),
+            removed=(user("p", sym("b"), var("X")),),
+            guard=(),
+            body_user=(user("q", var("X")),),
+            body_builtin=(),
+        )
+        state = ChrState((user("p", var("X"), sym("a")),), ())
+        ((label, nxt),) = chr_step(state, [rule], TYPES)
+        assert label == "r" and nxt.goal == (user("q", sym("a")),)
+
     def test_variant_renames_apart(self):
-        v1, v2 = rule_variant(REVEAL), rule_variant(REVEAL)
+        v1, v2 = rule_variant(REVEAL, 0), rule_variant(REVEAL, 1)
         assert v1.variables().isdisjoint(v2.variables())
         assert all("~" in v.name for v in v1.variables())
         assert v1.name == REVEAL.name
@@ -484,6 +551,33 @@ class TestStateEquivalence:
                     chr_of_state(state, m.types)
                 )
         assert renamed > 50
+
+    def test_ground_goals_step_as_with_renamed_rules(self):
+        steps = 0
+        for m, states in self.reachable(74, models=15, depth=2):
+            prog = chr_of_model(m)
+            variants = [rule_variant(r, n) for n, r in enumerate(prog)]
+            for s in states:
+                c = chr_of_state(s, m.types)
+                out = chr_step(c, prog, m.types)
+                assert out == chr_step(c, variants, m.types)
+                for _, c2 in out:  # states the CHR side reaches itself
+                    assert chr_step(c2, prog, m.types) == chr_step(c2, variants, m.types)
+                steps += len(out)
+        assert steps > 100
+
+    def test_redundant_equation_keeps_the_form(self):
+        # the plain state takes the no-binding path of the normalisation,
+        # the others bind Z and substitute
+        z = var("Z")
+        eq = builtin("=", z, sym("a"))
+        for m, states in self.reachable(75, models=15, depth=3):
+            for s in states:
+                c = chr_of_state(s, m.types)
+                form = canonical_form(c)
+                assert canonical_form(ChrState(c.goal, c.builtins + (eq,))) == form
+                bound = ChrState(c.goal, (eq,) + c.builtins, frozenset({z}))
+                assert canonical_form(bound) == form
 
     def test_ill_shaped_states_stay_apart_from_their_original(self):
         a = Chunk(sym("c#0"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
