@@ -8,6 +8,10 @@ States produced by a step are normalised representatives of their
 equivalence class: solved guard and body built-ins are eliminated, only
 uninterpreted ground facts stay in the built-in store.
 
+The module owns the chunk-term codec: ``chunk(Id, Type, Pairs)`` terms,
+stores as chunk lists sorted by identifier, and ``=``/``+`` action terms,
+every pair list in the order of :meth:`~actrchr.core.TypeTable.ordered`.
+
 Translated states are ground, so ground terms are the cheap case.
 Compounds and lists cache their groundness once asked, substitution
 returns ground terms as they are, a ground goal is matched against the
@@ -272,21 +276,22 @@ def rule_variant(rule: ChrRule, n: int) -> ChrRule:
 
 
 # ---------------------------------------------------------------------------
-# chunk-store encoding shared by the built-in theory and the translator
+# the chunk-term codec, shared by the built-in theory and the translator
+
+#: Type position of a modification's action term.
+ANONYMOUS = Symbol("_")
 
 
-def encode_pairs(chunk: Chunk, types: TypeTable) -> TList:
-    if types.has(chunk.type):
-        order = [s for s in types.slots(chunk.type) if chunk.value(s) is not None]
-        extra = [s for s, _ in chunk.pairs if s not in order]
-        order.extend(sorted(extra, key=lambda s: s.name))
-    else:
-        order = [s for s, _ in chunk.pairs]
-    return TList(tuple(tuple_term(s, chunk.value(s)) for s in order))
+def encode_pairs(
+    type: Symbol | None, pairs: Iterable[tuple[Symbol, Term]], types: TypeTable
+) -> TList:
+    """Pair list in the canonical slot order of :meth:`TypeTable.ordered`."""
+    return TList(tuple(tuple_term(s, v) for s, v in types.ordered(type, pairs)))
 
 
 def encode_chunk(chunk: Chunk, types: TypeTable) -> Compound:
-    return Compound("chunk", (chunk.id, chunk.type, encode_pairs(chunk, types)))
+    pairs = encode_pairs(chunk.type, chunk.pairs, types)
+    return Compound("chunk", (chunk.id, chunk.type, pairs))
 
 
 def encode_store(store: ChunkStore, types: TypeTable) -> TList:
@@ -294,12 +299,19 @@ def encode_store(store: ChunkStore, types: TypeTable) -> TList:
     return TList(tuple(encode_chunk(c, types) for c in store.sorted_chunks()))
 
 
-def decode_chunk(t: Term) -> Chunk:
-    if not (isinstance(t, Compound) and t.functor == "chunk" and len(t.args) == 3):
-        raise ChrError(f"not a chunk term: {render_term(t)}")
-    id, type, pairs = t.args
-    if not (isinstance(id, Symbol) and isinstance(type, Symbol) and isinstance(pairs, TList)):
-        raise ChrError(f"malformed chunk term: {render_term(t)}")
+def encode_action(action: Action, types: TypeTable) -> Compound:
+    """Action term handed to the ``action`` built-in; modifications keep
+    their type anonymous."""
+    pairs = encode_pairs(action.type, action.pairs, types)
+    if action.kind == MODIFY:
+        return Compound("=", (action.buffer, ANONYMOUS, pairs))
+    return Compound("+", (action.buffer, action.type, pairs))
+
+
+def _decode_pairs(
+    pairs: TList, error: type[ChrError], what: str
+) -> tuple[tuple[Symbol, Symbol], ...]:
+    """Slot pairs of a ground pair list; anything else raises ``error``."""
     out = []
     for p in pairs.items:
         if not (
@@ -309,15 +321,34 @@ def decode_chunk(t: Term) -> Chunk:
             and isinstance(p.args[0], Symbol)
             and isinstance(p.args[1], Symbol)
         ):
-            raise ChrError(f"malformed slot pair: {render_term(p)}")
+            raise error(f"{what}: {render_term(p)}")
         out.append((p.args[0], p.args[1]))
-    return Chunk(id, type, out)
+    return tuple(out)
+
+
+def _chunk_fields(t: Term) -> tuple[Symbol, Symbol, TList]:
+    """Identifier, type and pair list of a ``chunk/3`` term."""
+    if not (isinstance(t, Compound) and t.functor == "chunk" and len(t.args) == 3):
+        raise ChrError(f"not a chunk term: {render_term(t)}")
+    id, type, pairs = t.args
+    if not (isinstance(id, Symbol) and isinstance(type, Symbol) and isinstance(pairs, TList)):
+        raise ChrError(f"malformed chunk term: {render_term(t)}")
+    return id, type, pairs
+
+
+def _chunk_terms(t: Term) -> tuple[Term, ...]:
+    if not isinstance(t, TList):
+        raise ChrError(f"not a chunk list: {render_term(t)}")
+    return t.items
+
+
+def decode_chunk(t: Term) -> Chunk:
+    id, type, pairs = _chunk_fields(t)
+    return Chunk(id, type, _decode_pairs(pairs, ChrError, "malformed slot pair"))
 
 
 def decode_store(t: Term) -> ChunkStore:
-    if not isinstance(t, TList):
-        raise ChrError(f"not a chunk list: {render_term(t)}")
-    return ChunkStore(decode_chunk(c) for c in t.items)
+    return ChunkStore(decode_chunk(c) for c in _chunk_terms(t))
 
 
 def _decode_action(t: Term) -> Action:
@@ -326,22 +357,12 @@ def _decode_action(t: Term) -> Action:
     buffer, type, pairs = t.args
     if not (isinstance(buffer, Symbol) and isinstance(pairs, TList)):
         raise ChrError(f"malformed action term: {render_term(t)}")
-    decoded = []
-    for p in pairs.items:
-        if not (
-            isinstance(p, Compound)
-            and p.functor == ","
-            and len(p.args) == 2
-            and isinstance(p.args[0], Symbol)
-            and isinstance(p.args[1], Symbol)
-        ):
-            raise Undecided(f"action pair not ground: {render_term(p)}")
-        decoded.append((p.args[0], p.args[1]))
+    decoded = _decode_pairs(pairs, Undecided, "action pair not ground")
     if t.functor == "=":
-        return Action(MODIFY, buffer, None, tuple(decoded))
+        return Action(MODIFY, buffer, None, decoded)
     if not isinstance(type, Symbol):
         raise ChrError(f"request without a type: {render_term(t)}")
-    return Action(REQUEST, buffer, type, tuple(decoded))
+    return Action(REQUEST, buffer, type, decoded)
 
 
 def _decode_cogstate(t: Term) -> dict[Symbol, tuple[Symbol, int]]:
@@ -507,7 +528,7 @@ def _solve_map(c: Constraint, env: Env) -> list[Solution]:
     d_t, d2_t, c_in, m_pat = (subst(x, env) for x in c.args)
     if not isinstance(c_in, Symbol):
         raise Undecided(f"map over unbound id: {render_constraint(c)}")
-    known = set(decode_store(d_t).ids()) | set(decode_store(d2_t).ids())
+    known = {_chunk_fields(t)[0] for t in (*_chunk_terms(d_t), *_chunk_terms(d2_t))}
     target = c_in if c_in in known else NIL
     e = unify(m_pat, target, env)
     return [] if e is None else [(e, ())]

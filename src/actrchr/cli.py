@@ -34,7 +34,21 @@ from .model import Model, validate
 from .parser import ParseError, parse_model, print_model
 from .translate import chr_of_model
 
-_FORMATS = ("dot", "trace", "text", "records")
+# every option a subcommand may read; each subcommand takes only its own
+_OPTIONS = {
+    "--depth": dict(type=int, default=16, help="step bound (default 16)"),
+    "--seed": dict(type=int, default=0, help="run seed (default 0)"),
+    "--dedup": dict(
+        choices=(DEDUP_EXACT, DEDUP_CANONICAL),
+        default=DEDUP_CANONICAL,
+        help="state identification while exploring (default canonical)",
+    ),
+    "--fail-request": dict(
+        choices=(FAIL_NIL, FAIL_STUCK),
+        default=FAIL_NIL,
+        help="policy for requests without answers (default nil)",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,38 +58,30 @@ def build_parser() -> argparse.ArgumentParser:
         "their constraint-rule translation.",
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
+    # name, help, the options it reads, its output formats (default first)
     commands = (
-        ("parse", "validate a model and print its canonical form"),
-        ("normalize", "print the model with every rule in set normal form"),
-        ("run", "print one seeded derivation as a step trace"),
-        ("explore", "print the bounded reachability graph"),
-        ("translate", "write the constraint-rule program for the model"),
-        ("check", "report on the bounded bisimulation with the translation"),
+        ("parse", "validate a model and print its canonical form", (), ()),
+        ("normalize", "print the model with every rule in set normal form", (), ()),
+        ("run", "print one seeded derivation as a step trace",
+         ("--depth", "--seed", "--fail-request"), ()),
+        ("explore", "print the bounded reachability graph",
+         ("--depth", "--dedup", "--fail-request"), ("dot", "text")),
+        ("translate", "write the constraint-rule program for the model", (), ()),
+        ("check", "report on the bounded bisimulation with the translation",
+         ("--depth", "--fail-request"), ("text", "records")),
     )
-    for name, help_text in commands:
+    for name, help_text, options, formats in commands:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("model", help="input .actr file")
-        sp.add_argument("--depth", type=int, default=16, help="step bound (default 16)")
-        sp.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-        sp.add_argument(
-            "--dedup",
-            choices=(DEDUP_EXACT, DEDUP_CANONICAL),
-            default=DEDUP_CANONICAL,
-            help="state identification while exploring (default canonical)",
-        )
-        sp.add_argument(
-            "--fail-request",
-            dest="fail_request",
-            choices=(FAIL_NIL, FAIL_STUCK),
-            default=FAIL_NIL,
-            help="policy for requests without answers (default nil)",
-        )
-        sp.add_argument(
-            "--format",
-            choices=_FORMATS,
-            default=None,
-            help="output format (default depends on the subcommand)",
-        )
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
+        if formats:
+            sp.add_argument(
+                "--format",
+                choices=formats,
+                default=formats[0],
+                help=f"output format (default {formats[0]})",
+            )
         sp.add_argument("--out", default=None, help="output path ('-' for stdout)")
     return p
 
@@ -116,8 +122,7 @@ def _cmd_run(model: Model, args: argparse.Namespace) -> int:
 
 def _cmd_explore(model: Model, args: argparse.Namespace) -> int:
     graph = explore(model, _config(args), args.depth, args.dedup)
-    fmt = args.format or "dot"
-    if fmt == "dot":
+    if args.format == "dot":
         text = to_dot(graph, model)
     else:
         lines = [
@@ -164,7 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.depth < 0:
+    if getattr(args, "depth", 0) < 0:
         print("error: --depth must be non-negative", file=sys.stderr)
         return 2
     try:

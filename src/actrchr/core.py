@@ -89,15 +89,16 @@ def fresh_gen_avoiding(symbols: Iterable[Symbol]) -> IdGen:
 class TypeTable:
     """Declared chunk types with their ordered slot lists.
 
-    Slot order is declaration order; it is the canonical order for every
-    printed or encoded slot list.  The slotless built-in type ``chunk`` is
-    always present and may be redeclared only identically.
+    Slot order is declaration order; :meth:`ordered` makes it the canonical
+    order of every printed or encoded slot list.  The slotless built-in
+    type ``chunk`` is always present and may be redeclared only identically.
     """
 
-    __slots__ = ("_slots",)
+    __slots__ = ("_slots", "_index")
 
     def __init__(self) -> None:
         self._slots: dict[Symbol, tuple[Symbol, ...]] = {CHUNK: ()}
+        self._index: dict[Symbol, dict[Symbol, int]] = {CHUNK: {}}
 
     def declare(self, name: Symbol, slots: Iterable[Symbol]) -> None:
         slots = tuple(slots)
@@ -107,6 +108,7 @@ class TypeTable:
         if known is not None and known != slots:
             raise CoreError(f"conflicting redeclaration of type {name}")
         self._slots[name] = slots
+        self._index[name] = {s: k for k, s in enumerate(slots)}
 
     def has(self, name: Symbol) -> bool:
         return name in self._slots
@@ -119,6 +121,15 @@ class TypeTable:
 
     def names(self) -> tuple[Symbol, ...]:
         return tuple(self._slots)
+
+    def ordered(
+        self, type: Symbol | None, pairs: Iterable[tuple[Symbol, Value]]
+    ) -> tuple[tuple[Symbol, Value], ...]:
+        """The pairs sorted stably by (slot position in ``type``, slot name);
+        an unknown or ``None`` type and undeclared slots sort by name."""
+        index = self._index.get(type, {})
+        last = len(index)
+        return tuple(sorted(pairs, key=lambda p: (index.get(p[0], last), p[0].name)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TypeTable) and self._slots == other._slots

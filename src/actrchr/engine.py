@@ -237,9 +237,7 @@ def set_normal_form(rule: Rule, types: TypeTable):
             if s not in present:
                 pairs.append((s, Variable(f"{_NORMAL_VAR_PREFIX}{fresh}")))
                 fresh += 1
-        index = {s: k for k, s in enumerate(types.slots(t.type))}
-        pairs.sort(key=lambda p: index.get(p[0], len(index)))
-        filled.append(BufferTest(t.buffer, t.type, tuple(pairs), t.span))
+        filled.append(BufferTest(t.buffer, t.type, types.ordered(t.type, pairs), t.span))
     return Rule(rule.name, tuple(filled), actions, rule.span)
 
 

@@ -99,18 +99,6 @@ def clashing_variant(rng: random.Random, store: ChunkStore) -> Optional[ChunkSto
 # rules and models
 
 
-def _canon_pairs(
-    types: TypeTable, type: Optional[Symbol], pairs: list[Pair]
-) -> tuple[Pair, ...]:
-    # Same canonical pair order the parser produces, so generated models
-    # survive print/parse round trips unchanged.
-    if type is not None and types.has(type):
-        index = {s: k for k, s in enumerate(types.slots(type))}
-    else:
-        index = {}
-    return tuple(sorted(pairs, key=lambda p: (index.get(p[0], len(index)), p[0].name)))
-
-
 def _test_value(rng: random.Random, ids: list[Symbol]) -> Value:
     if rng.random() < 0.5:
         return rng.choice(_VAR_POOL)
@@ -150,7 +138,7 @@ def random_rule(
                     second = rng.choice([*ids, NIL])
                 if (s, second) not in pairs:
                     pairs.append((s, second))
-        tests.append(BufferTest(b, type, _canon_pairs(types, type, pairs)))
+        tests.append(BufferTest(b, type, types.ordered(type, pairs)))
 
     lhs_vars = sorted(
         {v for t in tests for _, v in t.pairs if isinstance(v, Variable)},
@@ -165,7 +153,7 @@ def random_rule(
                 for s in types.slots(type)
                 if rng.random() < 0.7
             ]
-            actions.append(Action(REQUEST, b, type, _canon_pairs(types, type, pairs)))
+            actions.append(Action(REQUEST, b, type, types.ordered(type, pairs)))
         else:
             tested = next((t.type for t in tests if t.buffer == b), None)
             source = tested if tested is not None else rng.choice([*decl, CHUNK])
@@ -174,7 +162,7 @@ def random_rule(
                 for s in types.slots(source)
                 if rng.random() < 0.7
             ]
-            actions.append(Action(MODIFY, b, None, _canon_pairs(types, None, pairs)))
+            actions.append(Action(MODIFY, b, None, types.ordered(None, pairs)))
     return Rule(name, tuple(tests), tuple(actions))
 
 
@@ -206,7 +194,7 @@ def _matching_rule(
                 pairs.append((s, var_for.get(v, v)))
             else:
                 pairs.append((s, v))
-        tests.append(BufferTest(b, chunk.type, _canon_pairs(types, chunk.type, pairs)))
+        tests.append(BufferTest(b, chunk.type, types.ordered(chunk.type, pairs)))
     base = random_rule(rng, name, types, buffers, ids)
     lhs_vars = sorted(
         {v for t in tests for _, v in t.pairs if isinstance(v, Variable)},

@@ -18,8 +18,9 @@ Capitalised identifiers are rule variables, everything else is a constant.
 Symbol resolution problems (unknown types, slots, buffers, chunks) are not
 parse errors; they are reported by :func:`actrchr.model.validate`.
 
-Parsing canonicalises pair order (type slot order, then slot name), so
-``parse_model(print_model(m)) == m`` for every parsed or generated model.
+Pairs follow :meth:`actrchr.core.TypeTable.ordered`, the one slot order
+of printing and encoding, so ``parse_model(print_model(m)) == m`` for
+every parsed or generated model.
 """
 
 from __future__ import annotations
@@ -193,22 +194,6 @@ class _Parser:
         return out
 
 
-def _ordered_pairs(
-    types: TypeTable, type: Symbol | None, raw: list[tuple[Symbol, Value, Span]]
-) -> tuple[Pair, ...]:
-    """Canonical pair order: slot position in the type, then slot name.
-
-    The sort is stable, so repeated slots keep their source order.  Unknown
-    types or slots sort by name only; validate reports them later.
-    """
-    slots: tuple[Symbol, ...] = ()
-    if type is not None and types.has(type):
-        slots = types.slots(type)
-    index = {s: k for k, s in enumerate(slots)}
-    ordered = sorted(raw, key=lambda p: (index.get(p[0], len(slots)), p[0].name))
-    return tuple((s, v) for s, v, _ in ordered)
-
-
 def parse_model(text: str) -> Model:
     p = _Parser(tokenize(text))
     types = TypeTable()
@@ -280,15 +265,16 @@ def parse_model(text: str) -> Model:
 def _declared_chunk(
     types: TypeTable, id: Symbol, ctype: Symbol, raw: list[tuple[Symbol, Value, Span]]
 ) -> Chunk:
-    # Complete the value to the full slot list (missing slots become nil),
-    # but keep surplus declared slots so validate can point at them.
-    given = {s: v for s, v, _ in raw}
-    pairs: list[tuple[Symbol, Symbol]] = []
+    # Missing slots become nil; surplus slots stay so validate can point at them.
+    given: dict[Symbol, Value] = {}
+    for s, v, span in raw:
+        if s in given:
+            raise ParseError(f"slot {s} given twice in chunk {id}", span)
+        given[s] = v
     if types.has(ctype):
         for s in types.slots(ctype):
-            pairs.append((s, given.pop(s, NIL)))
-    pairs.extend(sorted(given.items(), key=lambda p: p[0].name))
-    return Chunk(id, ctype, pairs)
+            given.setdefault(s, NIL)
+    return Chunk(id, ctype, given)
 
 
 def _parse_rule(p: _Parser, types: TypeTable, rname: Token) -> Rule:
@@ -300,9 +286,8 @@ def _parse_rule(p: _Parser, types: TypeTable, rname: Token) -> Rule:
         p.expect("colon", "':'")
         ttype = p.type_name()
         raw = p.pair_list(variables=True)
-        tests.append(
-            BufferTest(buffer, ttype, _ordered_pairs(types, ttype, raw), span)
-        )
+        pairs = types.ordered(ttype, ((s, v) for s, v, _ in raw))
+        tests.append(BufferTest(buffer, ttype, pairs, span))
     p.expect("arrow", "'==>'")
     actions: list[Action] = []
     while p.peek().kind != "rbrace":
@@ -319,9 +304,8 @@ def _parse_rule(p: _Parser, types: TypeTable, rname: Token) -> Rule:
         else:
             rtype = None
         raw = p.pair_list(variables=True)
-        actions.append(
-            Action(tok.text, buffer, rtype, _ordered_pairs(types, rtype, raw), tok.span)
-        )
+        pairs = types.ordered(rtype, ((s, v) for s, v, _ in raw))
+        actions.append(Action(tok.text, buffer, rtype, pairs, tok.span))
     p.expect("rbrace", "'}'")
     return Rule(rname.text, tuple(tests), tuple(actions), rname.span)
 
@@ -335,10 +319,6 @@ def _render_pairs(pairs: tuple[Pair, ...]) -> str:
         return "{}"
     inner = ", ".join(f"{s.name}: {v.name}" for s, v in pairs)
     return f"{{ {inner} }}"
-
-
-def _chunk_print_pairs(types: TypeTable, c: Chunk) -> tuple[Pair, ...]:
-    return _ordered_pairs(types, c.type, [(s, v, None) for s, v in c.pairs])
 
 
 def print_model(model: Model) -> str:
@@ -355,7 +335,7 @@ def print_model(model: Model) -> str:
     for c in model.chunks:
         lines.append(
             f"chunk {c.id.name} : {c.type.name} "
-            f"{_render_pairs(_chunk_print_pairs(model.types, c))}"
+            f"{_render_pairs(model.types.ordered(c.type, c.pairs))}"
         )
     if model.chunks:
         lines.append("")

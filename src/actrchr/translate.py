@@ -6,7 +6,8 @@ simplification rule that removes and rebuilds the whole state: the guard
 checks the buffer tests by membership in the store encoding, the body
 recomputes the store with ``action``/``merge``/``map`` built-ins and
 re-emits every buffer's ``gamma``.  A generic ``no`` rule that reveals one
-pending buffer closes the program.
+pending buffer closes the program.  Chunk, store, action and test-pattern
+terms come from the codec in :mod:`actrchr.chr`, in one slot order.
 
 Rules must be in set normal form before translation
 (:func:`actrchr.engine.set_normal_form`); :func:`chr_of_model` normalises
@@ -25,15 +26,16 @@ from .chr import (
     TList,
     builtin,
     delta_c,
+    encode_action,
     encode_cogstate,
+    encode_pairs,
     encode_store,
     fact_constraint,
     gamma_c,
-    tuple_term,
 )
-from .core import ChunkStore, Symbol, TypeTable, Value, Variable
+from .core import Symbol, TypeTable, Variable
 from .engine import is_normal_form, normalize_model
-from .model import AbstractState, Action, MODIFY, Model, Rule
+from .model import AbstractState, Model, Rule
 
 
 class TranslationError(Exception):
@@ -42,9 +44,6 @@ class TranslationError(Exception):
 
 class NotNormalized(TranslationError):
     """Only set-normal-form rules translate."""
-
-
-ANONYMOUS = Symbol("_")
 
 
 @dataclass(frozen=True)
@@ -98,40 +97,16 @@ def build_var_plan(rule: Rule, buffers: tuple[Symbol, ...]) -> VarPlan:
     )
 
 
-def chr_of_store(store: ChunkStore, types: TypeTable) -> TList:
-    """Canonical chunk-list encoding (sorted by identifier name)."""
-    return encode_store(store, types)
-
-
 def chr_of_state(state: AbstractState, types: TypeTable) -> ChrState:
     """delta(<store>) plus one gamma per buffer; facts become the
     built-in store; no globals."""
-    goal = [delta_c(chr_of_store(state.store, types))]
+    goal = [delta_c(encode_store(state.store, types))]
     for b, c, d in state.gamma:
         goal.append(gamma_c(b, c, d))
     return ChrState(
         goal=tuple(goal),
         builtins=tuple(fact_constraint(a) for a in state.upsilon),
         globals=frozenset(),
-    )
-
-
-def _pair_list(pairs, types: TypeTable, type: Symbol | None) -> TList:
-    if type is not None and types.has(type):
-        order = {s: k for k, s in enumerate(types.slots(type))}
-        pairs = sorted(pairs, key=lambda p: (order.get(p[0], len(order)), p[0].name))
-    else:
-        pairs = sorted(pairs, key=lambda p: p[0].name)
-    return TList(tuple(tuple_term(s, v) for s, v in pairs))
-
-
-def encode_action(action: Action, types: TypeTable) -> Compound:
-    """Action term handed to the ``action`` built-in; modifications keep
-    their type anonymous."""
-    if action.kind == MODIFY:
-        return Compound("=", (action.buffer, ANONYMOUS, _pair_list(action.pairs, types, None)))
-    return Compound(
-        "+", (action.buffer, action.type, _pair_list(action.pairs, types, action.type))
     )
 
 
@@ -153,11 +128,8 @@ def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> Ch
 
     guard = []
     for t in rule.tests:
-        slot_values: dict[Symbol, Value] = dict(t.pairs)
-        ordered = TList(
-            tuple(tuple_term(s, slot_values[s]) for s in types.slots(t.type))
-        )
-        pattern = Compound("chunk", (plan.cvar[t.buffer], t.type, ordered))
+        pairs = encode_pairs(t.type, t.pairs, types)
+        pattern = Compound("chunk", (plan.cvar[t.buffer], t.type, pairs))
         guard.append(builtin("in", pattern, plan.store))
         guard.append(builtin("=", plan.dvar[t.buffer], 0))
 

@@ -18,6 +18,7 @@ from actrchr.core import (
     is_fresh_id,
 )
 from actrchr.chr import (
+    ChrError,
     ChrRule,
     ChrState,
     Compound,
@@ -29,6 +30,7 @@ from actrchr.chr import (
     decode_chunk,
     decode_store,
     delta_c,
+    encode_action,
     encode_chunk,
     encode_pairs,
     encode_store,
@@ -54,7 +56,7 @@ from actrchr.chr import encode_cogstate
 from actrchr.engine import canonical_key, explore, normalize_model
 from actrchr.model import AbstractState, Action, Atom, MODIFY, REQUEST
 from actrchr.modelgen import random_model
-from actrchr.translate import chr_of_model, chr_of_state, encode_action
+from actrchr.translate import chr_of_model, chr_of_state
 
 
 def sym(name: str) -> Symbol:
@@ -185,7 +187,7 @@ class TestEncoding:
 
     def test_partial_chunk_encodes_only_present_slots(self):
         partial = Chunk(sym("k"), sym("t"), {sym("b"): sym("k")})
-        enc = encode_pairs(partial, TYPES)
+        enc = encode_pairs(partial.type, partial.pairs, TYPES)
         assert enc == TList((tuple_term(sym("b"), sym("k")),))
 
 
@@ -276,6 +278,17 @@ class TestBuiltinTheory:
         empty = encode_store(ChunkStore(), TYPES)
         ((env, _),) = solve([builtin("map", empty, empty, sym("zz"), var("M"))])
         assert env[var("M")] == NIL
+
+    def test_map_builtin_rejects_malformed_stores(self):
+        empty = encode_store(ChunkStore(), TYPES)
+        for bad in (
+            sym("x"),  # not a list
+            TList((tuple_term(sym("x"), sym("t")),)),  # not a chunk/3 term
+            TList((Compound("chunk", (7, sym("t"), TList(()))),)),  # id not a symbol
+        ):
+            for args in ((bad, empty), (empty, bad)):
+                with pytest.raises(ChrError):
+                    solve([builtin("map", *args, sym("x"), var("M"))])
 
     def test_action_builtin_answers_requests_from_the_facts(self):
         hit = Chunk(sym("d1"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})

@@ -80,6 +80,25 @@ class TestUsageErrors:
     def test_unknown_format(self, capsys, counting_path):
         assert run_cli(capsys, "explore", counting_path, "--format", "yaml")[0] == 2
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("parse", "--seed", "1"),
+            ("normalize", "--depth", "2"),
+            ("translate", "--fail-request", "stuck"),
+            ("run", "--dedup", "exact"),
+            ("explore", "--seed", "1"),
+            ("explore", "--format", "trace"),
+            ("check", "--format", "dot"),
+            ("check", "--dedup", "exact"),
+        ],
+    )
+    def test_options_the_subcommand_does_not_read(
+        self, capsys, counting_path, command, option, value
+    ):
+        args = (command, counting_path, option, value, "--out", "-")
+        assert run_cli(capsys, *args)[0] == 2
+
 
 class TestNormalize:
     def test_rules_come_out_slot_complete(self, capsys, tmp_path):

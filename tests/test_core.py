@@ -110,6 +110,24 @@ class TestTypeTable:
         with pytest.raises(CoreError):
             TypeTable().slots(sym("nope"))
 
+    @pytest.mark.parametrize(
+        "type, given, expected",
+        [
+            ("t", "a:1 c:2 b:3", "b:3 a:1 c:2"),  # declared order, then extras by name
+            ("t", "z:1 a:2 y:3 b:4", "b:4 a:2 y:3 z:1"),
+            ("nope", "c:1 a:2 b:3", "a:2 b:3 c:1"),  # unknown type: by name
+            (None, "c:1 a:2 b:3", "a:2 b:3 c:1"),
+            ("t", "a:1 c:2 b:3 a:4 c:5 b:6", "b:3 b:6 a:1 a:4 c:2 c:5"),  # stable
+            ("t", "a:9 a:1", "a:9 a:1"),
+        ],
+    )
+    def test_ordered_is_the_canonical_slot_order(self, type, given, expected):
+        t = TypeTable()
+        t.declare(sym("t"), (sym("b"), sym("a")))
+        pairs = [tuple(map(sym, p.split(":"))) for p in given.split()]
+        got = t.ordered(None if type is None else sym(type), pairs)
+        assert " ".join(f"{s.name}:{v.name}" for s, v in got) == expected
+
 
 class TestIdGen:
     def test_fresh_sequence(self):

@@ -1,6 +1,7 @@
 """Surface syntax: lexing, parsing, printing and their round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,27 @@ class TestRoundTrip:
             assert again == m
             assert print_model(again) == text
 
+    def test_pair_order_in_the_source_does_not_matter(self):
+        rng = random.Random(5)
+
+        def shuffle(match: re.Match) -> str:
+            items = match.group(1).split(", ")
+            # repeated slots keep their source order, which is part of the rule
+            by_slot: dict[str, list[str]] = {}
+            for item in items:
+                by_slot.setdefault(item.split(":")[0], []).append(item)
+            order = rng.sample(items, len(items))
+            return "{ " + ", ".join(by_slot[i.split(":")[0]].pop(0) for i in order) + " }"
+
+        moved = 0
+        for i in range(30):
+            m = random_model(random.Random(i))
+            text = print_model(m)
+            shuffled = re.sub(r"\{ ([^{}]*:[^{}]*) \}", shuffle, text)
+            moved += shuffled != text
+            assert parse_model(shuffled) == m
+        assert moved > 10
+
 
 class TestSyntax:
     def test_comments_run_to_end_of_line(self):
@@ -154,6 +176,11 @@ class TestErrors:
     def test_stray_token_at_top_level(self):
         e = self.err("type t {}\nwibble\n")
         assert e.span.line == 2
+
+    def test_repeated_slot_in_a_chunk(self):
+        e = self.err("type t { s }\nchunk a : t { s: a,\n  s: nil }\n")
+        assert (e.span.line, e.span.col) == (3, 3)
+        assert "slot s given twice" in e.message
 
     def test_message_carries_position(self):
         e = self.err("type t {}\nchunk a t {}\n")
