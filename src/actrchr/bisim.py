@@ -9,7 +9,9 @@ states.  That form decodes a translated state back into the abstract state
 it encodes and takes the engine's canonical key, so there is a single
 fresh-identifier canonicalisation for both sides.  Per label the successor
 classes must also correspond one to one, which checks the per-rule effect
-correspondence at every visited pair.
+correspondence at every visited pair.  :func:`effect_lemma_check` states
+that correspondence for one rule and one state, through the same step
+relation (:func:`~actrchr.chr.chr_step`) and the same canonical forms.
 """
 
 from __future__ import annotations
@@ -21,16 +23,10 @@ from dataclasses import dataclass, field
 from .chr import (
     ChrRule,
     ChrState,
-    Env,
     Undecided,
     canonical_form,
     chr_step,
-    encode_store,
-    fact_constraint,
-    is_ground,
     render_state,
-    solve_builtins,
-    subst_constraint,
 )
 from .core import TypeTable
 from .engine import (
@@ -48,7 +44,7 @@ from .engine import (
     successors,
 )
 from .model import AbstractState, Model, Rule
-from .translate import build_var_plan, chr_of_model, chr_of_rule, chr_of_state
+from .translate import chr_of_model, chr_of_rule, chr_of_state
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -164,7 +160,7 @@ def bisim_check(
     c0 = chr_of_state(s0, types)
     ids = fresh_gen_for(s0)
     report = BisimReport(depth=depth)
-    seen = {(canonical_key(s0, model.buffers, types), canonical_form(c0))}
+    seen = {(canonical_key(s0), canonical_form(c0))}
     queue = deque([(s0, c0, 0)])
     while queue:
         s, c, d = queue.popleft()
@@ -191,7 +187,7 @@ def bisim_check(
         for label, form, s2 in eng:
             mates = [c2 for l2, f2, c2 in chrs if l2 == label and f2 == form]
             if mates:
-                key = (canonical_key(s2, model.buffers, types), form)
+                key = (canonical_key(s2), form)
                 if key not in seen:
                     seen.add(key)
                     queue.append((s2, mates[0], d + 1))
@@ -256,18 +252,22 @@ def effect_lemma_check(
     types: TypeTable,
     config: ArchitectureConfig | None = None,
 ) -> bool:
-    """Solutions of the translated rule's built-in chain correspond one to
-    one with the rule's interpreted effects in the state.
+    """The translated rule's CHR steps from the translated state correspond
+    one to one with the rule's interpreted effects in the state.
 
-    Both sides are read as successor descriptions (new store, updated
-    buffers, contributed facts) and compared as multisets of canonical
-    forms.  Holds vacuously when the rule matches nowhere in the state on
-    both sides; disagreement on matching itself also fails the check.
+    The abstract side applies each effect of the normalised rule; the CHR
+    side runs :func:`~actrchr.chr.chr_step` with the translated rule alone.
+    Both successor sets are compared as multisets of canonical forms.
+    Holds vacuously when the rule matches nowhere in the state on both
+    sides (a rule that normalises to :data:`~actrchr.engine.DROPPED` has no
+    translation and no effect); disagreement on matching itself also fails
+    the check.
     """
     config = config or ArchitectureConfig()
-    buffers = tuple(b for b, _, _ in state.gamma)
     nf = set_normal_form(rule, types)
-    theta = match_rule(nf, state) if nf is not DROPPED else None
+    if nf is DROPPED:
+        return True
+    theta = match_rule(nf, state)
     effects = (
         interpret_rule(nf, theta, state, config, fresh_gen_for(state))
         if theta is not None
@@ -277,26 +277,9 @@ def effect_lemma_check(
         canonical_form(chr_of_state(apply_transition(state, e), types))
         for e in effects
     )
-
-    chr_records: Counter = Counter()
-    if nf is not DROPPED:
-        crule = chr_of_rule(nf, buffers, types)
-        plan = build_var_plan(nf, buffers)
-        env: Env = {plan.store: encode_store(state.store, types)}
-        for b, cid, delay in state.gamma:
-            env[plan.cvar[b]] = cid
-            env[plan.dvar[b]] = delay
-        facts = state.upsilon
-        base = tuple(fact_constraint(a) for a in facts)
-        for genv, _ in solve_builtins(crule.guard, env, facts, types, config):
-            for benv, atoms in solve_builtins(
-                crule.body_builtin, genv, facts, types, config, fresh_gen_for(state)
-            ):
-                goal = tuple(subst_constraint(u, benv) for u in crule.body_user)
-                if any(not is_ground(a) for c in goal for a in c.args):
-                    raise Undecided("translated body left unbound variables")
-                succ = ChrState(
-                    goal, base + tuple(fact_constraint(a) for a in atoms)
-                )
-                chr_records[canonical_form(succ)] += 1
+    program = (chr_of_rule(nf, state.buffers(), types),)
+    chr_records = Counter(
+        canonical_form(c2)
+        for _, c2 in chr_step(chr_of_state(state, types), program, types, config)
+    )
     return eng_records == chr_records

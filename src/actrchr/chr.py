@@ -759,7 +759,8 @@ def canonical_form(state: ChrState):
     decoded into the abstract state it encodes, whose
     :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
     identifiers up to renaming; the slot layout of its chunk terms is kept
-    beside it.  Any other state compares as literal goal and fact
+    beside it.  So ``canonical_form(chr_of_state(s, types))[1]`` is
+    ``canonical_key(s)``.  Any other state compares as literal goal and fact
     multisets, and all failed states share one form.
     """
     norm = _normalize(state)
@@ -769,7 +770,7 @@ def canonical_form(state: ChrState):
     decoded = _decode_translated(goal, facts)
     if decoded is not None:
         abstract, layout = decoded
-        return ("state", canonical_key(abstract, abstract.buffers(), TypeTable()), layout)
+        return ("state", canonical_key(abstract), layout)
     goal_key = tuple(sorted(render_constraint(c) for c in goal))
     fact_key = tuple(sorted(render_constraint(c) for c in facts))
     return ("raw", goal_key, fact_key, tuple(sorted(v.name for v in globs)))

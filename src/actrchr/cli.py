@@ -113,7 +113,7 @@ def _cmd_run(model: Model, args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     steps = random_walk(model, _config(args), args.depth, rng)
     lines = [
-        f"step {n}: {label} -> {state_fingerprint(state, model)}"
+        f"step {n}: {label} -> {state_fingerprint(state)}"
         for n, (label, state) in enumerate(steps, 1)
     ]
     _emit("\n".join(lines) + "\n" if lines else "", args.out)
@@ -123,10 +123,10 @@ def _cmd_run(model: Model, args: argparse.Namespace) -> int:
 def _cmd_explore(model: Model, args: argparse.Namespace) -> int:
     graph = explore(model, _config(args), args.depth, args.dedup)
     if args.format == "dot":
-        text = to_dot(graph, model)
+        text = to_dot(graph)
     else:
         lines = [
-            f"state {i}: {state_fingerprint(s, model)}"
+            f"state {i}: {state_fingerprint(s)}"
             for i, s in enumerate(graph.states)
         ]
         lines.extend(f"edge {a} -{label}-> {b}" for a, label, b in graph.edges)

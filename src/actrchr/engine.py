@@ -6,6 +6,10 @@ rule (modifications and requests, combined per effect) and the no-rule
 step that reveals one pending buffer.  :func:`explore` builds the reachable
 labelled transition graph breadth-first, deduplicating states either
 exactly or up to canonical renaming of fresh chunk identifiers.
+:func:`canonical_key` is the one fresh-identifier canonicalisation of the
+package (the CHR side reaches it through the abstract state a translated
+state encodes); it and :func:`state_fingerprint` depend on the state
+alone, not on the model's declaration order.
 """
 
 from __future__ import annotations
@@ -68,33 +72,12 @@ def apply_label(rule_name: str) -> str:
 # substitutions and matching
 
 
-@dataclass(frozen=True, slots=True)
-class Substitution:
-    """Finite map from rule variables to chunk identifiers."""
-
-    pairs: tuple[tuple[Variable, Symbol], ...]
-
-    @staticmethod
-    def make(mapping: Mapping[Variable, Symbol]) -> "Substitution":
-        return Substitution(tuple(sorted(mapping.items(), key=lambda p: p[0].name)))
-
-    def get(self, v: Variable) -> Symbol | None:
-        for var, val in self.pairs:
-            if var == v:
-                return val
-        return None
-
-    def apply(self, value: Value) -> Value:
-        if isinstance(value, Variable):
-            bound = self.get(value)
-            return value if bound is None else bound
-        return value
-
-    def apply_pairs(self, pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-        return tuple((s, self.apply(v)) for s, v in pairs)
+def _subst_pairs(pairs: Iterable[Pair], theta: Mapping[Variable, Value]) -> tuple[Pair, ...]:
+    """The pairs with every variable bound in ``theta`` replaced."""
+    return tuple((s, theta.get(v, v) if isinstance(v, Variable) else v) for s, v in pairs)
 
 
-def match_rule(rule: Rule, state: AbstractState) -> Substitution | None:
+def match_rule(rule: Rule, state: AbstractState) -> dict[Variable, Symbol] | None:
     """The unique binding of the rule's variables in the state, or None.
 
     Every tested buffer must hold a visible (delay 0) chunk of the tested
@@ -123,10 +106,12 @@ def match_rule(rule: Rule, state: AbstractState) -> Substitution | None:
                     return None
             elif v != actual:
                 return None
-    return Substitution.make(bindings)
+    return bindings
 
 
-def select(state: AbstractState, rules: Iterable[Rule]) -> list[tuple[Rule, Substitution]]:
+def select(
+    state: AbstractState, rules: Iterable[Rule]
+) -> list[tuple[Rule, dict[Variable, Symbol]]]:
     """All rules applicable in the state, with their bindings."""
     out = []
     for r in rules:
@@ -175,15 +160,12 @@ def _merge_tests(rule: Rule) -> list[BufferTest] | _Dropped:
 
 
 def _subst_rule(tests: list[BufferTest], actions: tuple[Action, ...], theta: dict[Variable, Value]):
-    def sub(v: Value) -> Value:
-        return theta.get(v, v) if isinstance(v, Variable) else v
-
     new_tests = [
-        BufferTest(t.buffer, t.type, tuple(_dedup((s, sub(v)) for s, v in t.pairs)), t.span)
+        BufferTest(t.buffer, t.type, tuple(_dedup(_subst_pairs(t.pairs, theta))), t.span)
         for t in tests
     ]
     new_actions = tuple(
-        Action(a.kind, a.buffer, a.type, tuple((s, sub(v)) for s, v in a.pairs), a.span)
+        Action(a.kind, a.buffer, a.type, _subst_pairs(a.pairs, theta), a.span)
         for a in actions
     )
     return new_tests, new_actions
@@ -433,7 +415,7 @@ def combine_effects(left: Effect, right: Effect) -> Effect:
 
 def interpret_rule(
     rule: Rule,
-    theta: Substitution,
+    theta: dict[Variable, Symbol],
     state: AbstractState,
     config: ArchitectureConfig,
     ids: IdGen,
@@ -447,7 +429,7 @@ def interpret_rule(
     """
     combos = [EMPTY_EFFECT]
     for action in rule.actions:
-        ground = Action(action.kind, action.buffer, action.type, theta.apply_pairs(action.pairs))
+        ground = Action(action.kind, action.buffer, action.type, _subst_pairs(action.pairs, theta))
         parts = interpret_action(ground, state, config, ids)
         combos = [combine_effects(acc, part) for acc in combos for part in parts]
         if not combos:
@@ -522,15 +504,15 @@ def is_final(
 # canonical renaming and exploration
 
 
-def canonical_renaming(
-    state: AbstractState, buffer_order: Iterable[Symbol], types: TypeTable
-) -> dict[Symbol, Symbol]:
+def canonical_renaming(state: AbstractState) -> dict[Symbol, Symbol]:
     """Injective renaming of fresh identifiers, stable across runs.
 
-    Chunks reachable from the buffers are traversed in buffer declaration
-    order following slots in type order; leftover fresh chunks are ordered
-    by content.  Parsed identifiers are never renamed, and parsed chunks
-    never point at fresh ones, so the map is total on fresh identifiers.
+    Chunks reachable from the buffers are traversed in buffer name order
+    following slots in slot name order; leftover fresh chunks are ordered
+    by content.  Buffer and slot names are never renamed, so the traversal
+    depends on the state alone.  Parsed identifiers are never renamed, and
+    parsed chunks never point at fresh ones, so the map is total on fresh
+    identifiers.
     """
     seen: set[Symbol] = set()
     ren: dict[Symbol, Symbol] = {}
@@ -542,25 +524,12 @@ def canonical_renaming(
         if is_fresh_id(cid):
             ren[cid] = Symbol(f"{FRESH_PREFIX}{len(ren)}")
         chunk = state.store.get(cid)
-        if chunk is None:
-            return
-        if types.has(chunk.type):
-            for s in types.slots(chunk.type):
-                v = chunk.value(s)
-                if v is not None:
-                    visit(v)
-        else:
+        if chunk is not None:
             for _, v in chunk.pairs:
                 visit(v)
 
-    order = list(buffer_order)
-    gamma = state.gamma_map()
-    for b in order:
-        if b in gamma:
-            visit(gamma[b][0])
-    for b, (c, _) in gamma.items():
-        if b not in order:
-            visit(c)
+    for _, c, _ in state.gamma:
+        visit(c)
 
     def stale_key(chunk: Chunk):
         vals = []
@@ -579,12 +548,10 @@ def canonical_renaming(
     return ren
 
 
-def canonical_key(
-    state: AbstractState, buffer_order: Iterable[Symbol], types: TypeTable
-):
+def canonical_key(state: AbstractState):
     """Hashable form of a state, equal for states that differ only in the
     choice of fresh identifiers."""
-    ren = canonical_renaming(state, buffer_order, types)
+    ren = canonical_renaming(state)
 
     def rid(s: Symbol) -> str:
         return ren.get(s, s).name
@@ -600,10 +567,9 @@ def canonical_key(
     return (chunks, gamma, atoms)
 
 
-def state_fingerprint(state: AbstractState, model: Model) -> str:
+def state_fingerprint(state: AbstractState) -> str:
     """Short stable hash of the canonical state form."""
-    key = canonical_key(state, model.buffers, model.types)
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
+    return hashlib.sha256(repr(canonical_key(state)).encode()).hexdigest()[:12]
 
 
 DEDUP_EXACT = "exact"
@@ -638,8 +604,7 @@ def explore(
     start = initial if initial is not None else model.initial_state()
 
     if dedup == DEDUP_CANONICAL:
-        def key(s: AbstractState):
-            return canonical_key(s, model.buffers, model.types)
+        key = canonical_key
     elif dedup == DEDUP_EXACT:
         def key(s: AbstractState):
             return s
@@ -695,13 +660,13 @@ def random_walk(
     return steps
 
 
-def to_dot(graph: Graph, model: Model) -> str:
+def to_dot(graph: Graph) -> str:
     """Graphviz text for an explored graph; deterministic for equal input."""
     lines = ["digraph model {", "  rankdir=LR;"]
     for i, s in enumerate(graph.states):
         shape = "doublecircle" if i == 0 else "circle"
         lines.append(
-            f'  n{i} [shape={shape} label="{i}:{state_fingerprint(s, model)}"];'
+            f'  n{i} [shape={shape} label="{i}:{state_fingerprint(s)}"];'
         )
     for a, label, b in graph.edges:
         lines.append(f'  n{a} -> n{b} [label="{label}"];')

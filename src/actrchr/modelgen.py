@@ -43,10 +43,8 @@ def _declared(types: TypeTable) -> list[Symbol]:
     return [t for t in types.names() if t != CHUNK]
 
 
-def random_chunks(
-    rng: random.Random, types: TypeTable, max_chunks: int
-) -> list[Chunk]:
-    n = rng.randint(1, max_chunks)
+def _chunks(rng: random.Random, types: TypeTable, n: int) -> list[Chunk]:
+    """Chunks k1..kn, mostly of a declared type, slots over their ids and nil."""
     ids = [Symbol(f"k{i + 1}") for i in range(n)]
     decl = _declared(types)
     out = []
@@ -57,18 +55,17 @@ def random_chunks(
     return out
 
 
+def random_chunks(
+    rng: random.Random, types: TypeTable, max_chunks: int
+) -> list[Chunk]:
+    return _chunks(rng, types, rng.randint(1, max_chunks))
+
+
 def chunk_pool(rng: random.Random, size: int = 12) -> tuple[TypeTable, list[Chunk]]:
     """A shared vocabulary of chunks; stores sampled from one pool always
     merge cleanly."""
     types = random_types(rng)
-    ids = [Symbol(f"k{i + 1}") for i in range(size)]
-    decl = _declared(types)
-    chunks = []
-    for id in ids:
-        type = rng.choice(decl) if decl and rng.random() < 0.9 else CHUNK
-        val = {s: rng.choice([*ids, NIL]) for s in types.slots(type)}
-        chunks.append(Chunk(id, type, val))
-    return types, chunks
+    return types, _chunks(rng, types, size)
 
 
 def random_store(

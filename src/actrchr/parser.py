@@ -262,15 +262,21 @@ def parse_model(text: str) -> Model:
     )
 
 
+def _single_slots(raw: list[tuple[Symbol, Value, Span]], where: str) -> dict[Symbol, Value]:
+    """The pairs as a dict; a repeated slot is an error at its second pair."""
+    given: dict[Symbol, Value] = {}
+    for s, v, span in raw:
+        if s in given:
+            raise ParseError(f"slot {s} given twice in {where}", span)
+        given[s] = v
+    return given
+
+
 def _declared_chunk(
     types: TypeTable, id: Symbol, ctype: Symbol, raw: list[tuple[Symbol, Value, Span]]
 ) -> Chunk:
     # Missing slots become nil; surplus slots stay so validate can point at them.
-    given: dict[Symbol, Value] = {}
-    for s, v, span in raw:
-        if s in given:
-            raise ParseError(f"slot {s} given twice in chunk {id}", span)
-        given[s] = v
+    given = _single_slots(raw, f"chunk {id}")
     if types.has(ctype):
         for s in types.slots(ctype):
             given.setdefault(s, NIL)
@@ -304,6 +310,9 @@ def _parse_rule(p: _Parser, types: TypeTable, rname: Token) -> Rule:
         else:
             rtype = None
         raw = p.pair_list(variables=True)
+        if tok.text == MODIFY:
+            # a request may repeat a slot (a conjunction); a modify may not
+            _single_slots(raw, f"modify {buffer}")
         pairs = types.ordered(rtype, ((s, v) for s, v, _ in raw))
         actions.append(Action(tok.text, buffer, rtype, pairs, tok.span))
     p.expect("rbrace", "'}'")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import actrchr.bisim
 from actrchr.bisim import (
     BACKWARD,
     BIJECTION,
@@ -43,6 +44,17 @@ rule step {
   ==>
   modify goal { current: X }
 }
+"""
+
+# the request repeats a slot: a conjunction no memory chunk satisfies
+REPEATED_REQUEST_SRC = """
+type t { s }
+chunk a : t { s: a }
+chunk b : t { s: b }
+dm { a, b }
+buffer goal = a
+buffer retrieval = b
+rule ask { goal: t { s: a } ==> request retrieval t { s: a, s: b } }
 """
 
 TWO_ANSWER_SRC = """
@@ -97,6 +109,16 @@ class TestEdgeCases:
     def test_branching_requests_stay_matched(self):
         report = bisim_check(parse_model(TWO_ANSWER_SRC), depth=3)
         assert report.ok
+
+    def test_repeated_request_slot_is_a_conjunction_on_both_sides(self):
+        model = parse_model(REPEATED_REQUEST_SRC)
+        stuck = ArchitectureConfig(fail_request=FAIL_STUCK)
+        for config in (ArchitectureConfig(fail_request=FAIL_NIL), stuck):
+            report = bisim_check(model, depth=3, config=config)
+            assert report.ok, report.text()
+        s0 = normalize_model(model).initial_state()
+        assert [label for label, _ in successors(s0, model)] == ["apply(ask)"]
+        assert successors(s0, model, stuck) == []
 
     def test_depth_zero_checks_nothing_but_the_root(self, counting_model):
         report = bisim_check(counting_model, depth=0)
@@ -188,6 +210,18 @@ class TestEffectCorrespondence:
         rule = model.rules[0]
         assert match_rule(rule, state) is not None
         assert effect_lemma_check(rule, state, model.types)
+
+    def test_fails_against_a_translation_without_passthroughs(self, monkeypatch):
+        model = normalize_model(parse_model(PASSTHROUGH_SRC))
+        state, rule = model.initial_state(), model.rules[0]
+        assert effect_lemma_check(rule, state, model.types)
+        translate = actrchr.bisim.chr_of_rule
+        monkeypatch.setattr(
+            actrchr.bisim,
+            "chr_of_rule",
+            lambda *args: drop_passthrough_gammas((translate(*args),))[0],
+        )
+        assert not effect_lemma_check(rule, state, model.types)
 
     def test_vacuous_on_non_matching_states(self, counting_norm):
         state = counting_norm.initial_state()  # retrieval still pending

@@ -182,6 +182,14 @@ class TestErrors:
         assert (e.span.line, e.span.col) == (3, 3)
         assert "slot s given twice" in e.message
 
+    def test_repeated_slot_in_a_modify(self):
+        e = self.err(
+            "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: b }\nbuffer goal = a\n"
+            "rule r { goal: t {} ==> modify goal { s: a,\n  s: b } }\n"
+        )
+        assert (e.span.line, e.span.col) == (6, 3)
+        assert "slot s given twice in modify goal" in e.message
+
     def test_message_carries_position(self):
         e = self.err("type t {}\nchunk a t {}\n")
         assert str(e).startswith("2:")
