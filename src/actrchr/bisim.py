@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .chr import (
     ChrRule,
@@ -237,13 +237,10 @@ def drop_passthrough_gammas(program: tuple[ChrRule, ...]) -> tuple[ChrRule, ...]
     """Broken variant of a translated program for fault-injection tests:
     body constraints that restate a head constraint verbatim (the buffer
     pass-throughs) are removed."""
-    out = []
-    for r in program:
-        body = tuple(c for c in r.body_user if c not in r.removed and c not in r.kept)
-        out.append(
-            ChrRule(r.name, r.kept, r.removed, r.guard, body, r.body_builtin)
-        )
-    return tuple(out)
+    return tuple(
+        replace(r, body_user=tuple(c for c in r.body_user if c not in r.removed))
+        for r in program
+    )
 
 
 def effect_lemma_check(

@@ -1,30 +1,32 @@
 """Embedded constraint-handling-rules engine.
 
-Just enough CHR for translated production models: ground user-constraint
-stores (``delta/1``, ``gamma/3``), simplification rules with guards, and a
-fixed built-in theory (syntactic ``=``, numeric ``>``, list membership
-``in``, plus ``action``, ``merge`` and ``map`` over encoded chunk stores).
-States produced by a step are normalised representatives of their
-equivalence class: solved guard and body built-ins are eliminated, only
-uninterpreted ground facts stay in the built-in store.
+Just the CHR fragment that translated production models use: ground goals
+of user constraints (``delta/1``, ``gamma/3``), a built-in store of ground
+facts (e.g. ``dm/1``), pure simplification rules with guards, and a fixed
+built-in theory (syntactic ``=``, numeric ``>``, list membership ``in``,
+plus ``action``, ``merge`` and ``map`` over encoded chunk stores).  A step
+solves the guard and body built-ins and adds to the store only the facts
+``action`` contributes, so every successor is again a ground goal over a
+store of ground facts.
 
 The module owns the chunk-term codec: ``chunk(Id, Type, Pairs)`` terms,
 stores as chunk lists sorted by identifier, and ``=``/``+`` action terms,
 every pair list in the order of :meth:`~actrchr.core.TypeTable.ordered`.
 
-Translated states are ground, so ground terms are the cheap case.
-Compounds and lists cache their groundness once asked, substitution
-returns ground terms as they are, a ground goal is matched against the
-rules as they are instead of renamed-apart variants, and normalisation
-without bindings or globals returns the state's goal and facts unchanged.
+Ground terms are the cheap case: compounds and lists cache their
+groundness once asked, substitution returns ground terms as they are, and
+the rules match a goal as they are, since a ground goal shares no variable
+with them.
 
-:func:`state_equiv` decides state equivalence for toolchain states after
-substitution closure and elimination of decided built-ins; all failed
-states are equivalent.  A state of the translated shape is decoded into
-the abstract state it encodes, so two such states are equivalent exactly
-when those abstract states have equal :func:`~actrchr.engine.canonical_key`
-(equal up to renaming of fresh chunk identifiers) and their chunk terms
-list slots alike.  Other states compare as literal constraint multisets.
+The equivalence :func:`state_equiv` claims is the one of this fragment:
+ground goals, a store of ground facts, no global variables.  A state of
+the translated shape is decoded into the abstract state it encodes, so two
+such states are equivalent exactly when those abstract states have equal
+:func:`~actrchr.engine.canonical_key` (equal up to renaming of fresh chunk
+identifiers) and their chunk terms list slots alike.  Any other state
+compares literally, as goal and fact multisets.  The general equivalence
+of CHR states over goal, built-ins and globals, with equality as
+substitution and one class of failed states, is not claimed.
 """
 
 from __future__ import annotations
@@ -169,16 +171,6 @@ def is_ground(t: Term) -> bool:
     return g
 
 
-def term_vars(t: Term) -> set[Variable]:
-    if isinstance(t, Variable):
-        return {t}
-    if is_ground(t):
-        return set()
-    if isinstance(t, Compound):
-        return set().union(*[term_vars(a) for a in t.args])
-    return set().union(*[term_vars(a) for a in t.items])  # type: ignore[union-attr]
-
-
 # ---------------------------------------------------------------------------
 # constraints, rules, states
 
@@ -187,7 +179,7 @@ BUILTIN = "builtin"
 
 #: Built-in predicates with a fixed interpretation; everything else in a
 #: built-in store is an uninterpreted ground fact (e.g. ``dm/1``).
-INTERPRETED = frozenset(["=", ">", "in", "action", "merge", "map", "true", "false"])
+INTERPRETED = frozenset(["=", ">", "in", "action", "merge", "map"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,56 +215,23 @@ def subst_constraint(c: Constraint, env: Env) -> Constraint:
 
 @dataclass(frozen=True)
 class ChrState:
-    """Goal multiset, built-in conjunction, global variables."""
+    """Ground goal multiset and built-in store of ground facts; there are
+    no global variables."""
 
     goal: tuple[Constraint, ...]
     builtins: tuple[Constraint, ...]
-    globals: frozenset[Variable] = frozenset()
 
 
 @dataclass(frozen=True)
 class ChrRule:
-    """``name @ kept \\ removed <=> guard | body``; translated rules keep
-    nothing (pure simplification)."""
+    """Simplification rule ``name @ removed <=> guard | body``: every head
+    constraint is removed, none is kept."""
 
     name: str
-    kept: tuple[Constraint, ...]
     removed: tuple[Constraint, ...]
     guard: tuple[Constraint, ...]
     body_user: tuple[Constraint, ...]
     body_builtin: tuple[Constraint, ...]
-
-    def heads(self) -> tuple[Constraint, ...]:
-        return self.kept + self.removed
-
-    def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for c in (*self.heads(), *self.guard, *self.body_user, *self.body_builtin):
-            for a in c.args:
-                out |= term_vars(a)
-        return out
-
-
-def rule_variant(rule: ChrRule, n: int) -> ChrRule:
-    """Copy of the rule with every variable ``V`` renamed to ``V~n``.
-
-    :func:`chr_step` passes the rule's position in the program, so its
-    output depends on nothing but its arguments.  Goal variables must not
-    use the ``~`` names.
-    """
-    ren = {v: Variable(f"{v.name}~{n}") for v in rule.variables()}
-
-    def conv(cs: tuple[Constraint, ...]) -> tuple[Constraint, ...]:
-        return tuple(subst_constraint(c, ren) for c in cs)
-
-    return ChrRule(
-        rule.name,
-        conv(rule.kept),
-        conv(rule.removed),
-        conv(rule.guard),
-        conv(rule.body_user),
-        conv(rule.body_builtin),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +365,8 @@ def solve_builtins(
     env: Env,
     facts: Facts,
     types: TypeTable,
-    config: ArchitectureConfig | None = None,
-    ids: IdGen | None = None,
+    config: ArchitectureConfig,
+    ids: IdGen,
 ) -> list[Solution]:
     """Solve a conjunction left to right, branching where the theory does.
 
@@ -415,10 +374,9 @@ def solve_builtins(
     ``action`` constraints.  An empty result means the conjunction has no
     solution.  Inputs a constraint needs must be ground when it is reached
     (the translation emits constraints in such an order); otherwise
-    :class:`Undecided` is raised.
+    :class:`Undecided` is raised.  ``ids`` supplies the fresh identifiers
+    of ``action`` answers and must avoid every identifier in the state.
     """
-    config = config or ArchitectureConfig()
-    ids = ids or IdGen()
     solutions: list[Solution] = [(env, ())]
     for c in constraints:
         nxt: list[Solution] = []
@@ -440,10 +398,6 @@ def _solve_one(
     ids: IdGen,
 ) -> list[Solution]:
     name = c.name
-    if name == "true":
-        return [(env, ())]
-    if name == "false":
-        return []
     if name == "=":
         a, b = (subst(x, env) for x in c.args)
         out = unify(a, b, env)
@@ -538,13 +492,17 @@ def _solve_map(c: Constraint, env: Env) -> list[Solution]:
 # the step relation
 
 
-def facts_of(state: ChrState) -> Facts:
-    out = []
+def _stored_facts(state: ChrState) -> tuple[Constraint, ...]:
+    """The built-in store, which holds only uninterpreted facts."""
     for c in state.builtins:
-        if c.name == "true":
-            continue
         if c.name in INTERPRETED:
             raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
+    return state.builtins
+
+
+def facts_of(state: ChrState) -> Facts:
+    out = []
+    for c in _stored_facts(state):
         args = []
         for a in c.args:
             if not isinstance(a, Symbol):
@@ -611,31 +569,29 @@ def chr_step(
 ) -> list[tuple[str, ChrState]]:
     """All successor states, labelled by the rule that produced them.
 
-    Rules are tried in program order.  A goal with variables is matched
-    against a variant of each rule renamed apart (:func:`rule_variant`);
-    a ground goal shares no variable with a rule, and every attempt starts
-    from an empty environment, so it uses the rules as they are.  Every
-    injective head matching and every guard/body solution yields one
-    successor.  Successors are normalised representatives: the body's user
-    constraints are added ground, and the built-in store grows only by the
-    facts contributed by ``action``.
+    The goal must be ground, so it shares no variable with a rule: rules
+    are used as they are, in program order, each attempt starting from an
+    empty environment.  A goal constraint with a variable raises
+    :class:`ChrError`.  Every injective head matching and every guard/body
+    solution yields one successor: the matched constraints are removed, the
+    body's user constraints are added ground, and the built-in store grows
+    only by the facts contributed by ``action``.
     """
+    for c in state.goal:
+        if not all(is_ground(a) for a in c.args):
+            raise ChrError(f"goal not ground: {render_constraint(c)}")
     config = config or ArchitectureConfig()
     ids = ids or fresh_gen_for(state)
     facts = facts_of(state)
-    ground = all(is_ground(a) for c in state.goal for a in c.args)
     out: list[tuple[str, ChrState]] = []
-    for n, rule in enumerate(program):
-        variant = rule if ground else rule_variant(rule, n)
-        kept_n = len(variant.kept)
-        for env, used in _head_matchings(variant.heads(), state.goal):
-            removed = set(used[kept_n:])
-            for genv, _ in solve_builtins(variant.guard, env, facts, types, config, ids):
+    for rule in program:
+        for env, used in _head_matchings(rule.removed, state.goal):
+            for genv, _ in solve_builtins(rule.guard, env, facts, types, config, ids):
                 for benv, atoms in solve_builtins(
-                    variant.body_builtin, genv, facts, types, config, ids
+                    rule.body_builtin, genv, facts, types, config, ids
                 ):
                     added = []
-                    for u in variant.body_user:
+                    for u in rule.body_user:
                         g = subst_constraint(u, benv)
                         if any(not is_ground(a) for a in g.args):
                             raise Undecided(
@@ -643,70 +599,22 @@ def chr_step(
                             )
                         added.append(g)
                     goal = tuple(
-                        g for gi, g in enumerate(state.goal) if gi not in removed
+                        g for gi, g in enumerate(state.goal) if gi not in used
                     ) + tuple(added)
                     builtins = state.builtins + tuple(fact_constraint(a) for a in atoms)
-                    out.append((rule.name, ChrState(goal, builtins, state.globals)))
+                    out.append((rule.name, ChrState(goal, builtins)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # state equivalence
 
-_FAILED = object()
-
-
-def _normalize(state: ChrState):
-    """Apply equality-as-substitution and decide ground built-ins.
-
-    Returns (goal, residual facts, globals) or the failure marker when the
-    store is unsatisfiable.  Interpreted constraints other than ``=``,
-    ``>`` and ``true``/``false`` are not expected in stored form and raise
-    :class:`Undecided`.
-    """
-    env: Env = {}
-    residual: list[Constraint] = []
-    for c in state.builtins:
-        if c.name == "true":
-            continue
-        if c.name == "false":
-            return _FAILED
-        if c.name == "=":
-            a, b = (subst(x, env) for x in c.args)
-            nxt = unify(a, b, env)
-            if nxt is None:
-                return _FAILED
-            env = nxt
-        elif c.name == ">":
-            a, b = (subst(x, env) for x in c.args)
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise Undecided(f"undecided comparison: {render_constraint(c)}")
-            if not a > b:
-                return _FAILED
-        elif c.name in INTERPRETED:
-            raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
-        else:
-            residual.append(c)
-    if not env and not state.globals:  # always so for translated states
-        return state.goal, tuple(residual), frozenset()
-    goal = tuple(subst_constraint(c, env) for c in state.goal)
-    facts = tuple(subst_constraint(c, env) for c in residual)
-    occurring = set()
-    for c in (*goal, *facts):
-        for a in c.args:
-            occurring |= term_vars(a)
-    return goal, facts, frozenset(v for v in state.globals if v in occurring)
-
-
-def is_failed(state: ChrState) -> bool:
-    return _normalize(state) is _FAILED
-
 
 def _decode_translated(
     goal: tuple[Constraint, ...], facts: tuple[Constraint, ...]
 ) -> Optional[tuple[AbstractState, tuple]]:
-    """The abstract state a normalised goal and fact store encode, with the
-    slot layout of its chunk terms, or None outside the translated shape.
+    """The abstract state a goal and fact store encode, with the slot
+    layout of its chunk terms, or None outside the translated shape.
 
     The shape is one ``delta`` over a list of chunk terms with pairwise
     distinct identifiers, at most one ``gamma(buffer, chunk, 0|1)`` per
@@ -761,19 +669,17 @@ def canonical_form(state: ChrState):
     identifiers up to renaming; the slot layout of its chunk terms is kept
     beside it.  So ``canonical_form(chr_of_state(s, types))[1]`` is
     ``canonical_key(s)``.  Any other state compares as literal goal and fact
-    multisets, and all failed states share one form.
+    multisets.  A store holding an interpreted built-in (an equation, a
+    comparison) lies outside the fragment and raises :class:`Undecided`.
     """
-    norm = _normalize(state)
-    if norm is _FAILED:
-        return ("failed",)
-    goal, facts, globs = norm
-    decoded = _decode_translated(goal, facts)
+    facts = _stored_facts(state)
+    decoded = _decode_translated(state.goal, facts)
     if decoded is not None:
         abstract, layout = decoded
         return ("state", canonical_key(abstract), layout)
-    goal_key = tuple(sorted(render_constraint(c) for c in goal))
+    goal_key = tuple(sorted(render_constraint(c) for c in state.goal))
     fact_key = tuple(sorted(render_constraint(c) for c in facts))
-    return ("raw", goal_key, fact_key, tuple(sorted(v.name for v in globs)))
+    return ("raw", goal_key, fact_key)
 
 
 def state_equiv(a: ChrState, b: ChrState) -> bool:
@@ -811,12 +717,7 @@ def render_constraint(c: Constraint) -> str:
 
 
 def render_rule(r: ChrRule) -> str:
-    removed = ", ".join(render_constraint(c) for c in r.removed)
-    if r.kept:
-        kept = ", ".join(render_constraint(c) for c in r.kept)
-        head = f"{kept} \\ {removed}"
-    else:
-        head = removed
+    head = ", ".join(render_constraint(c) for c in r.removed)
     guard = ", ".join(render_constraint(c) for c in r.guard) or "true"
     body_parts = [render_constraint(c) for c in (*r.body_user, *r.body_builtin)]
     body = ", ".join(body_parts) or "true"
@@ -830,5 +731,4 @@ def render_program(rules: Iterable[ChrRule]) -> str:
 def render_state(s: ChrState) -> str:
     goal = ", ".join(render_constraint(c) for c in s.goal) or "true"
     builtins = ", ".join(render_constraint(c) for c in s.builtins) or "true"
-    globs = "{" + ",".join(sorted(v.name for v in s.globals)) + "}"
-    return f"<{goal} ; {builtins} ; {globs}>"
+    return f"<{goal} ; {builtins}>"

@@ -4,8 +4,9 @@ Subcommands: ``parse`` (validate and pretty-print), ``normalize`` (emit
 the set-normal-form model), ``run`` (one seeded derivation), ``explore``
 (bounded reachability graph), ``translate`` (emit the rule program) and
 ``check`` (bisimulation report).  Exit codes: 0 success or pass, 1
-diagnostics or check failure, 2 usage error.  Diagnostics go to standard
-error; results go to standard output or ``--out``.
+diagnostics, an unreadable model, an unwritable ``--out`` or check
+failure, 2 usage error.  Diagnostics go to standard error; results go to
+standard output or ``--out``.
 """
 
 from __future__ import annotations
@@ -188,7 +189,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for d in problems:
             print(f"{args.model}:{d}", file=sys.stderr)
         return 1
-    return _COMMANDS[args.command](model, args)
+    try:
+        return _COMMANDS[args.command](model, args)
+    except OSError as e:  # an unwritable --out
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -494,12 +494,6 @@ def successors(
     return out
 
 
-def is_final(
-    state: AbstractState, model: Model, config: ArchitectureConfig | None = None
-) -> bool:
-    return not successors(state, model, config)
-
-
 # ---------------------------------------------------------------------------
 # canonical renaming and exploration
 

@@ -98,16 +98,12 @@ def build_var_plan(rule: Rule, buffers: tuple[Symbol, ...]) -> VarPlan:
 
 
 def chr_of_state(state: AbstractState, types: TypeTable) -> ChrState:
-    """delta(<store>) plus one gamma per buffer; facts become the
-    built-in store; no globals."""
+    """delta(<store>) plus one gamma per buffer, all ground; facts become
+    the built-in store."""
     goal = [delta_c(encode_store(state.store, types))]
     for b, c, d in state.gamma:
         goal.append(gamma_c(b, c, d))
-    return ChrState(
-        goal=tuple(goal),
-        builtins=tuple(fact_constraint(a) for a in state.upsilon),
-        globals=frozenset(),
-    )
+    return ChrState(tuple(goal), tuple(fact_constraint(a) for a in state.upsilon))
 
 
 def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> ChrRule:
@@ -165,7 +161,6 @@ def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> Ch
 
     return ChrRule(
         name=rule.name,
-        kept=(),
         removed=tuple(head),
         guard=tuple(guard),
         body_user=tuple(body_user),
@@ -178,7 +173,6 @@ def no_rule() -> ChrRule:
     b, c, d = Variable("B"), Variable("C"), Variable("D")
     return ChrRule(
         name="no",
-        kept=(),
         removed=(gamma_c(b, c, d),),
         guard=(builtin(">", d, 0),),
         body_user=(gamma_c(b, c, 0),),

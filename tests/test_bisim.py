@@ -4,8 +4,6 @@ the checks that catch deliberately broken translations."""
 import json
 import random
 
-import pytest
-
 import actrchr.bisim
 from actrchr.bisim import (
     BACKWARD,
@@ -175,7 +173,6 @@ class TestFaultInjection:
         prog = chr_of_model(counting_model)
         confused = ChrRule(
             prog[0].name,
-            prog[0].kept,
             prog[0].removed,
             prog[0].guard + (builtin("frob", prog[0].removed[0].args[0]),),
             prog[0].body_user,

@@ -57,6 +57,13 @@ class TestParse:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["parse", "translate"])
+    def test_unwritable_out(self, capsys, tmp_path, counting_path, command):
+        target = tmp_path / "no" / "such" / "dir" / "x"
+        code, out, err = run_cli(capsys, command, counting_path, "--out", target)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_out_flag_writes_a_file(self, capsys, tmp_path, counting_path):
         target = tmp_path / "canonical.actr"
         code, out, _ = run_cli(capsys, "parse", counting_path, "--out", target)

@@ -22,7 +22,6 @@ from actrchr.engine import (
     interpret_modification,
     interpret_request,
     interpret_rule,
-    is_final,
     match_rule,
     no_rule_successors,
     normalize_model,
@@ -117,7 +116,7 @@ class TestWorkedDerivation:
             "no",
         ]
         assert not g.truncated
-        assert is_final(g.states[5], counting_norm)
+        assert successors(g.states[5], counting_norm) == []
         # the failed request parks nil pending, then reveals it
         last = g.states[5]
         assert last.buffer(RETR) == (NIL, 0)
@@ -396,7 +395,6 @@ class TestSuccessors:
         # regression: a zero-based default generator used to clash here
         labels = [l for l, _ in successors(s2, counting_norm)]
         assert labels == ["no"]
-        assert not is_final(s2, counting_norm)
 
     def test_fresh_gen_for_scans_store_gamma_and_facts(self):
         chunk = Chunk(sym("c#4"), sym("t"), {sym("s"): sym("c#9")})
