@@ -25,7 +25,7 @@ such states are equivalent exactly when those abstract states have equal
 :func:`~actrchr.engine.canonical_key` (equal up to renaming of fresh chunk
 identifiers) and their chunk terms list slots alike.  Any other state
 compares literally, as goal and fact multisets.  The general equivalence
-of CHR states over goal, built-ins and globals, with equality as
+of CHR states over goal, built-ins and global variables, with equality as
 substitution and one class of failed states, is not claimed.
 """
 
@@ -224,8 +224,8 @@ class ChrState:
 
 @dataclass(frozen=True)
 class ChrRule:
-    """Simplification rule ``name @ removed <=> guard | body``: every head
-    constraint is removed, none is kept."""
+    """Simplification rule ``name @ removed <=> guard | body``: a step
+    removes every head constraint."""
 
     name: str
     removed: tuple[Constraint, ...]
@@ -533,16 +533,16 @@ def fresh_gen_for(state: ChrState) -> IdGen:
 
 
 def _head_matchings(
-    heads: tuple[Constraint, ...], goal: tuple[Constraint, ...]
+    patterns: tuple[Constraint, ...], goal: tuple[Constraint, ...]
 ) -> list[tuple[Env, tuple[int, ...]]]:
     """Injective matchings of head patterns against goal constraints."""
     out: list[tuple[Env, tuple[int, ...]]] = []
 
     def rec(hi: int, env: Env, used: tuple[int, ...]) -> None:
-        if hi == len(heads):
+        if hi == len(patterns):
             out.append((env, used))
             return
-        h = heads[hi]
+        h = patterns[hi]
         for gi, g in enumerate(goal):
             if gi in used or g.kind != USER or g.name != h.name:
                 continue
@@ -666,7 +666,7 @@ def canonical_form(state: ChrState):
     A state of the translated shape (see :func:`_decode_translated`) is
     decoded into the abstract state it encodes, whose
     :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
-    identifiers up to renaming; the slot layout of its chunk terms is kept
+    identifiers up to renaming; the slot layout of its chunk terms stands
     beside it.  So ``canonical_form(chr_of_state(s, types))[1]`` is
     ``canonical_key(s)``.  Any other state compares as literal goal and fact
     multisets.  A store holding an interpreted built-in (an equation, a
