@@ -154,10 +154,9 @@ def bisim_check(
     """
     config = config or ArchitectureConfig()
     norm = normalize_model(model)
-    types = model.types
     prog = tuple(program) if program is not None else chr_of_model(model)
     s0 = initial if initial is not None else norm.initial_state()
-    c0 = chr_of_state(s0, types)
+    c0 = chr_of_state(s0)
     ids = fresh_gen_for(s0)
     report = BisimReport(depth=depth)
     seen = {(canonical_key(s0), canonical_form(c0))}
@@ -170,12 +169,12 @@ def bisim_check(
             continue
         try:
             eng = [
-                (label, canonical_form(chr_of_state(s2, types)), s2)
+                (label, canonical_form(chr_of_state(s2)), s2)
                 for label, s2 in successors(s, norm, config, ids)
             ]
             chrs = [
                 (_engine_label(name), canonical_form(c2), c2)
-                for name, c2 in chr_step(c, prog, types, config)
+                for name, c2 in chr_step(c, prog, config)
             ]
         except Undecided as e:
             report.counterexamples.append(
@@ -198,14 +197,14 @@ def bisim_check(
                 report.counterexamples.append(
                     Counterexample(
                         FORWARD, d, label, s, c,
-                        render_state(chr_of_state(s2, types)), nearest,
+                        render_state(chr_of_state(s2)), nearest,
                     )
                 )
         for label, form, c2 in chrs:
             if not any(l2 == label and f2 == form for l2, f2, _ in eng):
                 nearest = next(
                     (
-                        render_state(chr_of_state(s2, types))
+                        render_state(chr_of_state(s2))
                         for l2, _, s2 in eng
                         if l2 == label
                     ),
@@ -271,12 +270,12 @@ def effect_lemma_check(
         else []
     )
     eng_records = Counter(
-        canonical_form(chr_of_state(apply_transition(state, e), types))
+        canonical_form(chr_of_state(apply_transition(state, e)))
         for e in effects
     )
     program = (chr_of_rule(nf, state.buffers(), types),)
     chr_records = Counter(
         canonical_form(c2)
-        for _, c2 in chr_step(chr_of_state(state, types), program, types, config)
+        for _, c2 in chr_step(chr_of_state(state), program, config)
     )
     return eng_records == chr_records

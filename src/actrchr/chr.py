@@ -10,8 +10,12 @@ solves the guard and body built-ins and adds to the store only the facts
 store of ground facts.
 
 The module owns the chunk-term codec: ``chunk(Id, Type, Pairs)`` terms,
-stores as chunk lists sorted by identifier, and ``=``/``+`` action terms,
-every pair list in the order of :meth:`~actrchr.core.TypeTable.ordered`.
+stores as chunk lists sorted by identifier, and ``=``/``+`` action terms.
+Every pair list is in slot-name order, the order of ``Chunk.pairs``, so a
+chunk term is exactly the image of one chunk and term equality is chunk
+equality.  A type's declared slot order is for text only (see
+:meth:`~actrchr.core.TypeTable.ordered`); no term of this module depends
+on it, and the module needs no type table.
 
 Ground terms are the cheap case: compounds and lists cache their
 groundness once asked, substitution returns ground terms as they are, and
@@ -23,10 +27,10 @@ ground goals, a store of ground facts, no global variables.  A state of
 the translated shape is decoded into the abstract state it encodes, so two
 such states are equivalent exactly when those abstract states have equal
 :func:`~actrchr.engine.canonical_key` (equal up to renaming of fresh chunk
-identifiers) and their chunk terms list slots alike.  Any other state
-compares literally, as goal and fact multisets.  The general equivalence
-of CHR states over goal, built-ins and global variables, with equality as
-substitution and one class of failed states, is not claimed.
+identifiers).  Any other state compares literally, as goal and fact
+multisets.  The general equivalence of CHR states over goal, built-ins
+and global variables, with equality as substitution and one class of
+failed states, is not claimed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .core import (
     Chunk,
     ChunkStore,
     Symbol,
-    TypeTable,
     Variable,
     fresh_gen_avoiding,
     merge_all,
@@ -241,27 +244,28 @@ class ChrRule:
 ANONYMOUS = Symbol("_")
 
 
-def encode_pairs(
-    type: Symbol | None, pairs: Iterable[tuple[Symbol, Term]], types: TypeTable
-) -> TList:
-    """Pair list in the canonical slot order of :meth:`TypeTable.ordered`."""
-    return TList(tuple(tuple_term(s, v) for s, v in types.ordered(type, pairs)))
+def encode_pairs(pairs: Iterable[tuple[Symbol, Term]]) -> TList:
+    """Pair list sorted stably by slot name, so repeated slots keep their
+    order."""
+    ordered = sorted(pairs, key=lambda p: p[0].name)
+    return TList(tuple(tuple_term(s, v) for s, v in ordered))
 
 
-def encode_chunk(chunk: Chunk, types: TypeTable) -> Compound:
-    pairs = encode_pairs(chunk.type, chunk.pairs, types)
+def encode_chunk(chunk: Chunk) -> Compound:
+    """The chunk's pairs as they are, which is slot-name order."""
+    pairs = TList(tuple(tuple_term(s, v) for s, v in chunk.pairs))
     return Compound("chunk", (chunk.id, chunk.type, pairs))
 
 
-def encode_store(store: ChunkStore, types: TypeTable) -> TList:
+def encode_store(store: ChunkStore) -> TList:
     """Chunk list sorted by identifier name; the canonical encoding."""
-    return TList(tuple(encode_chunk(c, types) for c in store.sorted_chunks()))
+    return TList(tuple(encode_chunk(c) for c in store.sorted_chunks()))
 
 
-def encode_action(action: Action, types: TypeTable) -> Compound:
+def encode_action(action: Action) -> Compound:
     """Action term handed to the ``action`` built-in; modifications keep
     their type anonymous."""
-    pairs = encode_pairs(action.type, action.pairs, types)
+    pairs = encode_pairs(action.pairs)
     if action.kind == MODIFY:
         return Compound("=", (action.buffer, ANONYMOUS, pairs))
     return Compound("+", (action.buffer, action.type, pairs))
@@ -302,8 +306,14 @@ def _chunk_terms(t: Term) -> tuple[Term, ...]:
 
 
 def decode_chunk(t: Term) -> Chunk:
+    """The chunk a term encodes; the inverse of :func:`encode_chunk`, so
+    slots out of name order or repeated raise :class:`ChrError`."""
     id, type, pairs = _chunk_fields(t)
-    return Chunk(id, type, _decode_pairs(pairs, ChrError, "malformed slot pair"))
+    decoded = _decode_pairs(pairs, ChrError, "malformed slot pair")
+    names = [s.name for s, _ in decoded]
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise ChrError(f"slots not in strict name order: {render_term(t)}")
+    return Chunk(id, type, decoded)
 
 
 def decode_store(t: Term) -> ChunkStore:
@@ -364,7 +374,6 @@ def solve_builtins(
     constraints: Iterable[Constraint],
     env: Env,
     facts: Facts,
-    types: TypeTable,
     config: ArchitectureConfig,
     ids: IdGen,
 ) -> list[Solution]:
@@ -381,7 +390,7 @@ def solve_builtins(
     for c in constraints:
         nxt: list[Solution] = []
         for e, atoms in solutions:
-            for e2, extra in _solve_one(c, e, facts, types, config, ids):
+            for e2, extra in _solve_one(c, e, facts, config, ids):
                 nxt.append((e2, atoms + extra))
         solutions = nxt
         if not solutions:
@@ -390,12 +399,7 @@ def solve_builtins(
 
 
 def _solve_one(
-    c: Constraint,
-    env: Env,
-    facts: Facts,
-    types: TypeTable,
-    config: ArchitectureConfig,
-    ids: IdGen,
+    c: Constraint, env: Env, facts: Facts, config: ArchitectureConfig, ids: IdGen
 ) -> list[Solution]:
     name = c.name
     if name == "=":
@@ -418,21 +422,16 @@ def _solve_one(
                 out.append((e, ()))
         return out
     if name == "action":
-        return _solve_action(c, env, facts, types, config, ids)
+        return _solve_action(c, env, facts, config, ids)
     if name == "merge":
-        return _solve_merge(c, env, types)
+        return _solve_merge(c, env)
     if name == "map":
         return _solve_map(c, env)
     raise Undecided(f"uninterpreted constraint used as a goal: {render_constraint(c)}")
 
 
 def _solve_action(
-    c: Constraint,
-    env: Env,
-    facts: Facts,
-    types: TypeTable,
-    config: ArchitectureConfig,
-    ids: IdGen,
+    c: Constraint, env: Env, facts: Facts, config: ArchitectureConfig, ids: IdGen
 ) -> list[Solution]:
     """action(A, D, G, Dres, Cres, Eres): interpret action A in the state
     encoded by chunk list D, cognitive state G and the ambient facts; one
@@ -444,13 +443,16 @@ def _solve_action(
     action = _decode_action(a_t)
     store = decode_store(d_t)
     gamma = _decode_cogstate(g_t)
-    state = AbstractState.make(store, gamma, facts)
+    try:
+        state = AbstractState.make(store, gamma, facts)
+    except ValueError as e:  # a buffer names an unlisted chunk
+        raise ChrError(str(e)) from None
     out: list[Solution] = []
     for eff in interpret_action(action, state, config, ids):
         buffer_update = {b: (cc, dd) for b, cc, dd in eff.gamma}[action.buffer]
         e: Optional[Env] = env
         for pat, val in (
-            (dres, encode_store(eff.store, types)),
+            (dres, encode_store(eff.store)),
             (cres, buffer_update[0]),
             (eres, buffer_update[1]),
         ):
@@ -462,7 +464,7 @@ def _solve_action(
     return out
 
 
-def _solve_merge(c: Constraint, env: Env, types: TypeTable) -> list[Solution]:
+def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
     """merge(L, D): D is the encoding of the merge of the stores in L."""
     if len(c.args) != 2:
         raise ChrError("merge/2 expected")
@@ -470,7 +472,7 @@ def _solve_merge(c: Constraint, env: Env, types: TypeTable) -> list[Solution]:
     if not (isinstance(lst, TList) and is_ground(lst)):
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
     merged = merge_all(decode_store(t) for t in lst.items)
-    e = unify(out_pat, encode_store(merged, types), env)
+    e = unify(out_pat, encode_store(merged), env)
     return [] if e is None else [(e, ())]
 
 
@@ -563,7 +565,6 @@ def _head_matchings(
 def chr_step(
     state: ChrState,
     program: Iterable[ChrRule],
-    types: TypeTable,
     config: ArchitectureConfig | None = None,
     ids: IdGen | None = None,
 ) -> list[tuple[str, ChrState]]:
@@ -586,10 +587,8 @@ def chr_step(
     out: list[tuple[str, ChrState]] = []
     for rule in program:
         for env, used in _head_matchings(rule.removed, state.goal):
-            for genv, _ in solve_builtins(rule.guard, env, facts, types, config, ids):
-                for benv, atoms in solve_builtins(
-                    rule.body_builtin, genv, facts, types, config, ids
-                ):
+            for genv, _ in solve_builtins(rule.guard, env, facts, config, ids):
+                for benv, atoms in solve_builtins(rule.body_builtin, genv, facts, config, ids):
                     added = []
                     for u in rule.body_user:
                         g = subst_constraint(u, benv)
@@ -612,15 +611,15 @@ def chr_step(
 
 def _decode_translated(
     goal: tuple[Constraint, ...], facts: tuple[Constraint, ...]
-) -> Optional[tuple[AbstractState, tuple]]:
-    """The abstract state a goal and fact store encode, with the slot
-    layout of its chunk terms, or None outside the translated shape.
+) -> Optional[AbstractState]:
+    """The abstract state a goal and fact store encode, or None outside the
+    translated shape.
 
-    The shape is one ``delta`` over a list of chunk terms with pairwise
-    distinct identifiers, at most one ``gamma(buffer, chunk, 0|1)`` per
-    buffer pointing at a listed chunk, facts over symbols and no other goal
-    constraint.  Chunk terms of one type and slot set must list their
-    slots in one order, which the layout records by type.
+    The shape is one ``delta`` over a list of chunk terms (each one the
+    image of a chunk, see :func:`decode_chunk`) with pairwise distinct
+    identifiers, at most one ``gamma(buffer, chunk, 0|1)`` per buffer
+    pointing at a listed chunk, facts over symbols and no other goal
+    constraint.
     """
     deltas = [c for c in goal if c.kind == USER and c.name == "delta" and len(c.args) == 1]
     gammas = [c for c in goal if c.kind == USER and c.name == "gamma" and len(c.args) == 3]
@@ -636,11 +635,6 @@ def _decode_translated(
     ids = {c.id for c in chunks}
     if len(ids) != len(chunks):
         return None
-    layout: dict[tuple[Symbol, frozenset], tuple[str, ...]] = {}
-    for t, chunk in zip(terms.items, chunks):
-        order = tuple(p.args[0].name for p in t.args[2].items)  # type: ignore[union-attr]
-        if layout.setdefault((chunk.type, frozenset(order)), order) != order:
-            return None
     rows = []
     for g in gammas:
         b, cid, d = g.args
@@ -651,12 +645,11 @@ def _decode_translated(
         return None
     if not all(isinstance(a, Symbol) for c in facts for a in c.args):
         return None
-    state = AbstractState(
+    return AbstractState(
         ChunkStore(chunks),
         tuple(sorted(rows, key=lambda r: r[0].name)),
         tuple(Atom(c.name, c.args) for c in facts),  # type: ignore[arg-type]
     )
-    return state, tuple(sorted((ty.name, order) for (ty, _), order in layout.items()))
 
 
 def canonical_form(state: ChrState):
@@ -666,17 +659,16 @@ def canonical_form(state: ChrState):
     A state of the translated shape (see :func:`_decode_translated`) is
     decoded into the abstract state it encodes, whose
     :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
-    identifiers up to renaming; the slot layout of its chunk terms stands
-    beside it.  So ``canonical_form(chr_of_state(s, types))[1]`` is
-    ``canonical_key(s)``.  Any other state compares as literal goal and fact
-    multisets.  A store holding an interpreted built-in (an equation, a
-    comparison) lies outside the fragment and raises :class:`Undecided`.
+    identifiers up to renaming.  So ``canonical_form(chr_of_state(s))`` is
+    ``("state", canonical_key(s))``.  Any other state compares as literal
+    goal and fact multisets.  A store holding an interpreted built-in (an
+    equation, a comparison) lies outside the fragment and raises
+    :class:`Undecided`.
     """
     facts = _stored_facts(state)
     decoded = _decode_translated(state.goal, facts)
     if decoded is not None:
-        abstract, layout = decoded
-        return ("state", canonical_key(abstract), layout)
+        return ("state", canonical_key(decoded))
     goal_key = tuple(sorted(render_constraint(c) for c in state.goal))
     fact_key = tuple(sorted(render_constraint(c) for c in facts))
     return ("raw", goal_key, fact_key)

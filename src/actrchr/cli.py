@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -87,71 +88,51 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
-
-
 def _config(args: argparse.Namespace) -> ArchitectureConfig:
     return ArchitectureConfig(fail_request=args.fail_request)
 
 
-def _cmd_parse(model: Model, args: argparse.Namespace) -> int:
-    _emit(print_model(model), args.out)
-    return 0
+# each command returns its output text and exit code
+def _cmd_parse(model: Model, _args: argparse.Namespace) -> tuple[str, int]:
+    return print_model(model), 0
 
 
-def _cmd_normalize(model: Model, args: argparse.Namespace) -> int:
-    _emit(print_model(normalize_model(model)), args.out)
-    return 0
+def _cmd_normalize(model: Model, _args: argparse.Namespace) -> tuple[str, int]:
+    return print_model(normalize_model(model)), 0
 
 
-def _cmd_run(model: Model, args: argparse.Namespace) -> int:
+def _cmd_run(model: Model, args: argparse.Namespace) -> tuple[str, int]:
     rng = random.Random(args.seed)
     steps = random_walk(model, _config(args), args.depth, rng)
     lines = [
         f"step {n}: {label} -> {state_fingerprint(state)}"
         for n, (label, state) in enumerate(steps, 1)
     ]
-    _emit("\n".join(lines) + "\n" if lines else "", args.out)
-    return 0
+    return "\n".join(lines), 0
 
 
-def _cmd_explore(model: Model, args: argparse.Namespace) -> int:
+def _cmd_explore(model: Model, args: argparse.Namespace) -> tuple[str, int]:
     graph = explore(model, _config(args), args.depth, args.dedup)
     if args.format == "dot":
-        text = to_dot(graph)
-    else:
-        lines = [
-            f"state {i}: {state_fingerprint(s)}"
-            for i, s in enumerate(graph.states)
-        ]
-        lines.extend(f"edge {a} -{label}-> {b}" for a, label, b in graph.edges)
-        if graph.truncated:
-            lines.append("truncated at depth bound")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return to_dot(graph), 0
+    lines = [f"state {i}: {state_fingerprint(s)}" for i, s in enumerate(graph.states)]
+    lines.extend(f"edge {a} -{label}-> {b}" for a, label, b in graph.edges)
+    if graph.truncated:
+        lines.append("truncated at depth bound")
+    return "\n".join(lines), 0
 
 
-def _cmd_translate(model: Model, args: argparse.Namespace) -> int:
-    text = render_program(chr_of_model(model))
-    out = args.out if args.out is not None else str(Path(args.model).with_suffix(".chr"))
-    _emit(text, out)
-    return 0
+def _cmd_translate(model: Model, _args: argparse.Namespace) -> tuple[str, int]:
+    return render_program(chr_of_model(model)), 0
 
 
-def _cmd_check(model: Model, args: argparse.Namespace) -> int:
+def _cmd_check(model: Model, args: argparse.Namespace) -> tuple[str, int]:
     report = bisim_check(model, depth=args.depth, config=_config(args))
     if args.format == "records":
-        _emit("\n".join(report.records()) + "\n", args.out)
+        text = "\n".join(report.records())
     else:
-        _emit(("PASS" if report.ok else "FAIL") + "\n" + report.text() + "\n", args.out)
-    return 0 if report.ok else 1
+        text = ("PASS" if report.ok else "FAIL") + "\n" + report.text()
+    return text, 0 if report.ok else 1
 
 
 _COMMANDS = {
@@ -189,11 +170,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for d in problems:
             print(f"{args.model}:{d}", file=sys.stderr)
         return 1
+    out = args.out
+    if out is None and args.command == "translate":
+        out = str(Path(args.model).with_suffix(".chr"))
+    # like a shell redirection, the output opens before the command runs
     try:
-        return _COMMANDS[args.command](model, args)
-    except OSError as e:  # an unwritable --out
+        sink = nullcontext(sys.stdout) if out in (None, "-") else open(out, "w")
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    with sink as stream:
+        text, code = _COMMANDS[args.command](model, args)
+        stream.write(text if text.endswith("\n") else text + "\n")
+    return code
 
 
 def entry() -> None:

@@ -89,9 +89,11 @@ def fresh_gen_avoiding(symbols: Iterable[Symbol]) -> IdGen:
 class TypeTable:
     """Declared chunk types with their ordered slot lists.
 
-    Slot order is declaration order; :meth:`ordered` makes it the canonical
-    order of every printed or encoded slot list.  The slotless built-in
-    type ``chunk`` is always present and may be redeclared only identically.
+    Slot order is declaration order; :meth:`ordered` makes it the order of
+    human-facing text: parsed and printed pair lists, normal-form tests and
+    generated models.  Chunks and the CHR terms that encode them list slots
+    by name instead.  The slotless built-in type ``chunk`` is always
+    present and may be redeclared only identically.
     """
 
     __slots__ = ("_slots", "_index")

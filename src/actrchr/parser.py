@@ -18,9 +18,9 @@ Capitalised identifiers are rule variables, everything else is a constant.
 Symbol resolution problems (unknown types, slots, buffers, chunks) are not
 parse errors; they are reported by :func:`actrchr.model.validate`.
 
-Pairs follow :meth:`actrchr.core.TypeTable.ordered`, the one slot order
-of printing and encoding, so ``parse_model(print_model(m)) == m`` for
-every parsed or generated model.
+Pairs follow :meth:`actrchr.core.TypeTable.ordered`, the slot order of
+model text, so ``parse_model(print_model(m)) == m`` for every parsed or
+generated model.
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@ checks the buffer tests by membership in the store encoding, the body
 recomputes the store with ``action``/``merge``/``map`` built-ins and
 re-emits every buffer's ``gamma``.  A generic ``no`` rule that reveals one
 pending buffer closes the program.  Chunk, store, action and test-pattern
-terms come from the codec in :mod:`actrchr.chr`, in one slot order.
+terms come from the codec in :mod:`actrchr.chr`, which lists slots in name
+order.  A type's declared slot order is for text (the parser and printer),
+so two models that differ only in it translate alike, up to the names set
+normal form gives the variables of unmentioned slots.  The type table is
+read only to check that a rule is in set normal form.
 
 Rules must be in set normal form before translation
 (:func:`actrchr.engine.set_normal_form`); :func:`chr_of_model` normalises
@@ -16,8 +20,6 @@ twice yields identical programs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chr import (
     ChrRule,
@@ -46,61 +48,10 @@ class NotNormalized(TranslationError):
     """Only set-normal-form rules translate."""
 
 
-@dataclass(frozen=True)
-class VarPlan:
-    """Deterministic generated variables of one translated rule.
-
-    Per buffer b: C_<b> (head chunk), V_<b> (head delay), Dres_<b> /
-    Cres_<b> / Eres_<b> (action results), M_<b> (post-merge id); plus the
-    store variables D, Dacts, Dnew and the buffer-sorted cognitive-state
-    pattern handed to ``action``.  Names are suffixed with '_' until
-    disjoint from the rule's own variables.
-    """
-
-    store: Variable
-    acts: Variable
-    result: Variable
-    cvar: dict[Symbol, Variable]
-    dvar: dict[Symbol, Variable]
-    resstore: dict[Symbol, Variable]
-    resid: dict[Symbol, Variable]
-    resdelay: dict[Symbol, Variable]
-    mergeid: dict[Symbol, Variable]
-    cogstate: TList
-
-
-def build_var_plan(rule: Rule, buffers: tuple[Symbol, ...]) -> VarPlan:
-    taken = {v.name for v in rule.lhs_vars() | rule.rhs_vars()}
-
-    def fresh(name: str) -> Variable:
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        return Variable(name)
-
-    def per_buffer(prefix: str) -> dict[Symbol, Variable]:
-        return {b: fresh(f"{prefix}{b.name}") for b in buffers}
-
-    cvar = per_buffer("C_")
-    dvar = per_buffer("V_")
-    return VarPlan(
-        store=fresh("D"),
-        acts=fresh("Dacts"),
-        result=fresh("Dnew"),
-        cvar=cvar,
-        dvar=dvar,
-        resstore=per_buffer("Dres_"),
-        resid=per_buffer("Cres_"),
-        resdelay=per_buffer("Eres_"),
-        mergeid=per_buffer("M_"),
-        cogstate=encode_cogstate((b, cvar[b], dvar[b]) for b in buffers),
-    )
-
-
-def chr_of_state(state: AbstractState, types: TypeTable) -> ChrState:
+def chr_of_state(state: AbstractState) -> ChrState:
     """delta(<store>) plus one gamma per buffer, all ground; facts become
     the built-in store."""
-    goal = [delta_c(encode_store(state.store, types))]
+    goal = [delta_c(encode_store(state.store))]
     for b, c, d in state.gamma:
         goal.append(gamma_c(b, c, d))
     return ChrState(tuple(goal), tuple(fact_constraint(a) for a in state.upsilon))
@@ -112,52 +63,57 @@ def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> Ch
     Head: the delta constraint and every buffer's gamma.  Guard: one store
     membership per test plus a zero-delay check.  Body: the rebuilt delta,
     updated gammas for action buffers, pass-through gammas for the rest,
-    and the action/merge/map chain that computes them.
+    and the action/merge/map chain that computes them.  Generated variable
+    names are suffixed with '_' until disjoint from the rule's own.
     """
     if not is_normal_form(rule, types):
         raise NotNormalized(f"rule {rule.name} is not in set normal form")
-    plan = build_var_plan(rule, buffers)
+    taken = {v.name for v in rule.lhs_vars() | rule.rhs_vars()}
 
-    head = [delta_c(plan.store)]
+    def fresh(name: str) -> Variable:
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        return Variable(name)
+
+    def per_buffer(prefix: str) -> dict[Symbol, Variable]:
+        return {b: fresh(f"{prefix}{b.name}") for b in buffers}
+
+    # the order of these calls decides which name gains a '_' on a clash
+    cvar, dvar = per_buffer("C_"), per_buffer("V_")
+    store, acts, result = fresh("D"), fresh("Dacts"), fresh("Dnew")
+    resstore, resid = per_buffer("Dres_"), per_buffer("Cres_")
+    resdelay, mergeid = per_buffer("Eres_"), per_buffer("M_")
+    cogstate = encode_cogstate((b, cvar[b], dvar[b]) for b in buffers)
+
+    head = [delta_c(store)]
     for b in buffers:
-        head.append(gamma_c(b, plan.cvar[b], plan.dvar[b]))
+        head.append(gamma_c(b, cvar[b], dvar[b]))
 
     guard = []
     for t in rule.tests:
-        pairs = encode_pairs(t.type, t.pairs, types)
-        pattern = Compound("chunk", (plan.cvar[t.buffer], t.type, pairs))
-        guard.append(builtin("in", pattern, plan.store))
-        guard.append(builtin("=", plan.dvar[t.buffer], 0))
+        pattern = Compound("chunk", (cvar[t.buffer], t.type, encode_pairs(t.pairs)))
+        guard.append(builtin("in", pattern, store))
+        guard.append(builtin("=", dvar[t.buffer], 0))
 
     action_buffers = [a.buffer for a in rule.actions]
     body_builtin = []
     for a in rule.actions:
+        b = a.buffer
         body_builtin.append(
-            builtin(
-                "action",
-                encode_action(a, types),
-                plan.store,
-                plan.cogstate,
-                plan.resstore[a.buffer],
-                plan.resid[a.buffer],
-                plan.resdelay[a.buffer],
-            )
+            builtin("action", encode_action(a), store, cogstate, resstore[b], resid[b], resdelay[b])
         )
-    body_builtin.append(
-        builtin("merge", TList(tuple(plan.resstore[b] for b in action_buffers)), plan.acts)
-    )
-    body_builtin.append(builtin("merge", TList((plan.store, plan.acts)), plan.result))
-    for a in rule.actions:
-        body_builtin.append(
-            builtin("map", plan.store, plan.acts, plan.resid[a.buffer], plan.mergeid[a.buffer])
-        )
+    body_builtin.append(builtin("merge", TList(tuple(resstore[b] for b in action_buffers)), acts))
+    body_builtin.append(builtin("merge", TList((store, acts)), result))
+    for b in action_buffers:
+        body_builtin.append(builtin("map", store, acts, resid[b], mergeid[b]))
 
-    body_user = [delta_c(plan.result)]
+    body_user = [delta_c(result)]
     for b in buffers:
         if b in action_buffers:
-            body_user.append(gamma_c(b, plan.mergeid[b], plan.resdelay[b]))
+            body_user.append(gamma_c(b, mergeid[b], resdelay[b]))
         else:
-            body_user.append(gamma_c(b, plan.cvar[b], plan.dvar[b]))
+            body_user.append(gamma_c(b, cvar[b], dvar[b]))
 
     return ChrRule(
         name=rule.name,

@@ -269,7 +269,7 @@ def test_criterion_6_translation_shape(counting_model):
     for model in models:
         norm = normalize_model(model)
         state = norm.initial_state()
-        cs = chr_of_state(state, norm.types)
+        cs = chr_of_state(state)
         deltas = [c for c in cs.goal if c.name == "delta"]
         gammas = [c for c in cs.goal if c.name == "gamma"]
         assert len(deltas) == 1

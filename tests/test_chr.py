@@ -14,7 +14,6 @@ from actrchr.core import (
     IdGen,
     NIL,
     Symbol,
-    TypeTable,
     Variable,
     is_fresh_id,
 )
@@ -54,7 +53,8 @@ from actrchr.chr import encode_cogstate
 from actrchr.engine import ArchitectureConfig, canonical_key, explore, normalize_model
 from actrchr.model import AbstractState, Action, Atom, MODIFY, REQUEST
 from actrchr.modelgen import random_model
-from actrchr.translate import chr_of_state
+from actrchr.parser import parse_model, print_model
+from actrchr.translate import chr_of_model, chr_of_state
 
 
 def sym(name: str) -> Symbol:
@@ -63,13 +63,6 @@ def sym(name: str) -> Symbol:
 
 def var(name: str) -> Variable:
     return Variable(name)
-
-
-def table(**types) -> TypeTable:
-    tt = TypeTable()
-    for name, slots in types.items():
-        tt.declare(sym(name), tuple(sym(s) for s in slots))
-    return tt
 
 
 class TestUnification:
@@ -153,15 +146,16 @@ class TestUnification:
         assert subst(open_term, {}) is open_term
 
 
-TYPES = table(t=("a", "b"))
 CHUNK = Chunk(sym("k"), sym("t"), {sym("a"): sym("k"), sym("b"): NIL})
 
 
 class TestEncoding:
-    def test_chunk_encoding_orders_slots_by_type(self):
-        scrambled = Chunk(sym("k"), sym("t"), [(sym("b"), NIL), (sym("a"), sym("k"))])
-        enc = encode_chunk(scrambled, TYPES)
-        assert enc == Compound(
+    def test_chunk_encoding_orders_slots_by_name(self):
+        # the type declares (b, a): text follows it, terms do not
+        m = parse_model("type t { b, a }\nchunk k : t { b: nil, a: k }\nbuffer goal = k\n")
+        (k,) = [c for c in m.chunks if c.id == sym("k")]
+        assert "chunk k : t { b: nil, a: k }" in print_model(m)
+        assert encode_chunk(k) == Compound(
             "chunk",
             (
                 sym("k"),
@@ -171,24 +165,30 @@ class TestEncoding:
         )
 
     def test_chunk_round_trip(self):
-        assert decode_chunk(encode_chunk(CHUNK, TYPES)) == CHUNK
+        assert decode_chunk(encode_chunk(CHUNK)) == CHUNK
+
+    def test_decoding_rejects_slots_out_of_name_order_or_repeated(self):
+        a, b = tuple_term(sym("a"), sym("k")), tuple_term(sym("b"), NIL)
+        for pairs in ((b, a), (a, a), (a, b, b)):
+            with pytest.raises(ChrError, match="strict name order"):
+                decode_chunk(Compound("chunk", (sym("k"), sym("t"), TList(pairs))))
 
     def test_store_round_trip_sorted(self):
         other = Chunk(sym("j"), sym("t"), {sym("a"): sym("j")})
         store = ChunkStore([CHUNK, other])
-        enc = encode_store(store, TYPES)
+        enc = encode_store(store)
         ids = [t.args[0] for t in enc.items]
         assert ids == [sym("j"), sym("k")]  # identifier order is canonical
         assert decode_store(enc).sorted_chunks() == store.sorted_chunks()
 
     def test_partial_chunk_encodes_only_present_slots(self):
         partial = Chunk(sym("k"), sym("t"), {sym("b"): sym("k")})
-        enc = encode_pairs(partial.type, partial.pairs, TYPES)
+        enc = encode_pairs(partial.pairs)
         assert enc == TList((tuple_term(sym("b"), sym("k")),))
 
 
-def solve(constraints, env=None, facts=(), types=TYPES):
-    return solve_builtins(constraints, env or {}, facts, types, ArchitectureConfig(), IdGen())
+def solve(constraints, env=None, facts=()):
+    return solve_builtins(constraints, env or {}, facts, ArchitectureConfig(), IdGen())
 
 
 class TestBuiltinTheory:
@@ -241,7 +241,7 @@ class TestBuiltinTheory:
         b = ChunkStore([Chunk(sym("y"), sym("t"), {sym("a"): sym("y")})])
         goal = builtin(
             "merge",
-            TList((encode_store(a, TYPES), encode_store(b, TYPES))),
+            TList((encode_store(a), encode_store(b))),
             var("D"),
         )
         ((env, _),) = solve([goal])
@@ -253,7 +253,7 @@ class TestBuiltinTheory:
         b = ChunkStore([Chunk(sym("x"), sym("t"), {sym("a"): NIL})])
         goal = builtin(
             "merge",
-            TList((encode_store(a, TYPES), encode_store(b, TYPES))),
+            TList((encode_store(a), encode_store(b))),
             var("D"),
         )
         with pytest.raises(IdClash):
@@ -261,18 +261,18 @@ class TestBuiltinTheory:
 
     def test_map_builtin_keeps_known_ids(self):
         store = ChunkStore([Chunk(sym("x"), sym("t"), {})])
-        enc = encode_store(store, TYPES)
-        empty = encode_store(ChunkStore(), TYPES)
+        enc = encode_store(store)
+        empty = encode_store(ChunkStore())
         ((env, _),) = solve([builtin("map", enc, empty, sym("x"), var("M"))])
         assert env[var("M")] == sym("x")
 
     def test_map_builtin_sends_unknown_ids_to_nil(self):
-        empty = encode_store(ChunkStore(), TYPES)
+        empty = encode_store(ChunkStore())
         ((env, _),) = solve([builtin("map", empty, empty, sym("zz"), var("M"))])
         assert env[var("M")] == NIL
 
     def test_map_builtin_rejects_malformed_stores(self):
-        empty = encode_store(ChunkStore(), TYPES)
+        empty = encode_store(ChunkStore())
         for bad in (
             sym("x"),  # not a list
             TList((tuple_term(sym("x"), sym("t")),)),  # not a chunk/3 term
@@ -290,15 +290,15 @@ class TestBuiltinTheory:
         request = Action(REQUEST, sym("goal"), sym("t"), ((sym("a"), sym("g0")),))
         c = builtin(
             "action",
-            encode_action(request, TYPES),
-            encode_store(store, TYPES),
+            encode_action(request),
+            encode_store(store),
             encode_cogstate([(sym("goal"), sym("g0"), 0)]),
             var("Dres"),
             var("Cres"),
             var("Eres"),
         )
         facts = (Atom("dm", (sym("d1"),)), Atom("dm", (sym("d2"),)))
-        ((env, atoms),) = solve_builtins([c], {}, facts, TYPES, ArchitectureConfig(), IdGen())
+        ((env, atoms),) = solve_builtins([c], {}, facts, ArchitectureConfig(), IdGen())
         assert atoms == ()
         assert env[var("Eres")] == 1  # the answer lands pending
         (answer,) = decode_store(env[var("Dres")]).chunks()
@@ -312,14 +312,14 @@ class TestBuiltinTheory:
         modify = Action(MODIFY, sym("goal"), None, ((sym("b"), sym("g0")),))
         c = builtin(
             "action",
-            encode_action(modify, TYPES),
-            encode_store(store, TYPES),
+            encode_action(modify),
+            encode_store(store),
             encode_cogstate([(sym("goal"), sym("g0"), 0)]),
             var("Dres"),
             var("Cres"),
             var("Eres"),
         )
-        ((env, _),) = solve_builtins([c], {}, (), TYPES, ArchitectureConfig(), IdGen())
+        ((env, _),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen())
         assert env[var("Eres")] == 0
         (copy,) = decode_store(env[var("Dres")]).chunks()
         assert copy.val() == {sym("a"): sym("g0"), sym("b"): sym("g0")}
@@ -347,13 +347,13 @@ def pair_rule():
 class TestStepRelation:
     def test_reveal_rule_flips_one_pending_flag(self):
         state = ChrState((gamma_c(sym("goal"), sym("k"), 1),), ())
-        ((label, nxt),) = chr_step(state, [REVEAL], TYPES)
+        ((label, nxt),) = chr_step(state, [REVEAL])
         assert label == "no"
         assert nxt.goal == (gamma_c(sym("goal"), sym("k"), 0),)
 
     def test_visible_buffer_does_not_fire(self):
         state = ChrState((gamma_c(sym("goal"), sym("k"), 0),), ())
-        assert chr_step(state, [REVEAL], TYPES) == []
+        assert chr_step(state, [REVEAL]) == []
 
     def test_two_pending_buffers_give_two_successors(self):
         state = ChrState(
@@ -363,7 +363,7 @@ class TestStepRelation:
             ),
             (),
         )
-        succ = chr_step(state, [REVEAL], TYPES)
+        succ = chr_step(state, [REVEAL])
         assert len(succ) == 2
         stills = [
             [c for c in s.goal if c.args[2] == 1][0].args[0] for _, s in succ
@@ -373,9 +373,9 @@ class TestStepRelation:
     def test_head_matching_is_injective(self):
         # a two-headed rule cannot consume one constraint twice
         single = ChrState((user("p", sym("a")),), ())
-        assert chr_step(single, [pair_rule()], TYPES) == []
+        assert chr_step(single, [pair_rule()]) == []
         double = ChrState((user("p", sym("a")), user("p", sym("b"))), ())
-        succ = chr_step(double, [pair_rule()], TYPES)
+        succ = chr_step(double, [pair_rule()])
         assert len(succ) == 2  # both orders of the two constraints
         results = {s.goal[0].args for _, s in succ}
         assert results == {(sym("a"), sym("b")), (sym("b"), sym("a"))}
@@ -390,7 +390,7 @@ class TestStepRelation:
         )
         state = ChrState((user("p", sym("a")),), ())
         with pytest.raises(Undecided):
-            chr_step(state, [leaky], TYPES)
+            chr_step(state, [leaky])
 
     def test_program_order_gives_label_order(self):
         state = ChrState((gamma_c(sym("goal"), sym("k"), 1),), ())
@@ -401,7 +401,7 @@ class TestStepRelation:
             body_user=(gamma_c(var("B"), var("C"), 0),),
             body_builtin=(),
         )
-        labels = [l for l, _ in chr_step(state, [other, REVEAL], TYPES)]
+        labels = [l for l, _ in chr_step(state, [other, REVEAL])]
         assert labels == ["alt", "no"]
 
     def test_uninterpreted_guard_atom_is_undecided(self):
@@ -418,14 +418,28 @@ class TestStepRelation:
             (builtin("dm", sym("a")),),
         )
         with pytest.raises(Undecided):
-            chr_step(state, [fires_on_fact], TYPES)
+            chr_step(state, [fires_on_fact])
+
+    def test_action_over_a_buffer_naming_an_unlisted_chunk_is_rejected(self):
+        # ctx is modified without a test, so no guard checks its chunk
+        m = parse_model(
+            "type t { s }\nchunk a : t { s: a }\nbuffer goal = a\nbuffer ctx = a\n"
+            "rule r { goal: t { s: a } ==> modify ctx { s: a } }\n"
+        )
+        state = chr_of_state(m.initial_state())
+        goal = tuple(
+            gamma_c(sym("ctx"), sym("zz"), 0) if c.args[0] == sym("ctx") else c
+            for c in state.goal
+        )
+        with pytest.raises(ChrError, match="ctx holds unknown chunk id zz"):
+            chr_step(ChrState(goal, state.builtins), chr_of_model(m))
 
     def test_goal_with_variables_is_rejected(self):
         # rules are used as they are, so a goal variable could meet one
         # of theirs: only ground goals step
         state = ChrState((user("p", sym("a")), user("p", var("X"))), ())
         with pytest.raises(ChrError, match=r"goal not ground: p\(X\)"):
-            chr_step(state, [pair_rule()], TYPES)
+            chr_step(state, [pair_rule()])
 
 
 class TestFacts:
@@ -450,7 +464,7 @@ class TestStateEquivalence:
     def test_renamed_fresh_ids_are_equivalent(self):
         def st(name):
             c = Chunk(sym(name), sym("t"), {sym("a"): NIL, sym("b"): NIL})
-            store = encode_store(ChunkStore([c]), TYPES)
+            store = encode_store(ChunkStore([c]))
             return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), ())
 
         assert state_equiv(st("c#0"), st("c#9"))
@@ -459,7 +473,7 @@ class TestStateEquivalence:
     def test_parsed_ids_are_not_renamed(self):
         def st(name):
             c = Chunk(sym(name), sym("t"), {})
-            store = encode_store(ChunkStore([c]), TYPES)
+            store = encode_store(ChunkStore([c]))
             return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), ())
 
         assert not state_equiv(st("x"), st("y"))
@@ -515,10 +529,10 @@ class TestStateEquivalence:
         renamings = 0
         for m, states in self.reachable(71):
             keys = [canonical_key(s) for s in states]
-            forms = [canonical_form(chr_of_state(s, m.types)) for s in states]
+            forms = [canonical_form(chr_of_state(s)) for s in states]
             # the form of a translated state holds the abstract key itself
             for key, form in zip(keys, forms):
-                assert form == ("state", key, form[2])
+                assert form == ("state", key)
             # equal keys exactly when equal forms: the pairing is a bijection
             assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms)))
             renamings += len(states) - len(set(keys))
@@ -532,20 +546,21 @@ class TestStateEquivalence:
                 other = self.permute_fresh(state, rng)
                 renamed += other != state
                 assert canonical_key(other) == canonical_key(state)
-                assert canonical_form(chr_of_state(other, m.types)) == canonical_form(
-                    chr_of_state(state, m.types)
+                assert canonical_form(chr_of_state(other)) == canonical_form(
+                    chr_of_state(state)
                 )
         assert renamed > 50
 
     def test_ill_shaped_states_stay_apart_from_their_original(self):
         a = Chunk(sym("c#0"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
         b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("c#0"), sym("b"): NIL})
-        delta = delta_c(encode_store(ChunkStore([a, b]), TYPES))
+        delta = delta_c(encode_store(ChunkStore([a, b])))
         goal_g = gamma_c(sym("goal"), sym("c#1"), 0)
         facts = (builtin("dm", sym("c#0")),)
         original = ChrState((delta, goal_g), facts)
         a_term, b_term = delta.args[0].items
         swapped = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[::-1])))
+        doubled = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[:1] * 2)))
         variants = [
             # the same gamma twice, and two gammas for one buffer
             ChrState((delta, goal_g, goal_g), facts),
@@ -553,12 +568,13 @@ class TestStateEquivalence:
             # a chunk id listed twice, with equal and with different content
             ChrState((delta_c(TList((a_term, b_term, b_term))), goal_g), facts),
             ChrState((delta_c(TList((a_term, b_term, encode_chunk(
-                Chunk(sym("c#1"), sym("t"), {}), TYPES)))), goal_g), facts),
+                Chunk(sym("c#1"), sym("t"), {}))))), goal_g), facts),
             # a gamma pointing at no listed chunk
             ChrState((delta_c(TList((a_term,))), goal_g), facts),
             ChrState((delta, gamma_c(sym("goal"), sym("c#7"), 0)), facts),
-            # slots listed in another order than the other chunk of the type
+            # slots out of name order, and one slot listed twice
             ChrState((delta_c(TList((swapped, b_term))), goal_g), facts),
+            ChrState((delta_c(TList((doubled, b_term))), goal_g), facts),
         ]
         assert canonical_form(original)[0] == "state"
         for i, variant in enumerate(variants):

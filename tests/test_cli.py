@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from actrchr import cli
 from actrchr.cli import main
 
 
@@ -63,6 +64,18 @@ class TestParse:
         code, out, err = run_cli(capsys, command, counting_path, "--out", target)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_out_fails_before_the_check_runs(
+        self, capsys, monkeypatch, tmp_path, counting_path
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the check ran before --out was opened")
+
+        monkeypatch.setattr(cli, "bisim_check", never)
+        target = tmp_path / "no" / "such" / "dir" / "x"
+        code, out, err = run_cli(capsys, "check", counting_path, "--out", target)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "No such file" in err
 
     def test_out_flag_writes_a_file(self, capsys, tmp_path, counting_path):
         target = tmp_path / "canonical.actr"

@@ -1,10 +1,14 @@
 """Shape and determinism of the model-to-constraint-program translation."""
 
 import random
+import re
 
 import pytest
 
+from actrchr.bisim import bisim_check
 from actrchr.chr import (
+    Compound,
+    TList,
     canonical_form,
     chr_step,
     decode_store,
@@ -14,18 +18,26 @@ from actrchr.chr import (
     state_equiv,
 )
 from actrchr.core import Symbol, TypeTable, Variable
-from actrchr.engine import normalize_model, successors
+from actrchr.engine import explore, normalize_model, successors
 from actrchr.model import BufferTest, Rule
 from actrchr.modelgen import random_model
-from actrchr.parser import parse_model
+from actrchr.parser import parse_model, print_model
 from actrchr.translate import (
     NotNormalized,
-    build_var_plan,
     chr_of_model,
     chr_of_rule,
     chr_of_state,
     no_rule,
 )
+
+
+def variables(t):  # the variables of a term, with repeats
+    if isinstance(t, Variable):
+        yield t
+    elif isinstance(t, (Compound, TList)):
+        for a in t.args if isinstance(t, Compound) else t.items:
+            yield from variables(a)
+
 
 NO_RULE_TEXT = "no @ gamma(B,C,D) <=> D > 0 | gamma(B,C,0)."
 
@@ -37,7 +49,7 @@ def sym(name: str) -> Symbol:
 class TestStateTranslation:
     def test_one_delta_and_one_gamma_per_buffer(self, counting_norm):
         state = counting_norm.initial_state()
-        cs = chr_of_state(state, counting_norm.types)
+        cs = chr_of_state(state)
         deltas = [c for c in cs.goal if c.name == "delta"]
         gammas = [c for c in cs.goal if c.name == "gamma"]
         assert len(deltas) == 1
@@ -46,25 +58,25 @@ class TestStateTranslation:
 
     def test_gammas_carry_buffer_content_and_delay(self, counting_norm):
         state = counting_norm.initial_state()
-        cs = chr_of_state(state, counting_norm.types)
+        cs = chr_of_state(state)
         gammas = {c.args[0]: (c.args[1], c.args[2]) for c in cs.goal if c.name == "gamma"}
         assert gammas[sym("goal")] == (sym("goal0"), 0)
         assert gammas[sym("retrieval")] == (sym("b"), 1)
 
     def test_delta_holds_the_whole_store(self, counting_norm):
         state = counting_norm.initial_state()
-        cs = chr_of_state(state, counting_norm.types)
+        cs = chr_of_state(state)
         (delta,) = [c for c in cs.goal if c.name == "delta"]
         assert decode_store(delta.args[0]).sorted_chunks() == state.store.sorted_chunks()
 
     def test_facts_become_the_builtin_store(self, counting_norm):
         state = counting_norm.initial_state()
-        cs = chr_of_state(state, counting_norm.types)
+        cs = chr_of_state(state)
         assert {c.name for c in cs.builtins} == {"dm"}
         assert len(cs.builtins) == 5
 
     def test_translated_states_are_ground(self, counting_norm):
-        cs = chr_of_state(counting_norm.initial_state(), counting_norm.types)
+        cs = chr_of_state(counting_norm.initial_state())
         assert all(is_ground(a) for c in cs.goal for a in c.args)
 
 
@@ -148,25 +160,31 @@ class TestRuleTranslation:
 
     def test_plan_avoids_the_rules_own_variables(self):
         src = (
-            "type t { s }\nchunk a : t { s: a }\nbuffer goal = a\n"
-            "rule r { goal: t { s: D } ==> modify goal { s: D } }\n"
+            "type t { s, u }\nchunk a : t { s: a, u: a }\nbuffer goal = a\n"
+            "rule r { goal: t { s: D, u: C_goal } ==> modify goal { s: C_goal } }\n"
         )
         m = normalize_model(parse_model(src))
-        plan = build_var_plan(m.rules[0], m.buffers)
-        assert plan.store != Variable("D")
-        assert plan.store.name.startswith("D")
-        own = m.rules[0].lhs_vars()
-        generated = {plan.store, plan.acts, plan.result}
-        generated |= set(plan.cvar.values()) | set(plan.dvar.values())
-        assert generated.isdisjoint(own)
+        rule = m.rules[0]
+        cr = chr_of_rule(rule, m.buffers, m.types)
+        names = {
+            v.name
+            for c in (*cr.removed, *cr.guard, *cr.body_user, *cr.body_builtin)
+            for a in c.args
+            for v in variables(a)
+        }
+        own = {v.name for v in rule.lhs_vars() | rule.rhs_vars()}
+        assert own == {"D", "C_goal"}
+        # clashing names gain a '_'; the others keep theirs
+        assert names - own == {
+            "C_goal_", "V_goal", "D_", "Dacts", "Dnew",
+            "Dres_goal", "Cres_goal", "Eres_goal", "M_goal",
+        }
         # the translated rule still simulates the abstract step
-        cr = chr_of_rule(m.rules[0], m.buffers, m.types)
         s0 = m.initial_state()
-        cs0 = chr_of_state(s0, m.types)
-        steps = chr_step(cs0, [cr], m.types)
+        steps = chr_step(chr_of_state(s0), [cr])
         assert len(steps) == 1
         (_, s1) = successors(s0, m)[0]
-        assert state_equiv(steps[0][1], chr_of_state(s1, m.types))
+        assert state_equiv(steps[0][1], chr_of_state(s1))
 
 
 class TestProgramTranslation:
@@ -204,6 +222,32 @@ class TestProgramTranslation:
             m = random_model(rng)
             assert render_program(chr_of_model(m)) == render_program(chr_of_model(m))
 
+    def test_declared_slot_order_does_not_reach_the_translation(self, counting_src):
+        def flip(text):  # every type's slots declared in reverse
+            def rev(t):
+                return f"type {t[1]} {{ {', '.join(reversed(t[2].split(', ')))} }}"
+
+            return parse_model(re.sub(r"^type (\S+) \{ (.+) \}$", rev, text, flags=re.M))
+
+        m = parse_model(counting_src)
+        v = flip(counting_src)
+        assert "type succ { successor, number }" in print_model(v)
+        assert render_program(chr_of_model(v)) == render_program(chr_of_model(m))
+        # behaviour on random models too, whose normal forms may name the
+        # variables of unmentioned slots in declared order
+        rng = random.Random(52)
+        pairs = [(m, v)] + [(r, flip(print_model(r))) for r in (random_model(rng) for _ in range(20))]
+        assert sum(print_model(a) != print_model(b) for a, b in pairs) > 5
+        for a, b in pairs:
+            ra, rb = bisim_check(a, depth=3), bisim_check(b, depth=3)
+            assert (ra.nodes, ra.transitions, ra.ok) == (rb.nodes, rb.transitions, rb.ok)
+            states = explore(normalize_model(a), depth=3).states
+            assert states == explore(normalize_model(b), depth=3).states
+            progs = chr_of_model(a), chr_of_model(b)
+            for s in states:
+                fa, fb = ([canonical_form(c) for _, c in chr_step(chr_of_state(s), p)] for p in progs)
+                assert fa == fb
+
     def test_normal_form_happens_inside_translation(self, counting_model):
         # raw rules are normalised by chr_of_model before translation
         norm = normalize_model(counting_model)
@@ -225,10 +269,10 @@ class TestProgramTranslation:
             label, succ = nxt[0]
             csucc = [
                 s
-                for _, s in chr_step(chr_of_state(state, counting_norm.types), prog, counting_norm.types)
+                for _, s in chr_step(chr_of_state(state), prog)
             ]
             assert any(
-                canonical_form(s) == canonical_form(chr_of_state(succ, counting_norm.types))
+                canonical_form(s) == canonical_form(chr_of_state(succ))
                 for s in csucc
             )
             state = succ
