@@ -3,15 +3,16 @@
 Starting from a model state and its translation, every related pair must
 agree on its labelled transitions: each abstract step needs a translated
 step with the same label landing in an equivalent state, and vice versa.
-Abstract successors are compared through their translation, so both sides
-meet in one notion of equivalence, canonical-form equality of translated
-states.  That form decodes a translated state back into the abstract state
-it encodes and takes the engine's canonical key, so there is a single
-fresh-identifier canonicalisation for both sides.  Per label the successor
-classes must also correspond one to one, which checks the per-rule effect
-correspondence at every visited pair.  :func:`effect_lemma_check` states
-that correspondence for one rule and one state, through the same step
-relation (:func:`~actrchr.chr.chr_step`) and the same canonical forms.
+Both sides meet in the engine's canonical key: abstract successors are
+keyed by :func:`~actrchr.engine.canonical_key`, translated ones by
+:func:`~actrchr.chr.canonical_form`, which decodes a translated state into
+the abstract state it encodes and keys that.  Only the root is translated,
+so a faulty state translation cannot cancel out on both sides.  Per label
+the successor classes must also correspond one to one, which checks the
+per-rule effect correspondence at every visited pair.
+:func:`effect_lemma_check` states that correspondence for one rule and one
+state, through the same step relation (:func:`~actrchr.chr.chr_step`) and
+the same keys.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 BIJECTION = "bijection"
 UNDECIDED = "undecided"
+MAX_COUNTEREXAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -139,27 +141,26 @@ def _engine_label(chr_rule_name: str) -> str:
 
 def bisim_check(
     model: Model,
-    initial: AbstractState | None = None,
     depth: int = 3,
     config: ArchitectureConfig | None = None,
     program: tuple[ChrRule, ...] | None = None,
-    max_counterexamples: int = 10,
 ) -> BisimReport:
     """Check mutual transition matching to the given depth.
 
     The model runs normalized on both sides; ``program`` overrides the
     translation, which is how fault-injection tests feed a broken one.
     An Undecided equivalence judgement is reported as a failure rather
-    than raised.
+    than raised.  The check stops once it has found
+    :data:`MAX_COUNTEREXAMPLES`.
     """
     config = config or ArchitectureConfig()
     norm = normalize_model(model)
     prog = tuple(program) if program is not None else chr_of_model(model)
-    s0 = initial if initial is not None else norm.initial_state()
+    s0 = norm.initial_state()
     c0 = chr_of_state(s0)
     ids = fresh_gen_for(s0)
     report = BisimReport(depth=depth)
-    seen = {(canonical_key(s0), canonical_form(c0))}
+    seen = {canonical_form(c0)}
     queue = deque([(s0, c0, 0)])
     while queue:
         s, c, d = queue.popleft()
@@ -169,7 +170,7 @@ def bisim_check(
             continue
         try:
             eng = [
-                (label, canonical_form(chr_of_state(s2)), s2)
+                (label, ("state", canonical_key(s2)), s2)
                 for label, s2 in successors(s, norm, config, ids)
             ]
             chrs = [
@@ -182,15 +183,11 @@ def bisim_check(
             )
             continue
         report.transitions += len(eng) + len(chrs)
+        eng_count = Counter((label, form) for label, form, _ in eng)
+        chr_count = Counter((label, form) for label, form, _ in chrs)
 
         for label, form, s2 in eng:
-            mates = [c2 for l2, f2, c2 in chrs if l2 == label and f2 == form]
-            if mates:
-                key = (canonical_key(s2), form)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((s2, mates[0], d + 1))
-            else:
+            if not chr_count[(label, form)]:
                 nearest = next(
                     (render_state(c2) for l2, _, c2 in chrs if l2 == label), ""
                 )
@@ -200,8 +197,12 @@ def bisim_check(
                         render_state(chr_of_state(s2)), nearest,
                     )
                 )
+            elif form not in seen:
+                seen.add(form)
+                mate = next(c2 for l2, f2, c2 in chrs if (l2, f2) == (label, form))
+                queue.append((s2, mate, d + 1))
         for label, form, c2 in chrs:
-            if not any(l2 == label and f2 == form for l2, f2, _ in eng):
+            if not eng_count[(label, form)]:
                 nearest = next(
                     (
                         render_state(chr_of_state(s2))
@@ -216,8 +217,6 @@ def bisim_check(
                     )
                 )
 
-        eng_count = Counter((label, form) for label, form, _ in eng)
-        chr_count = Counter((label, form) for label, form, _ in chrs)
         for label, form in eng_count | chr_count:
             n, m = eng_count[(label, form)], chr_count[(label, form)]
             if n != m and n > 0 and m > 0:
@@ -227,7 +226,7 @@ def bisim_check(
                         f"{n} abstract vs {m} translated successors in one class",
                     )
                 )
-        if len(report.counterexamples) >= max_counterexamples:
+        if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:
             break
     return report
 
@@ -253,7 +252,8 @@ def effect_lemma_check(
 
     The abstract side applies each effect of the normalised rule; the CHR
     side runs :func:`~actrchr.chr.chr_step` with the translated rule alone.
-    Both successor sets are compared as multisets of canonical forms.
+    Both successor sets are compared as multisets of canonical keys, the
+    CHR side's through :func:`~actrchr.chr.canonical_form`.
     Holds vacuously when the rule matches nowhere in the state on both
     sides (a rule that normalises to :data:`~actrchr.engine.DROPPED` has no
     translation and no effect); disagreement on matching itself also fails
@@ -270,8 +270,7 @@ def effect_lemma_check(
         else []
     )
     eng_records = Counter(
-        canonical_form(chr_of_state(apply_transition(state, e)))
-        for e in effects
+        ("state", canonical_key(apply_transition(state, e))) for e in effects
     )
     program = (chr_of_rule(nf, state.buffers(), types),)
     chr_records = Counter(

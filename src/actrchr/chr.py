@@ -566,7 +566,6 @@ def chr_step(
     state: ChrState,
     program: Iterable[ChrRule],
     config: ArchitectureConfig | None = None,
-    ids: IdGen | None = None,
 ) -> list[tuple[str, ChrState]]:
     """All successor states, labelled by the rule that produced them.
 
@@ -582,7 +581,7 @@ def chr_step(
         if not all(is_ground(a) for a in c.args):
             raise ChrError(f"goal not ground: {render_constraint(c)}")
     config = config or ArchitectureConfig()
-    ids = ids or fresh_gen_for(state)
+    ids = fresh_gen_for(state)
     facts = facts_of(state)
     out: list[tuple[str, ChrState]] = []
     for rule in program:
@@ -660,10 +659,10 @@ def canonical_form(state: ChrState):
     decoded into the abstract state it encodes, whose
     :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
     identifiers up to renaming.  So ``canonical_form(chr_of_state(s))`` is
-    ``("state", canonical_key(s))``.  Any other state compares as literal
-    goal and fact multisets.  A store holding an interpreted built-in (an
-    equation, a comparison) lies outside the fragment and raises
-    :class:`Undecided`.
+    ``("state", canonical_key(s))``, the key :func:`~actrchr.bisim.bisim_check`
+    gives abstract states.  Any other state compares as literal goal and
+    fact multisets.  A store holding an interpreted built-in (an equation,
+    a comparison) lies outside the fragment and raises :class:`Undecided`.
     """
     facts = _stored_facts(state)
     decoded = _decode_translated(state.goal, facts)

@@ -178,7 +178,8 @@ def set_normal_form(rule: Rule, types: TypeTable):
     substituting the shared value through the whole rule, and rules that
     pin one slot to two distinct constants are returned as :data:`DROPPED`
     because no state can satisfy them.  The rewritten rule matches exactly
-    the states the original matches.
+    the states the original matches.  Slots are visited by name, so the
+    ``V#n`` names do not depend on declared slot order.
     """
     merged = _merge_tests(rule)
     if merged is DROPPED:
@@ -190,7 +191,7 @@ def set_normal_form(rule: Rule, types: TypeTable):
     while True:
         collapse: tuple[Symbol, Symbol, list[Value]] | None = None
         for t in tests:
-            for s in types.slots(t.type):
+            for s in sorted(types.slots(t.type), key=lambda s: s.name):
                 vs = [v for slot, v in t.pairs if slot == s]
                 if len(vs) > 1:
                     collapse = (t.buffer, s, vs)
@@ -215,7 +216,7 @@ def set_normal_form(rule: Rule, types: TypeTable):
     for t in tests:
         pairs = list(t.pairs)
         present = {s for s, _ in pairs}
-        for s in types.slots(t.type):
+        for s in sorted(types.slots(t.type), key=lambda s: s.name):
             if s not in present:
                 pairs.append((s, Variable(f"{_NORMAL_VAR_PREFIX}{fresh}")))
                 fresh += 1
@@ -584,8 +585,6 @@ def explore(
     config: ArchitectureConfig | None = None,
     depth: int = 16,
     dedup: str = DEDUP_CANONICAL,
-    ids: IdGen | None = None,
-    initial: AbstractState | None = None,
 ) -> Graph:
     """Breadth-first reachable graph up to the depth bound.
 
@@ -594,8 +593,8 @@ def explore(
     when the frontier was still growing at the bound.
     """
     config = config or ArchitectureConfig()
-    ids = ids or IdGen()
-    start = initial if initial is not None else model.initial_state()
+    start = model.initial_state()
+    ids = fresh_gen_for(start)
 
     if dedup == DEDUP_CANONICAL:
         key = canonical_key
@@ -636,14 +635,13 @@ def random_walk(
     config: ArchitectureConfig | None = None,
     depth: int = 16,
     rng: random.Random | None = None,
-    ids: IdGen | None = None,
 ) -> list[tuple[str, AbstractState]]:
     """Seeded derivation: pick uniformly among successors until no
     transition is possible or the depth bound is hit."""
     config = config or ArchitectureConfig()
     rng = rng or random.Random(0)
-    ids = ids or IdGen()
     state = model.initial_state()
+    ids = fresh_gen_for(state)
     steps = []
     for _ in range(depth):
         succ = successors(state, model, config, ids)

@@ -61,11 +61,11 @@ def random_chunks(
     return _chunks(rng, types, rng.randint(1, max_chunks))
 
 
-def chunk_pool(rng: random.Random, size: int = 12) -> tuple[TypeTable, list[Chunk]]:
-    """A shared vocabulary of chunks; stores sampled from one pool always
-    merge cleanly."""
+def chunk_pool(rng: random.Random) -> tuple[TypeTable, list[Chunk]]:
+    """A shared vocabulary of twelve chunks; stores sampled from one pool
+    always merge cleanly."""
     types = random_types(rng)
-    return types, _chunks(rng, types, size)
+    return types, _chunks(rng, types, 12)
 
 
 def random_store(

@@ -14,7 +14,8 @@ The format is declaration-oriented::
 
 Capitalised identifiers are rule variables, everything else is a constant.
 ``#`` starts a line comment unless it glues an identifier to digits
-(``c#0``, ``V#0``), which keeps machine-generated names printable.
+(``c#0``, ``V#0``), which keeps machine-generated names printable; names
+starting with ``c#`` are reserved for fresh chunk identifiers.
 Symbol resolution problems (unknown types, slots, buffers, chunks) are not
 parse errors; they are reported by :func:`actrchr.model.validate`.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Chunk, CoreError, NIL, Symbol, TypeTable, Value, Variable
+from .core import FRESH_PREFIX, Chunk, CoreError, NIL, Symbol, TypeTable, Value, Variable
 from .model import (
     Action,
     BufferTest,
@@ -147,6 +148,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in ("lident", "number"):
             raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok.text.startswith(FRESH_PREFIX):
+            raise ParseError(f"{tok.text!r} is reserved for fresh chunk identifiers", tok.span)
         self.advance()
         return Symbol(tok.text)
 

@@ -3,6 +3,7 @@ the checks that catch deliberately broken translations."""
 
 import json
 import random
+from collections import Counter
 
 import actrchr.bisim
 from actrchr.bisim import (
@@ -14,7 +15,7 @@ from actrchr.bisim import (
     drop_passthrough_gammas,
     effect_lemma_check,
 )
-from actrchr.chr import ChrRule, builtin
+from actrchr.chr import ChrRule, ChrState, builtin
 from actrchr.engine import (
     FAIL_NIL,
     FAIL_STUCK,
@@ -55,6 +56,15 @@ buffer retrieval = b
 rule ask { goal: t { s: a } ==> request retrieval t { s: a, s: b } }
 """
 
+# declarative memory is never read: the one rule only modifies
+UNREAD_MEMORY_SRC = """
+type t { s }
+chunk a : t { s: a }
+dm { a }
+buffer goal = a
+rule r { goal: t {} ==> modify goal { s: a } }
+"""
+
 TWO_ANSWER_SRC = """
 type q { want }
 type t { s }
@@ -80,6 +90,26 @@ class TestCountingModel:
         report = bisim_check(counting_model, depth=16)
         assert report.ok
         assert report.nodes == 6
+
+    def test_only_the_root_is_translated(self, counting_model, monkeypatch):
+        counts = Counter()
+
+        def count(name, size=lambda result: 1):
+            fn = getattr(actrchr.bisim, name)
+
+            def counted(*args):
+                result = fn(*args)
+                counts[name] += size(result)
+                return result
+
+            monkeypatch.setattr(actrchr.bisim, name, counted)
+
+        count("chr_of_state")
+        count("canonical_form")
+        count("chr_step", len)  # the CHR successors
+        assert bisim_check(counting_model, depth=3).ok
+        assert counts["chr_of_state"] == 1
+        assert counts["canonical_form"] == counts["chr_step"] + 1
 
     def test_report_text_summarises_the_run(self, counting_model):
         text = bisim_check(counting_model, depth=3).text()
@@ -169,6 +199,20 @@ class TestFaultInjection:
         report = bisim_check(counting_model, depth=3, program=doubled)
         assert any(c.direction == BIJECTION for c in report.counterexamples)
 
+    def test_state_translation_that_drops_the_facts_fails(self, monkeypatch):
+        model = parse_model(UNREAD_MEMORY_SRC)
+        assert bisim_check(model, depth=3).ok
+        translate = actrchr.bisim.chr_of_state
+        monkeypatch.setattr(
+            actrchr.bisim, "chr_of_state", lambda s: ChrState(translate(s).goal, ())
+        )
+        report = bisim_check(model, depth=3)
+        assert not report.ok
+        assert {(c.direction, c.depth) for c in report.counterexamples} == {
+            (FORWARD, 0),
+            (BACKWARD, 0),
+        }
+
     def test_undecided_programs_are_reported_not_raised(self, counting_model):
         prog = chr_of_model(counting_model)
         confused = ChrRule(
@@ -246,3 +290,20 @@ class TestRandomCorpus:
             pairs[FAIL_NIL] += bisim_check(model, depth=3).nodes
         # failed requests do occur: dropping them leaves fewer pairs
         assert pairs[FAIL_STUCK] < pairs[FAIL_NIL]
+
+    def test_wider_random_corpus_is_bisimilar_under_both_policies(self):
+        rng = random.Random(63)
+        matching = Counter()
+        for _ in range(40):
+            model = random_model(rng, max_buffers=4, max_rules=6, max_chunks=8)
+            norm = normalize_model(model)
+            for policy in (FAIL_NIL, FAIL_STUCK):
+                config = ArchitectureConfig(fail_request=policy)
+                report = bisim_check(model, depth=3, config=config)
+                assert report.ok, report.text()
+                for state in report.states:
+                    for rule in norm.rules:
+                        if match_rule(rule, state) is not None:
+                            matching[policy] += 1
+                            assert effect_lemma_check(rule, state, norm.types, config)
+        assert min(matching.values()) > 300

@@ -169,6 +169,17 @@ class TestExplore:
         assert sum(1 for l in lines if l.startswith("edge ")) == 5
         assert "truncated" not in out
 
+    def test_fresh_style_chunk_id_is_a_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "fresh.actr"
+        p.write_text(
+            "type t { s }\nchunk a : t { s: nil }\nchunk c#0 : t { s: nil }\n"
+            "buffer goal = c#0\nrule r { goal: t {} ==> modify goal { s: a } }\n"
+        )
+        code, out, err = run_cli(capsys, "explore", p)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{p}:3:7: ")
+
     def test_depth_bound_is_reported(self, capsys, counting_path):
         _, out, _ = run_cli(
             capsys, "explore", counting_path, "--format", "text", "--depth", "1"

@@ -1,4 +1,5 @@
-"""Every module-level import is used, every package parameter read (stdlib-only lint)."""
+"""Every module-level import is used, every package parameter read and
+every package default overridden somewhere (stdlib-only lint)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "actrchr").glob("*.py"))
 MODULES = SOURCES + sorted(ROOT.glob("tests/*.py"))
+CALLERS = [ROOT / d for d in ("src", "tests", "perfbench")]
 REEXPORTS = ROOT / "src" / "actrchr" / "__init__.py"
 
 
@@ -37,3 +39,36 @@ def test_no_unused_parameters(path):
             read = {n.id for n in ast.walk(fn) if type(n) is ast.Name and type(n.ctx) is ast.Load}
             found += [(fn.lineno, n) for n in sorted(names - read - {"self", "cls"}) if n[0] != "_"]
     assert not found, f"unused parameters (line, name): {found}"
+
+
+def test_no_never_passed_defaults():
+    # per function name: the keywords and the most positional arguments
+    # any call passes, by bare or attribute name; ** or * passes everything
+    keywords, positional = {}, {}
+    for path in sorted(p for d in CALLERS for p in d.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords.setdefault(name, set()).update(
+                k.arg or "**" for k in call.keywords
+            )
+            n = float("inf") if spread else len(call.args)
+            positional[name] = max(positional.get(name, 0), n)
+    never = []
+    for path in SOURCES:
+        for fn in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            ordered = [*a.posonlyargs, *a.args]
+            defaulted = [(i, p.arg) for i, p in enumerate(ordered)][len(ordered) - len(a.defaults):]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            kw = keywords.get(fn.name, set())
+            for i, arg in defaulted:
+                by_position = i is not None and positional.get(fn.name, 0) > i
+                if not (by_position or arg in kw or "**" in kw):
+                    never.append(f"{path.name}:{fn.lineno} {fn.name}({arg})")
+    assert not never, f"defaults no call overrides: {never}"

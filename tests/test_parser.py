@@ -190,6 +190,13 @@ class TestErrors:
         assert (e.span.line, e.span.col) == (6, 3)
         assert "slot s given twice in modify goal" in e.message
 
+    def test_fresh_prefix_is_reserved(self):
+        e = self.err("type t { s }\nchunk a : t { s: nil }\nchunk c#0 : t { s: nil }\n")
+        assert (e.span.line, e.span.col) == (3, 7)
+        assert "reserved for fresh chunk identifiers" in e.message
+        e = self.err("type t { s }\nchunk a : t { s: c#1 }\n")
+        assert (e.span.line, e.span.col) == (2, 18)
+
     def test_message_carries_position(self):
         e = self.err("type t {}\nchunk a t {}\n")
         assert str(e).startswith("2:")

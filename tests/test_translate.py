@@ -31,6 +31,13 @@ from actrchr.translate import (
 )
 
 
+def flip(text):  # the model with every type's slots declared in reverse
+    def rev(t):
+        return f"type {t[1]} {{ {', '.join(reversed(t[2].split(', ')))} }}"
+
+    return parse_model(re.sub(r"^type (\S+) \{ (.+) \}$", rev, text, flags=re.M))
+
+
 def variables(t):  # the variables of a term, with repeats
     if isinstance(t, Variable):
         yield t
@@ -223,18 +230,11 @@ class TestProgramTranslation:
             assert render_program(chr_of_model(m)) == render_program(chr_of_model(m))
 
     def test_declared_slot_order_does_not_reach_the_translation(self, counting_src):
-        def flip(text):  # every type's slots declared in reverse
-            def rev(t):
-                return f"type {t[1]} {{ {', '.join(reversed(t[2].split(', ')))} }}"
-
-            return parse_model(re.sub(r"^type (\S+) \{ (.+) \}$", rev, text, flags=re.M))
-
         m = parse_model(counting_src)
         v = flip(counting_src)
         assert "type succ { successor, number }" in print_model(v)
         assert render_program(chr_of_model(v)) == render_program(chr_of_model(m))
-        # behaviour on random models too, whose normal forms may name the
-        # variables of unmentioned slots in declared order
+        # behaviour on random models too
         rng = random.Random(52)
         pairs = [(m, v)] + [(r, flip(print_model(r))) for r in (random_model(rng) for _ in range(20))]
         assert sum(print_model(a) != print_model(b) for a, b in pairs) > 5
@@ -247,6 +247,13 @@ class TestProgramTranslation:
             for s in states:
                 fa, fb = ([canonical_form(c) for _, c in chr_step(chr_of_state(s), p)] for p in progs)
                 assert fa == fb
+
+    def test_normal_form_names_do_not_depend_on_declared_slot_order(self):
+        models = [random_model(random.Random(i)) for i in range(200)]
+        flipped = [flip(print_model(m)) for m in models]
+        assert sum(print_model(a) != print_model(b) for a, b in zip(models, flipped)) > 50
+        for a, b in zip(models, flipped):
+            assert render_program(chr_of_model(a)) == render_program(chr_of_model(b))
 
     def test_normal_form_happens_inside_translation(self, counting_model):
         # raw rules are normalised by chr_of_model before translation
