@@ -13,6 +13,12 @@ per-rule effect correspondence at every visited pair.
 :func:`effect_lemma_check` states that correspondence for one rule and one
 state, through the same step relation (:func:`~actrchr.chr.chr_step`) and
 the same keys.
+
+What the two sides share, and so what the check cannot test: the request
+handlers (:func:`~actrchr.engine.interpret_request`, a parameter of the
+semantics) and the canonical key.  Rule matching, modification, the store
+merge and the fresh-id supply run as separate code on each side: the
+engine's on chunks and stores, the CHR engine's built-ins on chunk terms.
 """
 
 from __future__ import annotations

@@ -17,10 +17,22 @@ equality.  A type's declared slot order is for text only (see
 :meth:`~actrchr.core.TypeTable.ordered`); no term of this module depends
 on it, and the module needs no type table.
 
+The built-ins that the semantics fixes are solved here, over chunk terms:
+``action`` on a modification copies the incumbent's term under a fresh
+id, ``merge`` merges identifier-ordered chunk lists in one pass, and
+``map`` reads identifiers.  A request is the one effect shared with the
+abstract machine (:func:`~actrchr.engine.interpret_request`), because the
+semantics leaves request handling, the modules, as a parameter.  So the
+bisimulation check tests modification and merge against an independent
+implementation.
+
 Ground terms are the cheap case: compounds and lists cache their
 groundness once asked, substitution returns ground terms as they are, and
 the rules match a goal as they are, since a ground goal shares no variable
-with them.
+with them.  A chunk term likewise keeps the chunk it decodes to.  The
+merge hands a successor store its parent's term objects, so a store
+decoded for a request or for :func:`canonical_form` costs a decoding only
+for its new chunks.
 
 The equivalence :func:`state_equiv` claims is the one of this fragment:
 ground goals, a store of ground facts, no global variables.  A state of
@@ -41,14 +53,14 @@ from typing import Iterable, Optional, Union
 from .core import (
     IdGen,
     NIL,
+    NIL_CHUNK,
     Chunk,
     ChunkStore,
     Symbol,
     Variable,
     fresh_gen_avoiding,
-    merge_all,
 )
-from .engine import ArchitectureConfig, canonical_key, interpret_action
+from .engine import ArchitectureConfig, canonical_key, interpret_request
 from .model import AbstractState, Action, Atom, MODIFY, REQUEST
 
 
@@ -72,8 +84,11 @@ class Compound:
     args: tuple[Term, ...]
     # groundness, filled in by the first is_ground query (see there)
     _ground: bool = field(init=False, repr=False, compare=False)
+    # the chunk a chunk term encodes, filled in by its first successful
+    # decode_chunk (see there)
+    _chunk: Chunk = field(init=False, repr=False, compare=False)
 
-    def __reduce__(self):  # the flag may be unset, so copy the fields only
+    def __reduce__(self):  # the caches may be unset, so copy the fields only
         return Compound, (self.functor, self.args)
 
 
@@ -307,13 +322,22 @@ def _chunk_terms(t: Term) -> tuple[Term, ...]:
 
 def decode_chunk(t: Term) -> Chunk:
     """The chunk a term encodes; the inverse of :func:`encode_chunk`, so
-    slots out of name order or repeated raise :class:`ChrError`."""
+    slots out of name order or repeated raise :class:`ChrError`.
+
+    The first successful decoding is kept in the term's ``_chunk`` slot,
+    so a term is validated once, however many stores share it.
+    """
+    chunk = getattr(t, "_chunk", None)
+    if chunk is not None:
+        return chunk
     id, type, pairs = _chunk_fields(t)
     decoded = _decode_pairs(pairs, ChrError, "malformed slot pair")
     names = [s.name for s, _ in decoded]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ChrError(f"slots not in strict name order: {render_term(t)}")
-    return Chunk(id, type, decoded)
+    chunk = Chunk(id, type, decoded)
+    object.__setattr__(t, "_chunk", chunk)
+    return chunk
 
 
 def decode_store(t: Term) -> ChunkStore:
@@ -435,45 +459,145 @@ def _solve_action(
 ) -> list[Solution]:
     """action(A, D, G, Dres, Cres, Eres): interpret action A in the state
     encoded by chunk list D, cognitive state G and the ambient facts; one
-    solution per effect, binding the result store encoding, the result
-    chunk id and its delay, and contributing the effect's facts."""
+    solution per effect, binding the effect's chunk list, the chunk id it
+    puts in A's buffer and that buffer's delay, and contributing the
+    effect's facts.
+
+    Every buffer must name a listed chunk.  A modification is solved over
+    chunk terms (see :func:`_modify`).  A request is the one built-in the
+    abstract machine shares, since the semantics leaves its handlers as a
+    parameter: the state is decoded for
+    :func:`~actrchr.engine.interpret_request`, which costs a decoding only
+    for terms no earlier store held (see :func:`decode_chunk`).
+    """
     if len(c.args) != 6:
         raise ChrError("action/6 expected")
     a_t, d_t, g_t, dres, cres, eres = (subst(x, env) for x in c.args)
     action = _decode_action(a_t)
-    store = decode_store(d_t)
+    listed = _listed_chunks(d_t)
     gamma = _decode_cogstate(g_t)
-    try:
+    for b, (cid, delay) in gamma.items():
+        if cid not in listed:
+            raise ChrError(f"buffer {b} holds unknown chunk id {cid}")
+        if delay not in (0, 1):
+            raise ChrError(f"buffer {b} has non-binary delay {delay}")
+    if action.kind == MODIFY:
+        answers = [_modify(action, listed, gamma, ids)]
+    else:
+        store = ChunkStore(decode_chunk(t) for t in listed.values())
         state = AbstractState.make(store, gamma, facts)
-    except ValueError as e:  # a buffer names an unlisted chunk
-        raise ChrError(str(e)) from None
+        answers = []
+        for eff in interpret_request(action, state, config, ids):
+            cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[action.buffer]
+            answers.append((encode_store(eff.store), cid, delay, eff.atoms))
     out: list[Solution] = []
-    for eff in interpret_action(action, state, config, ids):
-        buffer_update = {b: (cc, dd) for b, cc, dd in eff.gamma}[action.buffer]
+    for d_new, c_new, e_new, atoms in answers:
         e: Optional[Env] = env
-        for pat, val in (
-            (dres, encode_store(eff.store)),
-            (cres, buffer_update[0]),
-            (eres, buffer_update[1]),
-        ):
+        for pat, val in ((dres, d_new), (cres, c_new), (eres, e_new)):
             e = unify(pat, val, e)
             if e is None:
                 break
         if e is not None:
-            out.append((e, eff.atoms))
+            out.append((e, atoms))
     return out
 
 
+_NIL_TERM = encode_chunk(NIL_CHUNK)
+
+
+def _listed_chunks(t: Term) -> dict[Symbol, Term]:
+    """The decoded chunk terms of a chunk list by identifier, nil included
+    as in every state store; a repeated identifier raises
+    :class:`ChrError`."""
+    terms = _chunk_terms(t)
+    listed = {decode_chunk(term).id: term for term in terms}
+    if len(listed) != len(terms):
+        raise ChrError(f"repeated chunk id: {render_term(t)}")
+    listed.setdefault(NIL, _NIL_TERM)
+    return listed
+
+
+def _modify(
+    action: Action,
+    listed: dict[Symbol, Term],
+    gamma: dict[Symbol, tuple[Symbol, int]],
+    ids: IdGen,
+) -> tuple[TList, Symbol, int, tuple[Atom, ...]]:
+    """The incumbent's term copied under a fresh id, visible, with the
+    update slots set.  An update value that names no listed chunk becomes
+    nil; an update slot the incumbent lacks is ignored."""
+    if action.buffer not in gamma:
+        raise ChrError(f"no buffer {action.buffer}")
+    _, type, pairs = _chunk_fields(listed[gamma[action.buffer][0]])
+    updates = dict(action.pairs)
+    new_pairs = []
+    for p in pairs.items:
+        slot = p.args[0]  # type: ignore[union-attr]
+        if slot in updates:
+            v = updates[slot]
+            p = tuple_term(slot, v if v in listed else NIL)
+        new_pairs.append(p)
+    fresh = ids.fresh()
+    copy = Compound("chunk", (fresh, type, TList(tuple(new_pairs))))
+    return TList((copy,)), fresh, 0, ()
+
+
 def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
-    """merge(L, D): D is the encoding of the merge of the stores in L."""
+    """merge(L, D): D is the merge of the chunk lists in L (see
+    :func:`merge_chunk_lists`)."""
     if len(c.args) != 2:
         raise ChrError("merge/2 expected")
     lst, out_pat = (subst(x, env) for x in c.args)
     if not (isinstance(lst, TList) and is_ground(lst)):
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    merged = merge_all(decode_store(t) for t in lst.items)
-    e = unify(out_pat, encode_store(merged), env)
+    e = unify(out_pat, merge_chunk_lists(lst.items), env)
     return [] if e is None else [(e, ())]
+
+
+def merge_chunk_lists(lists: Iterable[Term]) -> TList:
+    """The store merge over chunk lists, folded left from the empty list.
+
+    Each operand must be strictly ordered by identifier name, as
+    :func:`encode_store` lists a store, and two lists merge in one pass.
+    A shared identifier must carry equal terms and keeps the left
+    operand's, so a successor store holds its parent's term objects.  A
+    clash or an operand out of order raises :class:`ChrError`.
+    """
+    merged: list[tuple[str, Term]] = []
+    for lst in lists:
+        merged = _merge_two(merged, _keyed_by_id(lst))
+    return TList(tuple(t for _, t in merged))
+
+
+def _keyed_by_id(t: Term) -> list[tuple[str, Term]]:
+    keyed = [(decode_chunk(term).id.name, term) for term in _chunk_terms(t)]
+    if any(a >= b for (a, _), (b, _) in zip(keyed, keyed[1:])):
+        raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
+    return keyed
+
+
+def _merge_two(
+    left: list[tuple[str, Term]], right: list[tuple[str, Term]]
+) -> list[tuple[str, Term]]:
+    if not (left and right):
+        return left or right
+    out = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        (a, x), (b, y) = left[i], right[j]
+        if a < b:
+            out.append(left[i])
+            i += 1
+        elif b < a:
+            out.append(right[j])
+            j += 1
+        else:
+            if x is not y and x != y:
+                raise ChrError(f"merge: id {a} bound to {render_term(x)} and {render_term(y)}")
+            out.append(left[i])
+            i += 1
+            j += 1
+    return out + left[i:] + right[j:]
 
 
 def _solve_map(c: Constraint, env: Env) -> list[Solution]:

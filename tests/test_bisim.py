@@ -3,9 +3,11 @@ the checks that catch deliberately broken translations."""
 
 import json
 import random
+import string
 from collections import Counter
 
 import actrchr.bisim
+import actrchr.engine
 from actrchr.bisim import (
     BACKWARD,
     BIJECTION,
@@ -16,16 +18,19 @@ from actrchr.bisim import (
     effect_lemma_check,
 )
 from actrchr.chr import ChrRule, ChrState, builtin
+from actrchr.core import NIL, Chunk, ChunkStore, IdGen
 from actrchr.engine import (
     FAIL_NIL,
     FAIL_STUCK,
     ArchitectureConfig,
+    Effect,
     match_rule,
     normalize_model,
     successors,
 )
+from actrchr.model import validate
 from actrchr.modelgen import random_model
-from actrchr.parser import parse_model
+from actrchr.parser import ParseError, parse_model
 from actrchr.translate import chr_of_model
 
 # the rule reads both buffers but acts on one, so its translation carries
@@ -64,6 +69,27 @@ dm { a }
 buffer goal = a
 rule r { goal: t {} ==> modify goal { s: a } }
 """
+
+# the update value names no chunk, so the copy's slot falls back to nil
+NIL_FALLBACK_SRC = """
+type t { s }
+chunk a : t { s: a }
+buffer goal = a
+rule r { goal: t { s: a } ==> modify goal { s: zz } }
+"""
+
+# every modification rebuilds the chunk it replaces, so a fresh id handed
+# out twice names equal chunks and merges without a clash
+RESTATING_SRC = """
+type t { s }
+chunk a : t { s: a }
+buffer goal = a
+rule r { goal: t { s: a } ==> modify goal { s: a } }
+"""
+
+# corpus models (random_model(Random(i))) in which a modification that keeps
+# the old slot values is seen by depth 4
+MODIFYING_SEEDS = (15, 23, 43, 81)
 
 TWO_ANSWER_SRC = """
 type q { want }
@@ -230,6 +256,77 @@ class TestFaultInjection:
         assert again.records() == report.records()
 
 
+def modification_with(value):
+    """A stand-in for ``engine.interpret_modification`` whose updated slots
+    take ``value(old, update, store)``."""
+
+    def interpret(action, state, ids):
+        updates = dict(action.pairs)
+        incumbent = state.store.get(state.buffer(action.buffer)[0])
+        pairs = [
+            (s, value(old, updates[s], state.store) if s in updates else old)
+            for s, old in incumbent.pairs
+        ]
+        fresh = ids.fresh()
+        copy = Chunk(fresh, incumbent.type, pairs)
+        return [Effect.make(ChunkStore([copy]), {action.buffer: (fresh, 0)})]
+
+    return interpret
+
+
+class TestFaultMatrix:
+    """Each fault is put into the abstract machine alone; the CHR side
+    solves modification and merge over chunk terms with no engine code, so
+    the check must report a counterexample (not merely other counts).
+
+    A merge in which the wrong side wins a clash cannot be seen here:
+    effects draw distinct fresh ids, so their stores never clash.  The
+    term-level merge's clash handling is tested in ``test_chr.py``.
+    """
+
+    def test_the_modification_stand_in_is_faithful(self, monkeypatch):
+        faithful = modification_with(lambda old, new, store: new if new in store else NIL)
+        monkeypatch.setattr(actrchr.engine, "interpret_modification", faithful)
+        for src in (NIL_FALLBACK_SRC, RESTATING_SRC):
+            assert bisim_check(parse_model(src), depth=4).ok
+        for seed in MODIFYING_SEEDS:
+            assert bisim_check(random_model(random.Random(seed)), depth=4).ok
+
+    def test_modification_that_keeps_the_old_values_is_caught(self, monkeypatch):
+        keeps = modification_with(lambda old, new, store: old)
+        monkeypatch.setattr(actrchr.engine, "interpret_modification", keeps)
+        for seed in MODIFYING_SEEDS:
+            report = bisim_check(random_model(random.Random(seed)), depth=4)
+            assert {FORWARD, BACKWARD} <= {c.direction for c in report.counterexamples}
+
+    def test_modification_without_the_nil_fallback_is_caught(self, monkeypatch):
+        model = parse_model(NIL_FALLBACK_SRC)
+        assert bisim_check(model, depth=3).ok
+        raw = modification_with(lambda old, new, store: new)
+        monkeypatch.setattr(actrchr.engine, "interpret_modification", raw)
+        report = bisim_check(model, depth=3)
+        assert (FORWARD, 0, "apply(r)") in {
+            (c.direction, c.depth, c.label) for c in report.counterexamples
+        }
+
+    def test_fresh_ids_restarting_every_step_are_caught(self, monkeypatch):
+        model = parse_model(RESTATING_SRC)
+        assert bisim_check(model, depth=3).ok
+        interpret_rule = actrchr.engine.interpret_rule
+        monkeypatch.setattr(
+            actrchr.engine,
+            "interpret_rule",
+            lambda rule, theta, state, config, _ids: interpret_rule(
+                rule, theta, state, config, IdGen()
+            ),
+        )
+        report = bisim_check(model, depth=3)
+        # the second step reuses c#0 and lands back on the first's state
+        assert (FORWARD, 1, "apply(r)") in {
+            (c.direction, c.depth, c.label) for c in report.counterexamples
+        }
+
+
 class TestEffectCorrespondence:
     def test_holds_along_the_counting_chain(self, counting_norm):
         state = counting_norm.initial_state()
@@ -307,3 +404,37 @@ class TestRandomCorpus:
                             matching[policy] += 1
                             assert effect_lemma_check(rule, state, norm.types, config)
         assert min(matching.values()) > 300
+
+
+class TestMutationFuzz:
+    # the characters of the model grammar, and a few it does not know
+    ALPHABET = string.ascii_letters + string.digits + "{}:,=>#_ \n"
+
+    def test_mutated_counting_models_end_in_a_verdict(self, counting_src):
+        """Every one-character edit of the counting model is a parse error,
+        a validator diagnostic or a passing check; nothing raises."""
+        rng = random.Random(17)
+        outcomes = Counter()
+        for _ in range(300):
+            i = rng.randrange(len(counting_src))
+            c = rng.choice(self.ALPHABET)
+            text = rng.choice(
+                [
+                    counting_src[:i] + counting_src[i + 1:],  # delete
+                    counting_src[:i] + c + counting_src[i:],  # insert
+                    counting_src[:i] + c + counting_src[i + 1:],  # replace
+                ]
+            )
+            try:
+                model = parse_model(text)
+            except ParseError:
+                outcomes["parse error"] += 1
+                continue
+            if validate(model):
+                outcomes["diagnostics"] += 1
+                continue
+            report = bisim_check(model, depth=3)
+            assert report.ok, f"{text}\n{report.text()}"
+            outcomes["pass"] += 1
+        assert sum(outcomes.values()) == 300
+        assert min(outcomes.values()) > 50, outcomes

@@ -16,6 +16,7 @@ from actrchr.core import (
     Symbol,
     Variable,
     is_fresh_id,
+    merge_all,
 )
 from actrchr.chr import (
     ChrError,
@@ -38,6 +39,7 @@ from actrchr.chr import (
     fresh_gen_for,
     gamma_c,
     is_ground,
+    merge_chunk_lists,
     render_constraint,
     render_rule,
     render_state,
@@ -173,6 +175,23 @@ class TestEncoding:
             with pytest.raises(ChrError, match="strict name order"):
                 decode_chunk(Compound("chunk", (sym("k"), sym("t"), TList(pairs))))
 
+    def test_a_term_is_decoded_once(self):
+        term = encode_chunk(CHUNK)
+        first = decode_chunk(term)
+        assert decode_chunk(term) is first
+        # an equal term decodes alike; the cache is no part of equality,
+        # hashing, rendering or copying
+        fresh = encode_chunk(CHUNK)
+        assert decode_chunk(fresh) == first and decode_chunk(fresh) is not first
+        assert term == encode_chunk(CHUNK) and hash(term) == hash(encode_chunk(CHUNK))
+        assert repr(term) == repr(encode_chunk(CHUNK))
+        assert pickle.loads(pickle.dumps(term)) == term == copy.deepcopy(term)
+        # a term that fails to decode fails every time
+        bad = Compound("chunk", (sym("k"), sym("t"), TList((tuple_term(sym("a"), 7),))))
+        for _ in range(2):
+            with pytest.raises(ChrError, match="malformed slot pair"):
+                decode_chunk(bad)
+
     def test_store_round_trip_sorted(self):
         other = Chunk(sym("j"), sym("t"), {sym("a"): sym("j")})
         store = ChunkStore([CHUNK, other])
@@ -256,7 +275,7 @@ class TestBuiltinTheory:
             TList((encode_store(a), encode_store(b))),
             var("D"),
         )
-        with pytest.raises(IdClash):
+        with pytest.raises(ChrError, match="merge: id x bound to"):
             solve([goal])
 
     def test_map_builtin_keeps_known_ids(self):
@@ -323,6 +342,104 @@ class TestBuiltinTheory:
         assert env[var("Eres")] == 0
         (copy,) = decode_store(env[var("Dres")]).chunks()
         assert copy.val() == {sym("a"): sym("g0"), sym("b"): sym("g0")}
+
+    def test_modification_falls_back_to_nil_and_ignores_unknown_slots(self):
+        goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): sym("g0")})
+        store = encode_store(ChunkStore([goal]).with_nil())
+        # zz names no listed chunk; q is no slot of the incumbent
+        updates = ((sym("b"), sym("zz")), (sym("q"), sym("g0")))
+        c = builtin(
+            "action",
+            encode_action(Action(MODIFY, sym("goal"), None, updates)),
+            store,
+            encode_cogstate([(sym("goal"), sym("g0"), 1)]),
+            var("Dres"),
+            var("Cres"),
+            var("Eres"),
+        )
+        ((env, atoms),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen(4))
+        assert atoms == () and env[var("Cres")] == sym("c#4") and env[var("Eres")] == 0
+        (copy,) = env[var("Dres")].items
+        assert decode_chunk(copy) == Chunk(
+            sym("c#4"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL}
+        )
+        # the untouched pair is the incumbent's own term
+        (incumbent,) = [t for t in store.items if t.args[0] == sym("g0")]
+        assert copy.args[2].items[0] is incumbent.args[2].items[0]
+
+
+class TestTermMerge:
+    """``merge_chunk_lists`` is the store merge, over chunk lists."""
+
+    @staticmethod
+    def corpus_stores():
+        """The stores of the explored states of two corpus models at a time:
+        one exploration never hands out a fresh id twice, two do."""
+        def stores(i):
+            m = normalize_model(random_model(random.Random(i)))
+            return [encode_store(s.store) for s in explore(m, depth=3).states]
+
+        for i in range(0, 200, 10):
+            yield stores(i) + stores(i + 5)
+
+    @staticmethod
+    def merged(*lists):
+        """The term merge, or ChrError, where the store merge clashes."""
+        stores = [decode_store(t) for t in lists]
+        try:
+            expected = encode_store(merge_all(stores))
+        except IdClash:
+            with pytest.raises(ChrError, match="merge: id .* bound to"):
+                merge_chunk_lists(lists)
+            return None
+        out = merge_chunk_lists(lists)
+        assert out == expected
+        return out
+
+    def test_agrees_with_the_store_merge_and_keeps_its_laws(self):
+        rng = random.Random(9)
+        empty = encode_store(ChunkStore())
+        checked = clashes = 0
+        for stores in self.corpus_stores():
+            for _ in range(40):
+                a, b, c = (rng.choice(stores) for _ in range(3))
+                assert self.merged(a) == a
+                assert self.merged(a, empty) == a == self.merged(empty, a)
+                assert self.merged(a, a) == a
+                ab, ba = self.merged(a, b), self.merged(b, a)
+                assert ab == ba
+                bc = self.merged(b, c)
+                if ab is None:
+                    clashes += 1
+                elif bc is not None:
+                    assert self.merged(ab, c) == self.merged(a, bc)
+                    assert self.merged(ab, c) == self.merged(a, b, c)
+                checked += 1
+        assert checked == 800 and 100 < clashes < 700
+
+    def test_a_successor_store_holds_the_parent_terms(self):
+        parent = encode_store(ChunkStore([CHUNK, Chunk(sym("c#3"), sym("t"), {})]))
+        new = encode_store(ChunkStore([Chunk(sym("c#4"), sym("t"), {sym("a"): sym("k")})]))
+        out = merge_chunk_lists([parent, new])
+        assert [t.args[0] for t in out.items] == [sym("c#3"), sym("c#4"), sym("k")]
+        kept = [t for t in out.items if t.args[0] != sym("c#4")]
+        assert all(any(t is u for u in parent.items) for t in kept)
+
+    def test_operands_must_be_strictly_id_ordered(self):
+        j = encode_chunk(Chunk(sym("j"), sym("t"), {}))
+        k = encode_chunk(CHUNK)
+        for bad in (TList((k, j)), TList((j, j)), TList((k, k))):
+            for lists in ([bad], [bad, TList(())], [TList((j,)), bad]):
+                with pytest.raises(ChrError, match="strict id order"):
+                    merge_chunk_lists(lists)
+
+    def test_clashes_and_malformed_operands_are_errors(self):
+        k, other = encode_chunk(CHUNK), encode_chunk(Chunk(sym("k"), sym("t"), {}))
+        with pytest.raises(ChrError, match="merge: id k bound to"):
+            merge_chunk_lists([TList((k,)), TList((other,))])
+        for bad in (sym("x"), TList((tuple_term(sym("k"), sym("t")),))):
+            with pytest.raises(ChrError):
+                merge_chunk_lists([TList((k,)), bad])
 
 
 REVEAL = ChrRule(
@@ -433,6 +550,19 @@ class TestStepRelation:
         )
         with pytest.raises(ChrError, match="ctx holds unknown chunk id zz"):
             chr_step(ChrState(goal, state.builtins), chr_of_model(m))
+
+    def test_every_buffer_must_name_a_listed_chunk(self):
+        # goal is modified and ctx is not, yet ctx's chunk is checked too
+        m = parse_model(
+            "type t { s }\nchunk a : t { s: a }\nbuffer goal = a\nbuffer ctx = a\n"
+            "rule r { goal: t { s: a } ==> modify goal { s: a } }\n"
+        )
+        state = chr_of_state(m.initial_state())
+        for delay, message in ((0, "ctx holds unknown chunk id zz"), (2, "non-binary delay 2")):
+            bad = gamma_c(sym("ctx"), sym("zz") if delay == 0 else sym("a"), delay)
+            goal = tuple(bad if c.args[0] == sym("ctx") else c for c in state.goal)
+            with pytest.raises(ChrError, match=message):
+                chr_step(ChrState(goal, state.builtins), chr_of_model(m)[:1])
 
     def test_goal_with_variables_is_rejected(self):
         # rules are used as they are, so a goal variable could meet one

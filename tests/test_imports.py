@@ -1,5 +1,6 @@
 """Every module-level import is used, every package parameter read and
-every package default overridden somewhere (stdlib-only lint)."""
+every package default overridden somewhere, and the CHR engine imports no
+effect code of the abstract machine (stdlib-only lint)."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,26 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports (line, name): {unused}"
+
+
+# modification and the store merge are fixed by the semantics, so the CHR
+# engine solves them itself; only request handling is shared
+ENGINE_EFFECTS = {"interpret_action", "interpret_modification", "merge", "merge_all"}
+
+
+def test_the_chr_engine_solves_modify_and_merge_itself():
+    path = ROOT / "src" / "actrchr" / "chr.py"
+    tree = ast.parse(path.read_text(), str(path))
+    named = set()  # imported, loaded or reached as an attribute
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert "interpret_request" in named
+    assert not named & ENGINE_EFFECTS, sorted(named & ENGINE_EFFECTS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
