@@ -506,13 +506,9 @@ _NIL_TERM = encode_chunk(NIL_CHUNK)
 
 
 def _listed_chunks(t: Term) -> dict[Symbol, Term]:
-    """The decoded chunk terms of a chunk list by identifier, nil included
-    as in every state store; a repeated identifier raises
-    :class:`ChrError`."""
-    terms = _chunk_terms(t)
-    listed = {decode_chunk(term).id: term for term in terms}
-    if len(listed) != len(terms):
-        raise ChrError(f"repeated chunk id: {render_term(t)}")
+    """The chunk terms of an id-ordered chunk list by identifier, nil
+    included as in every state store."""
+    listed = {decode_chunk(term).id: term for _, term in _keyed_by_id(t)}
     listed.setdefault(NIL, _NIL_TERM)
     return listed
 

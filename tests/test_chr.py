@@ -13,6 +13,7 @@ from actrchr.core import (
     IdClash,
     IdGen,
     NIL,
+    NIL_CHUNK,
     Symbol,
     Variable,
     is_fresh_id,
@@ -342,6 +343,15 @@ class TestBuiltinTheory:
         assert env[var("Eres")] == 0
         (copy,) = decode_store(env[var("Dres")]).chunks()
         assert copy.val() == {sym("a"): sym("g0"), sym("b"): sym("g0")}
+
+    def test_action_builtin_needs_an_id_ordered_store(self):
+        goal = encode_chunk(Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0")}))
+        modify = encode_action(Action(MODIFY, sym("goal"), None, ()))
+        cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
+        for store in (TList((goal, goal)), TList((encode_chunk(NIL_CHUNK), goal))):
+            c = builtin("action", modify, store, cogstate, var("D"), var("C"), var("E"))
+            with pytest.raises(ChrError, match="strict id order"):
+                solve([c])
 
     def test_modification_falls_back_to_nil_and_ignores_unknown_slots(self):
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): sym("g0")})
