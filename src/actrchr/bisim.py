@@ -28,6 +28,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 from .chr import (
+    ChrError,
     ChrRule,
     ChrState,
     Undecided,
@@ -35,7 +36,7 @@ from .chr import (
     chr_step,
     render_state,
 )
-from .core import TypeTable
+from .core import CoreError, TypeTable
 from .engine import (
     DROPPED,
     ArchitectureConfig,
@@ -57,6 +58,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 BIJECTION = "bijection"
 UNDECIDED = "undecided"
+ERROR = "error"
 MAX_COUNTEREXAMPLES = 10
 
 
@@ -155,7 +157,8 @@ def bisim_check(
 
     The model runs normalized on both sides; ``program`` overrides the
     translation, which is how fault-injection tests feed a broken one.
-    An Undecided equivalence judgement is reported as a failure rather
+    An Undecided equivalence judgement, and any other chunk-store or CHR
+    error raised by either side's step, is reported as a failure rather
     than raised.  The check stops once it has found
     :data:`MAX_COUNTEREXAMPLES`.
     """
@@ -168,25 +171,30 @@ def bisim_check(
     report = BisimReport(depth=depth)
     seen = {canonical_form(c0)}
     queue = deque([(s0, c0, 0)])
-    while queue:
+    while queue and len(report.counterexamples) < MAX_COUNTEREXAMPLES:
         s, c, d = queue.popleft()
         report.nodes += 1
         report.states.append(s)
         if d >= depth:
             continue
+        side = "abstract"
         try:
             eng = [
                 (label, ("state", canonical_key(s2)), s2)
                 for label, s2 in successors(s, norm, config, ids)
             ]
+            side = "translated"
             chrs = [
                 (_engine_label(name), canonical_form(c2), c2)
                 for name, c2 in chr_step(c, prog, config)
             ]
-        except Undecided as e:
-            report.counterexamples.append(
-                Counterexample(UNDECIDED, d, "", s, c, str(e))
-            )
+        except (ChrError, CoreError) as e:
+            if isinstance(e, Undecided):
+                cx = Counterexample(UNDECIDED, d, "", s, c, str(e))
+            else:
+                what = f"{side} step raised {type(e).__name__}: {e}"
+                cx = Counterexample(ERROR, d, "", s, c, what)
+            report.counterexamples.append(cx)
             continue
         report.transitions += len(eng) + len(chrs)
         eng_count = Counter((label, form) for label, form, _ in eng)
@@ -232,8 +240,6 @@ def bisim_check(
                         f"{n} abstract vs {m} translated successors in one class",
                     )
                 )
-        if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:
-            break
     return report
 
 

@@ -19,8 +19,8 @@ on it, and the module needs no type table.
 
 The built-ins that the semantics fixes are solved here, over chunk terms:
 ``action`` on a modification copies the incumbent's term under a fresh
-id, ``merge`` merges identifier-ordered chunk lists in one pass, and
-``map`` reads identifiers.  A request is the one effect shared with the
+id, ``merge`` merges identifier-ordered chunk lists, and ``map`` reads
+identifiers.  A request is the one effect shared with the
 abstract machine (:func:`~actrchr.engine.interpret_request`), because the
 semantics leaves request handling, the modules, as a parameter.  So the
 bisimulation check tests modification and merge against an independent
@@ -29,10 +29,13 @@ implementation.
 Ground terms are the cheap case: compounds and lists cache their
 groundness once asked, substitution returns ground terms as they are, and
 the rules match a goal as they are, since a ground goal shares no variable
-with them.  A chunk term likewise keeps the chunk it decodes to.  The
-merge hands a successor store its parent's term objects, so a store
-decoded for a request or for :func:`canonical_form` costs a decoding only
-for its new chunks.
+with them; the built-ins read their arguments' bindings in place and
+substitute only a list that still holds bound variables.  A chunk term
+likewise keeps the chunk it decodes to, and a list its first-argument
+index, which finds the chunk a bound id names for ``in``, ``map`` and
+``action`` and serves ``merge``.  The merge hands a successor store its
+parent's term objects, so a store decoded for a request or for
+:func:`canonical_form` costs a decoding only for its new chunks.
 
 The equivalence :func:`state_equiv` claims is the one of this fragment:
 ground goals, a store of ground facts, no global variables.  A state of
@@ -96,6 +99,9 @@ class Compound:
 class TList:
     items: tuple[Term, ...]
     _ground: bool = field(init=False, repr=False, compare=False)
+    # filled in on first use: see _first_args and _chunk_index
+    _ids: dict = field(init=False, repr=False, compare=False)
+    _ordered: bool = field(init=False, repr=False, compare=False)
 
     def __reduce__(self):
         return TList, (self.items,)
@@ -358,26 +364,21 @@ def _decode_action(t: Term) -> Action:
     return Action(REQUEST, buffer, type, decoded)
 
 
-def _decode_cogstate(t: Term) -> dict[Symbol, tuple[Symbol, int]]:
+def _decode_cogstate(t: Term, env: Env) -> dict[Symbol, tuple[Symbol, int]]:
+    t = walk(t, env)
     if not isinstance(t, TList):
-        raise Undecided(f"cognitive state not a list: {render_term(t)}")
+        raise Undecided(f"cognitive state not a list: {render_term(subst(t, env))}")
     out: dict[Symbol, tuple[Symbol, int]] = {}
     for item in t.items:
-        ok = (
-            isinstance(item, Compound)
-            and item.functor == ","
-            and len(item.args) == 2
-            and isinstance(item.args[0], Symbol)
-            and isinstance(item.args[1], Compound)
-            and item.args[1].functor == ","
-            and len(item.args[1].args) == 2
-            and isinstance(item.args[1].args[0], Symbol)
-            and isinstance(item.args[1].args[1], int)
-        )
-        if not ok:
-            raise Undecided(f"cognitive state entry not ground: {render_term(item)}")
-        b = item.args[0]
-        out[b] = (item.args[1].args[0], item.args[1].args[1])
+        item = walk(item, env)
+        b = cid = delay = None
+        if isinstance(item, Compound) and item.functor == "," and len(item.args) == 2:
+            b, entry = (walk(a, env) for a in item.args)
+            if isinstance(entry, Compound) and entry.functor == "," and len(entry.args) == 2:
+                cid, delay = (walk(a, env) for a in entry.args)
+        if not (isinstance(b, Symbol) and isinstance(cid, Symbol) and isinstance(delay, int)):
+            raise Undecided(f"cognitive state entry not ground: {render_term(subst(item, env))}")
+        out[b] = (cid, delay)
     return out
 
 
@@ -427,20 +428,27 @@ def _solve_one(
 ) -> list[Solution]:
     name = c.name
     if name == "=":
-        a, b = (subst(x, env) for x in c.args)
+        a, b = c.args
         out = unify(a, b, env)
         return [] if out is None else [(out, ())]
     if name == ">":
-        a, b = (subst(x, env) for x in c.args)
+        a, b = (walk(x, env) for x in c.args)
         if not (isinstance(a, int) and isinstance(b, int)):
             raise Undecided(f"non-numeric comparison: {render_constraint(c)}")
         return [(env, ())] if a > b else []
     if name == "in":
-        pattern, lst = (subst(x, env) for x in c.args)
-        if not (isinstance(lst, TList) and is_ground(lst)):
+        pattern, lst = c.args
+        items = _ground_list(lst, env)
+        if items is None:
             raise Undecided(f"membership over unbound list: {render_constraint(c)}")
+        candidates = items.items
+        first = walk(pattern, env)  # a bound first argument: use the index
+        if isinstance(first, Compound) and first.args:
+            first = subst(first.args[0], env)
+            if is_ground(first):
+                candidates = _first_args(items).get(first, ())
         out = []
-        for item in lst.items:
+        for item in candidates:
             e = unify(pattern, item, env)
             if e is not None:
                 out.append((e, ()))
@@ -452,6 +460,29 @@ def _solve_one(
     if name == "map":
         return _solve_map(c, env)
     raise Undecided(f"uninterpreted constraint used as a goal: {render_constraint(c)}")
+
+
+def _ground_list(t: Term, env: Env) -> Optional[TList]:
+    """The ground list a term is bound to, or None.  The list is read in
+    place; only one that still holds bound variables is substituted."""
+    t = walk(t, env)
+    if isinstance(t, TList) and not is_ground(t):
+        t = subst(t, env)
+    return t if isinstance(t, TList) and is_ground(t) else None
+
+
+def _first_args(t: TList) -> dict[Term, list[Term]]:
+    """The first argument of each compound item (a chunk term's id),
+    mapped to the items with it in list order; built once and kept in the
+    list's ``_ids`` slot, so it lives exactly as long as the list."""
+    index = getattr(t, "_ids", None)
+    if index is None:
+        index = {}
+        for item in t.items:
+            if isinstance(item, Compound) and item.args:
+                index.setdefault(item.args[0], []).append(item)
+        object.__setattr__(t, "_ids", index)
+    return index
 
 
 def _solve_action(
@@ -472,10 +503,10 @@ def _solve_action(
     """
     if len(c.args) != 6:
         raise ChrError("action/6 expected")
-    a_t, d_t, g_t, dres, cres, eres = (subst(x, env) for x in c.args)
-    action = _decode_action(a_t)
-    listed = _listed_chunks(d_t)
-    gamma = _decode_cogstate(g_t)
+    a_t, d_t, g_t, dres, cres, eres = c.args
+    action = _decode_action(subst(a_t, env))  # its pairs hold bound variables
+    listed = _listed_chunks(subst(d_t, env))
+    gamma = _decode_cogstate(g_t, env)
     for b, (cid, delay) in gamma.items():
         if cid not in listed:
             raise ChrError(f"buffer {b} holds unknown chunk id {cid}")
@@ -508,7 +539,7 @@ _NIL_TERM = encode_chunk(NIL_CHUNK)
 def _listed_chunks(t: Term) -> dict[Symbol, Term]:
     """The chunk terms of an id-ordered chunk list by identifier, nil
     included as in every state store."""
-    listed = {decode_chunk(term).id: term for _, term in _keyed_by_id(t)}
+    listed = {id: terms[0] for id, terms in _chunk_index(t).items()}
     listed.setdefault(NIL, _NIL_TERM)
     return listed
 
@@ -543,10 +574,11 @@ def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
     :func:`merge_chunk_lists`)."""
     if len(c.args) != 2:
         raise ChrError("merge/2 expected")
-    lst, out_pat = (subst(x, env) for x in c.args)
-    if not (isinstance(lst, TList) and is_ground(lst)):
+    lst, out_pat = c.args
+    lists = _ground_list(lst, env)
+    if lists is None:
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    e = unify(out_pat, merge_chunk_lists(lst.items), env)
+    e = unify(out_pat, merge_chunk_lists(lists.items), env)
     return [] if e is None else [(e, ())]
 
 
@@ -554,46 +586,30 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     """The store merge over chunk lists, folded left from the empty list.
 
     Each operand must be strictly ordered by identifier name, as
-    :func:`encode_store` lists a store, and two lists merge in one pass.
+    :func:`encode_store` lists a store, and is read through its index.
     A shared identifier must carry equal terms and keeps the left
     operand's, so a successor store holds its parent's term objects.  A
     clash or an operand out of order raises :class:`ChrError`.
     """
-    merged: list[tuple[str, Term]] = []
+    merged: dict[Term, Term] = {}
     for lst in lists:
-        merged = _merge_two(merged, _keyed_by_id(lst))
-    return TList(tuple(t for _, t in merged))
+        for id, (term,) in _chunk_index(lst).items():
+            kept = merged.setdefault(id, term)
+            if kept is not term and kept != term:
+                raise ChrError(f"merge: id {id} bound to {render_term(kept)} and {render_term(term)}")
+    return TList(tuple(sorted(merged.values(), key=lambda t: t.args[0].name)))  # type: ignore[union-attr]
 
 
-def _keyed_by_id(t: Term) -> list[tuple[str, Term]]:
-    keyed = [(decode_chunk(term).id.name, term) for term in _chunk_terms(t)]
-    if any(a >= b for (a, _), (b, _) in zip(keyed, keyed[1:])):
-        raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
-    return keyed
-
-
-def _merge_two(
-    left: list[tuple[str, Term]], right: list[tuple[str, Term]]
-) -> list[tuple[str, Term]]:
-    if not (left and right):
-        return left or right
-    out = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        (a, x), (b, y) = left[i], right[j]
-        if a < b:
-            out.append(left[i])
-            i += 1
-        elif b < a:
-            out.append(right[j])
-            j += 1
-        else:
-            if x is not y and x != y:
-                raise ChrError(f"merge: id {a} bound to {render_term(x)} and {render_term(y)}")
-            out.append(left[i])
-            i += 1
-            j += 1
-    return out + left[i:] + right[j:]
+def _chunk_index(t: Term) -> dict[Term, list[Term]]:
+    """The index (see :func:`_first_args`) of a chunk list strictly ordered
+    by id, checked once and then marked in its ``_ordered`` slot; any
+    other term raises ChrError."""
+    if not getattr(t, "_ordered", False):
+        names = [decode_chunk(term).id.name for term in _chunk_terms(t)]
+        if any(a >= b for a, b in zip(names, names[1:])):
+            raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
+        object.__setattr__(t, "_ordered", True)
+    return _first_args(t)  # type: ignore[arg-type]
 
 
 def _solve_map(c: Constraint, env: Env) -> list[Solution]:
@@ -601,11 +617,12 @@ def _solve_map(c: Constraint, env: Env) -> list[Solution]:
     identity when either store knows C, nil otherwise."""
     if len(c.args) != 4:
         raise ChrError("map/4 expected")
-    d_t, d2_t, c_in, m_pat = (subst(x, env) for x in c.args)
+    d_t, d2_t, c_in, m_pat = c.args
+    c_in = walk(c_in, env)
     if not isinstance(c_in, Symbol):
         raise Undecided(f"map over unbound id: {render_constraint(c)}")
-    known = {_chunk_fields(t)[0] for t in (*_chunk_terms(d_t), *_chunk_terms(d2_t))}
-    target = c_in if c_in in known else NIL
+    known = [_chunk_index(subst(t, env)) for t in (d_t, d2_t)]
+    target = c_in if any(c_in in ids for ids in known) else NIL
     e = unify(m_pat, target, env)
     return [] if e is None else [(e, ())]
 
@@ -703,9 +720,12 @@ def chr_step(
     config = config or ArchitectureConfig()
     ids = fresh_gen_for(state)
     facts = facts_of(state)
+    matchings: dict = {}  # translated rules share one head: match it once
     out: list[tuple[str, ChrState]] = []
     for rule in program:
-        for env, used in _head_matchings(rule.removed, state.goal):
+        if rule.removed not in matchings:
+            matchings[rule.removed] = _head_matchings(rule.removed, state.goal)
+        for env, used in matchings[rule.removed]:
             for genv, _ in solve_builtins(rule.guard, env, facts, config, ids):
                 for benv, atoms in solve_builtins(rule.body_builtin, genv, facts, config, ids):
                     added = []

@@ -11,8 +11,8 @@ identifier ever needs remapping.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
+from weakref import WeakValueDictionary
 
 
 class CoreError(Exception):
@@ -23,21 +23,45 @@ class IdClash(CoreError):
     """Two stores disagree about the chunk behind a shared identifier."""
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
+class _Name:
+    """An interned name: one object per (class, name), kept in a weak table
+    only while in use, so names compare and hash by identity.  Copies and
+    unpickled names are the interned object; attributes cannot be set."""
+
+    __slots__ = ("name", "__weakref__")
+    _interned: WeakValueDictionary
+
+    def __new__(cls, name: str):
+        obj = cls._interned.get(name)
+        if obj is None:
+            obj = cls._interned[name] = object.__new__(cls)
+            object.__setattr__(obj, "name", name)
+        return obj
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+
+class Symbol(_Name):
     """An interned constant: chunk id, type, slot or buffer name."""
 
-    name: str
+    __slots__ = ()
+    _interned = WeakValueDictionary()
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    """A rule variable; never equal to a Symbol, whatever the name."""
+class Variable(_Name):
+    """An interned rule variable; never equal to a Symbol of its name."""
 
-    name: str
+    __slots__ = ()
+    _interned = WeakValueDictionary()
 
     def __repr__(self) -> str:
         return f"?{self.name}"

@@ -1,9 +1,12 @@
-"""Shared fixtures: the counting model in its three usual forms."""
+"""Shared fixtures: the counting model in its three usual forms, and an
+engine fault."""
 
 from pathlib import Path
 
 import pytest
 
+import actrchr.engine
+from actrchr.core import IdGen
 from actrchr.engine import normalize_model
 from actrchr.parser import parse_model
 
@@ -28,3 +31,16 @@ def counting_model(counting_src):
 @pytest.fixture(scope="session")
 def counting_norm(counting_model):
     return normalize_model(counting_model)
+
+
+@pytest.fixture()
+def fresh_ids_restarting(monkeypatch):
+    """Engine fault: every abstract step draws fresh ids from c#0 again."""
+    interpret_rule = actrchr.engine.interpret_rule
+    monkeypatch.setattr(
+        actrchr.engine,
+        "interpret_rule",
+        lambda rule, theta, state, config, _ids: interpret_rule(
+            rule, theta, state, config, IdGen()
+        ),
+    )

@@ -11,6 +11,7 @@ import actrchr.engine
 from actrchr.bisim import (
     BACKWARD,
     BIJECTION,
+    ERROR,
     FORWARD,
     UNDECIDED,
     bisim_check,
@@ -18,7 +19,7 @@ from actrchr.bisim import (
     effect_lemma_check,
 )
 from actrchr.chr import ChrRule, ChrState, builtin
-from actrchr.core import NIL, Chunk, ChunkStore, IdGen
+from actrchr.core import NIL, Chunk, ChunkStore
 from actrchr.engine import (
     FAIL_NIL,
     FAIL_STUCK,
@@ -309,22 +310,25 @@ class TestFaultMatrix:
             (c.direction, c.depth, c.label) for c in report.counterexamples
         }
 
-    def test_fresh_ids_restarting_every_step_are_caught(self, monkeypatch):
+    def test_fresh_ids_restarting_every_step_are_caught(self, request):
         model = parse_model(RESTATING_SRC)
         assert bisim_check(model, depth=3).ok
-        interpret_rule = actrchr.engine.interpret_rule
-        monkeypatch.setattr(
-            actrchr.engine,
-            "interpret_rule",
-            lambda rule, theta, state, config, _ids: interpret_rule(
-                rule, theta, state, config, IdGen()
-            ),
-        )
+        request.getfixturevalue("fresh_ids_restarting")
         report = bisim_check(model, depth=3)
         # the second step reuses c#0 and lands back on the first's state
         assert (FORWARD, 1, "apply(r)") in {
             (c.direction, c.depth, c.label) for c in report.counterexamples
         }
+
+    def test_step_errors_are_counterexamples(self, fresh_ids_restarting):
+        # two effects of one step now share c#0, so merging them clashes in
+        # the abstract step; the check must report that, not raise it
+        errors = []
+        for seed in range(200):
+            report = bisim_check(random_model(random.Random(seed)), depth=4)
+            errors += [c for c in report.counterexamples if c.direction == ERROR]
+        assert errors
+        assert all(c.missing.startswith("abstract step raised IdClash: ") for c in errors)
 
 
 class TestEffectCorrespondence:

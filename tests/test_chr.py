@@ -239,6 +239,62 @@ class TestBuiltinTheory:
         sols = solve([builtin("in", pat, lst)])
         assert len(sols) == 1 and sols[0][0][var("X")] == sym("u")
 
+    def test_membership_answers_as_a_scan_does(self):
+        # items share first arguments; some are no compounds, one has none
+        def f(*args):
+            return Compound("f", args)
+
+        lst = TList((
+            f(sym("a"), sym("u")), sym("a"), f(sym("b"), sym("v")),
+            Compound("g", (sym("a"), sym("w"))), f(sym("a"), sym("w")), f(),
+            f(f(sym("a")), sym("x")), TList((sym("a"),)), f(sym("a")),
+        ))
+        x, y = var("X"), var("Y")
+        cases = [
+            (f(sym("a"), x), {}),  # first argument bound
+            (f(y, x), {y: sym("a")}),  # bound through the environment
+            (f(y, x), {y: f(sym("a"))}),  # bound to a compound
+            (f(f(y), x), {y: sym("a")}),  # a compound holding a bound variable
+            (f(y, x), {}),  # first argument unbound
+            (Compound("g", (y, x)), {}),
+            (f(), {}),
+            (x, {}),
+            (f(sym("c"), x), {}),  # matches nothing
+        ]
+        for pattern, env in cases:
+            scan = [unify(subst(pattern, env), item, env) for item in lst.items]
+            expected = [e for e in scan if e is not None]
+            for _ in range(2):  # the second round reads the built index
+                sols = solve([builtin("in", pattern, lst)], env)
+                assert [e for e, _ in sols] == expected
+        assert [e[x] for e, _ in solve([builtin("in", f(sym("a"), x), lst)])] == [
+            sym("u"), sym("w"),
+        ]
+
+    def test_membership_over_a_list_of_bound_variables(self):
+        a, b, x = var("A"), var("B"), var("X")
+        lst = TList((a, tuple_term(b, sym("u"))))
+        env = {a: tuple_term(sym("k"), sym("v")), b: sym("k")}
+        sols = solve([builtin("in", tuple_term(sym("k"), x), lst)], env)
+        assert [e[x] for e, _ in sols] == [sym("v"), sym("u")]
+        with pytest.raises(Undecided):
+            solve([builtin("in", tuple_term(sym("k"), x), lst)], {a: sym("k")})
+
+    def test_the_list_index_is_no_part_of_the_term(self):
+        other = Chunk(sym("j"), sym("t"), {sym("a"): sym("j")})
+        asked, unasked = (encode_store(ChunkStore([CHUNK, other])) for _ in range(2))
+        pattern = Compound("chunk", (sym("k"), var("T"), var("P")))
+        assert len(solve([builtin("in", pattern, asked)])) == 1
+        merge_chunk_lists([asked])  # marks the list id-ordered
+        assert getattr(asked, "_ids") and getattr(asked, "_ordered")
+        assert asked == unasked and hash(asked) == hash(unasked)
+        assert repr(asked) == repr(unasked)
+        for u in (asked, unasked):
+            for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+                assert v == u
+                assert getattr(v, "_ids", None) is None
+                assert getattr(v, "_ordered", None) is None
+
     def test_membership_over_unbound_list_is_undecided(self):
         with pytest.raises(Undecided):
             solve([builtin("in", var("X"), var("L"))])
@@ -426,6 +482,37 @@ class TestTermMerge:
                     assert self.merged(ab, c) == self.merged(a, b, c)
                 checked += 1
         assert checked == 800 and 100 < clashes < 700
+
+    def test_the_builtins_answer_as_a_scan_does(self):
+        rng = random.Random(9)
+        checked = 0
+        out = var("D")
+        for stores in self.corpus_stores():
+            for _ in range(40):
+                a, b, c = (rng.choice(stores) for _ in range(3))
+                known = {t.args[0] for t in a.items + b.items}
+                for t in c.items:  # map: a scan of both stores for the id
+                    ((env, _),) = solve([builtin("map", a, b, t.args[0], var("M"))])
+                    assert env[var("M")] == (t.args[0] if t.args[0] in known else NIL)
+                # merge: the operands read in place, through variables
+                env = {var("A"): a, var("B"): b}
+                goal = builtin("merge", TList((var("A"), var("B"), c)), out)
+                expected = self.merged(a, b, c)
+                if expected is None:
+                    with pytest.raises(ChrError, match="merge: id .* bound to"):
+                        solve([goal], env)
+                else:
+                    ((env, _),) = solve([goal], env)
+                    assert env[out] == expected
+                # in: a chunk pattern with its id bound finds the one term
+                for t in c.items:
+                    pattern = Compound("chunk", (t.args[0], var("T"), var("P")))
+                    sols = solve([builtin("in", pattern, a)])
+                    assert [e[var("P")] for e, _ in sols] == [
+                        u.args[2] for u in a.items if u.args[0] == t.args[0]
+                    ]
+                checked += 1
+        assert checked == 800
 
     def test_a_successor_store_holds_the_parent_terms(self):
         parent = encode_store(ChunkStore([CHUNK, Chunk(sym("c#3"), sym("t"), {})]))

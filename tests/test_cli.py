@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, formats, exit codes, streams."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +10,8 @@ import pytest
 
 from actrchr import cli
 from actrchr.cli import main
+from actrchr.modelgen import random_model
+from actrchr.parser import print_model
 
 
 def run_cli(capsys, *args):
@@ -221,15 +225,25 @@ class TestCheck:
         assert head["verdict"] == "pass"
         assert head["pairs"] == 4
 
+    def test_a_step_error_is_a_fail_verdict(self, capsys, tmp_path, fresh_ids_restarting):
+        # under this fault, corpus model 15 clashes ids in its abstract step
+        path = tmp_path / "m15.actr"
+        path.write_text(print_model(random_model(random.Random(15))))
+        code, out, err = run_cli(capsys, "check", path, "--depth", "4")
+        assert (code, err) == (1, "")
+        assert out.startswith("FAIL\nverdict: fail")
+        assert "error mismatch at depth 1: abstract step raised IdClash" in out
+
 
 class TestDeterminism:
     """Byte equality across separate interpreter processes."""
 
-    def invoke(self, *args):
+    def invoke(self, *args, hash_seed="0"):
         return subprocess.run(
             [sys.executable, "-m", "actrchr.cli", *map(str, args)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
         )
 
     def test_translate_twice_is_byte_identical(self, counting_path):
@@ -241,5 +255,23 @@ class TestDeterminism:
     def test_seeded_run_twice_is_byte_identical(self, counting_path):
         a = self.invoke("run", counting_path, "--seed", "1", "--depth", "2")
         b = self.invoke("run", counting_path, "--seed", "1", "--depth", "2")
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout and a.stdout
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("translate", "--out", "-"),
+            ("run", "--seed", "1"),
+            ("explore",),
+            ("check", "--depth", "3", "--format", "records"),
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, counting_path, command):
+        # names hash by identity, so this also guards every iteration over
+        # a set of names
+        name, *options = command
+        a, b = (self.invoke(name, counting_path, *options, hash_seed=s) for s in "01")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout and a.stdout

@@ -1,5 +1,7 @@
 """Chunk store basics and the merge operation's algebraic laws."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -14,11 +16,13 @@ from actrchr.core import (
     NIL_CHUNK,
     Symbol,
     TypeTable,
+    Variable,
     is_fresh_id,
     merge,
     merge_all,
 )
 from actrchr.modelgen import chunk_pool, clashing_variant, random_store
+from actrchr.parser import parse_model
 
 
 def sym(name: str) -> Symbol:
@@ -36,6 +40,47 @@ A_OTHER = Chunk(sym("a"), sym("t"), {sym("s"): sym("w")})
 
 def same_chunks(x: ChunkStore, y: ChunkStore) -> bool:
     return x.sorted_chunks() == y.sorted_chunks()
+
+
+class TestInternedNames:
+    def test_one_object_per_class_and_name(self):
+        assert Symbol("a") is Symbol("a")
+        assert Variable("a") is Variable("a")
+        assert Symbol("a") != Variable("a")
+        assert Symbol("a") != "a" and Variable("a") != "a"
+        assert len({Symbol("a"), Variable("a"), Symbol("b")}) == 3
+
+    def test_copies_and_pickles_are_the_interned_object(self):
+        for name in (Symbol("a"), Variable("a")):
+            assert copy.copy(name) is name
+            assert copy.deepcopy(name) is name
+            assert copy.deepcopy([name, (name,)])[1][0] is name
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(name, protocol)) is name
+
+    def test_names_are_immutable(self):
+        for name in (Symbol("a"), Variable("a")):
+            with pytest.raises(AttributeError):
+                name.name = "b"
+            with pytest.raises(AttributeError):
+                name.other = 1
+            with pytest.raises(AttributeError):
+                del name.name
+        assert Symbol("a").name == "a"
+
+    def test_parsing_twice_gives_the_same_symbols(self, counting_src):
+        a, b = parse_model(counting_src), parse_model(counting_src)
+        assert a.buffers and all(x is y for x, y in zip(a.buffers, b.buffers))
+        assert all(x.id is y.id and x.type is y.type for x, y in zip(a.chunks, b.chunks))
+        pairs = [
+            (x, y)
+            for ra, rb in zip(a.rules, b.rules)
+            for ta, tb in zip(ra.tests, rb.tests)
+            for pa, pb in zip(ta.pairs, tb.pairs)
+            for x, y in zip(pa, pb)
+        ]
+        assert any(isinstance(x, Variable) for x, _ in pairs)
+        assert all(x is y for x, y in pairs)
 
 
 class TestChunk:
