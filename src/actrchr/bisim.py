@@ -40,6 +40,7 @@ from .core import CoreError, TypeTable
 from .engine import (
     DROPPED,
     ArchitectureConfig,
+    EngineError,
     NO_LABEL,
     apply_label,
     apply_transition,
@@ -157,10 +158,10 @@ def bisim_check(
 
     The model runs normalized on both sides; ``program`` overrides the
     translation, which is how fault-injection tests feed a broken one.
-    An Undecided equivalence judgement, and any other chunk-store or CHR
-    error raised by either side's step, is reported as a failure rather
-    than raised.  The check stops once it has found
-    :data:`MAX_COUNTEREXAMPLES`.
+    An Undecided equivalence judgement, and any other chunk-store, engine
+    or CHR error raised by either side's step (a missing handler, an answer
+    naming a fresh id), is reported as a failure rather than raised.  The
+    check stops once it has found :data:`MAX_COUNTEREXAMPLES`.
     """
     config = config or ArchitectureConfig()
     norm = normalize_model(model)
@@ -188,7 +189,7 @@ def bisim_check(
                 (_engine_label(name), canonical_form(c2), c2)
                 for name, c2 in chr_step(c, prog, config)
             ]
-        except (ChrError, CoreError) as e:
+        except (ChrError, CoreError, EngineError) as e:
             if isinstance(e, Undecided):
                 cx = Counterexample(UNDECIDED, d, "", s, c, str(e))
             else:

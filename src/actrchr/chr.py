@@ -652,23 +652,18 @@ def facts_of(state: ChrState) -> Facts:
 
 
 def fresh_gen_for(state: ChrState) -> IdGen:
-    """Generator whose identifiers avoid every fresh id in the state."""
-    found: list[Symbol] = []
-
-    def scan(t: Term) -> None:
-        if isinstance(t, Symbol):
-            found.append(t)
-        elif isinstance(t, Compound):
-            for a in t.args:
-                scan(a)
-        elif isinstance(t, TList):
-            for a in t.items:
-                scan(a)
-
-    for c in (*state.goal, *state.builtins):
-        for a in c.args:
-            scan(a)
-    return fresh_gen_avoiding(found)
+    """Generator whose identifiers avoid every chunk id in the state's
+    ``delta`` lists, and so every fresh id in a state of the translated
+    shape (see :func:`canonical_form`)."""
+    return fresh_gen_avoiding(
+        cid
+        for c in state.goal
+        if c.name == "delta"
+        for lst in c.args
+        if isinstance(lst, TList)
+        for cid in _first_args(lst)
+        if isinstance(cid, Symbol)
+    )
 
 
 def _head_matchings(
@@ -796,10 +791,13 @@ def canonical_form(state: ChrState):
     are equal.
 
     A state of the translated shape (see :func:`_decode_translated`) is
-    decoded into the abstract state it encodes, whose
-    :func:`~actrchr.engine.canonical_key` compares chunks as sets and fresh
-    identifiers up to renaming.  So ``canonical_form(chr_of_state(s))`` is
-    ``("state", canonical_key(s))``, the key :func:`~actrchr.bisim.bisim_check`
+    decoded into the abstract state it encodes and keyed by
+    :func:`~actrchr.engine.canonical_key`: parsed chunks as they are,
+    buffer-held fresh ids renamed in buffer-name order, stale fresh chunks
+    as a sorted multiset of contents.  A fresh id in a slot or a fact
+    breaks the invariant that key rests on and raises
+    :class:`~actrchr.engine.EngineError`.  So ``canonical_form(chr_of_state(s))``
+    is ``("state", canonical_key(s))``, the key :func:`~actrchr.bisim.bisim_check`
     gives abstract states.  Any other state compares as literal goal and
     fact multisets.  A store holding an interpreted built-in (an equation,
     a comparison) lies outside the fragment and raises :class:`Undecided`.

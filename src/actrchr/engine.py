@@ -6,10 +6,13 @@ rule (modifications and requests, combined per effect) and the no-rule
 step that reveals one pending buffer.  :func:`explore` builds the reachable
 labelled transition graph breadth-first, deduplicating states either
 exactly or up to canonical renaming of fresh chunk identifiers.
-:func:`canonical_key` is the one fresh-identifier canonicalisation of the
-package (the CHR side reaches it through the abstract state a translated
-state encodes); it and :func:`state_fingerprint` depend on the state
-alone, not on the model's declaration order.
+Fresh identifiers (``c#n``) occur only as chunk ids and buffer contents:
+the parser rejects ``c#`` names, slot values are parsed ids, and
+:func:`interpret_request` rejects answers naming one.  On this invariant
+:func:`canonical_key`, the package's one fresh-identifier canonicalisation,
+keys parsed chunks as they are, buffer-held fresh ids renamed in buffer
+name order and stale fresh chunks as a sorted multiset of contents; it
+raises :class:`EngineError` on a state that breaks the invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .core import (
     FRESH_PREFIX,
@@ -59,6 +62,12 @@ class NoHandler(EngineError):
 
 class DomainOverlap(EngineError):
     """Two combined effects set the same buffer."""
+
+
+def _no_fresh_id(syms: Iterable[Symbol], where: str) -> None:
+    for v in syms:
+        if is_fresh_id(v):
+            raise EngineError(f"fresh id {v} named by {where}")
 
 
 NO_LABEL = "no"
@@ -373,6 +382,9 @@ def interpret_request(
 ) -> list[Effect]:
     """One effect per handler answer, each under a fresh identifier.
 
+    An answer whose pairs or facts name a fresh identifier raises
+    :class:`EngineError`: it would break the fresh-id invariant.
+
     An empty answer set either parks the nil chunk pending in the buffer
     (fail_request="nil", the default) or yields no effect at all
     (fail_request="stuck"), in which case the rule produces no transition.
@@ -383,6 +395,8 @@ def interpret_request(
     pairs = _ground_pairs(action)
     effects = []
     for ans in handler(action.type, pairs, state):
+        named = [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]
+        _no_fresh_id(named, f"an answer on {action.buffer}")
         fresh = ids.fresh()
         chunk = Chunk(fresh, ans.type, ans.val)
         delay = 1 if ans.delay > 0 else 0
@@ -463,19 +477,9 @@ def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
 
 
 def fresh_gen_for(state: AbstractState) -> IdGen:
-    """Generator whose identifiers avoid every fresh id in the state."""
-
-    def symbols() -> Iterator[Symbol]:
-        for chunk in state.store:
-            yield chunk.id
-            for _, v in chunk.pairs:
-                yield v
-        for _, c, _ in state.gamma:
-            yield c
-        for atom in state.upsilon:
-            yield from atom.args
-
-    return fresh_gen_avoiding(symbols())
+    """Generator whose identifiers avoid every chunk id in the store, and so
+    every fresh id in the state (see the module docstring)."""
+    return fresh_gen_avoiding(state.store.ids())
 
 
 def successors(
@@ -496,70 +500,34 @@ def successors(
 
 
 # ---------------------------------------------------------------------------
-# canonical renaming and exploration
-
-
-def canonical_renaming(state: AbstractState) -> dict[Symbol, Symbol]:
-    """Injective renaming of fresh identifiers, stable across runs.
-
-    Chunks reachable from the buffers are traversed in buffer name order
-    following slots in slot name order; leftover fresh chunks are ordered
-    by content.  Buffer and slot names are never renamed, so the traversal
-    depends on the state alone.  Parsed identifiers are never renamed, and
-    parsed chunks never point at fresh ones, so the map is total on fresh
-    identifiers.
-    """
-    seen: set[Symbol] = set()
-    ren: dict[Symbol, Symbol] = {}
-
-    def visit(cid: Symbol) -> None:
-        if cid in seen:
-            return
-        seen.add(cid)
-        if is_fresh_id(cid):
-            ren[cid] = Symbol(f"{FRESH_PREFIX}{len(ren)}")
-        chunk = state.store.get(cid)
-        if chunk is not None:
-            for _, v in chunk.pairs:
-                visit(v)
-
-    for _, c, _ in state.gamma:
-        visit(c)
-
-    def stale_key(chunk: Chunk):
-        vals = []
-        for s, v in chunk.pairs:
-            if v in ren:
-                vals.append((s.name, ren[v].name))
-            elif is_fresh_id(v):
-                vals.append((s.name, "￿" + v.name))
-            else:
-                vals.append((s.name, v.name))
-        return (chunk.type.name, tuple(vals), chunk.id.name)
-
-    stale = [c for c in state.store if c.id not in seen and is_fresh_id(c.id)]
-    for chunk in sorted(stale, key=stale_key):
-        ren[chunk.id] = Symbol(f"{FRESH_PREFIX}{len(ren)}")
-    return ren
+# canonical key and exploration
 
 
 def canonical_key(state: AbstractState):
-    """Hashable form of a state, equal for states that differ only in the
-    choice of fresh identifiers."""
-    ren = canonical_renaming(state)
-
-    def rid(s: Symbol) -> str:
-        return ren.get(s, s).name
-
-    chunks = tuple(
-        sorted(
-            (rid(c.id), c.type.name, tuple((s.name, rid(v)) for s, v in c.pairs))
-            for c in state.store
-        )
-    )
-    gamma = tuple((b.name, rid(c), d) for b, c, d in state.gamma)
-    atoms = tuple(sorted((a.pred, tuple(rid(x) for x in a.args)) for a in state.upsilon))
-    return (chunks, gamma, atoms)
+    """Hashable form of a state, equal exactly for states that differ only
+    in the choice of fresh identifiers (see the module docstring)."""
+    ren: dict[Symbol, str] = {}
+    gamma = []
+    for b, c, d in state.gamma:
+        if is_fresh_id(c) and c not in ren:
+            ren[c] = f"{FRESH_PREFIX}{len(ren)}"
+        gamma.append((b.name, ren.get(c, c.name), d))
+    chunks = []
+    stale = []
+    for c in state.store:
+        pairs = tuple((s.name, v.name) for s, v in c.pairs)
+        for _, v in pairs:
+            if v.startswith(FRESH_PREFIX):
+                raise EngineError(f"fresh id {v} named by a slot of chunk {c.id}")
+        if c.id in ren:
+            chunks.append((ren[c.id], c.type.name, pairs))
+        elif is_fresh_id(c.id):
+            stale.append((c.type.name, pairs))
+        else:
+            chunks.append((c.id.name, c.type.name, pairs))
+    _no_fresh_id([x for a in state.upsilon for x in a.args], "a fact")
+    atoms = tuple(sorted((a.pred, tuple(x.name for x in a.args)) for a in state.upsilon))
+    return (tuple(sorted(chunks)), tuple(sorted(stale)), tuple(gamma), atoms)
 
 
 def state_fingerprint(state: AbstractState) -> str:

@@ -19,8 +19,9 @@ from actrchr.bisim import (
     effect_lemma_check,
 )
 from actrchr.chr import ChrRule, ChrState, builtin
-from actrchr.core import NIL, Chunk, ChunkStore
+from actrchr.core import NIL, Chunk, ChunkStore, Symbol
 from actrchr.engine import (
+    Answer,
     FAIL_NIL,
     FAIL_STUCK,
     ArchitectureConfig,
@@ -29,7 +30,7 @@ from actrchr.engine import (
     normalize_model,
     successors,
 )
-from actrchr.model import validate
+from actrchr.model import Atom, validate
 from actrchr.modelgen import random_model
 from actrchr.parser import ParseError, parse_model
 from actrchr.translate import chr_of_model
@@ -329,6 +330,22 @@ class TestFaultMatrix:
             errors += [c for c in report.counterexamples if c.direction == ERROR]
         assert errors
         assert all(c.missing.startswith("abstract step raised IdClash: ") for c in errors)
+
+    def test_engine_errors_are_counterexamples(self, counting_model):
+        fresh = (Symbol("c#0"),)
+        in_a_pair = Answer(Symbol("succ"), ((Symbol("number"), fresh[0]),))
+        in_a_fact = Answer(Symbol("succ"), (), 1, (Atom("seen", fresh),))
+        retrieval = Symbol("retrieval")
+        cases = [
+            (ArchitectureConfig(default_handler=None), "NoHandler"),
+            (ArchitectureConfig({retrieval: lambda *_: [in_a_pair]}), "EngineError"),
+            (ArchitectureConfig({retrieval: lambda *_: [in_a_fact]}), "EngineError"),
+        ]
+        for config, error in cases:
+            report = bisim_check(counting_model, depth=3, config=config)
+            (cx,) = report.counterexamples
+            assert (cx.direction, cx.depth) == (ERROR, 1)
+            assert cx.missing.startswith(f"abstract step raised {error}: ")
 
 
 class TestEffectCorrespondence:

@@ -2,8 +2,10 @@
 state equivalence."""
 
 import copy
+import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -778,20 +780,106 @@ class TestStateEquivalence:
                 )
         assert renamed > 50
 
+    P, Q = sym("p"), sym("q")
+    TYPES = (sym("t"), sym("u"))
+
+    @classmethod
+    def small_chunk(cls, cid: Symbol, rng: random.Random) -> Chunk:
+        return Chunk(cid, rng.choice(cls.TYPES), {sym("s"): rng.choice((cls.P, cls.Q, NIL))})
+
+    @classmethod
+    def small_state(cls, rng: random.Random, fresh: list[Symbol]) -> AbstractState:
+        """Fresh chunks over six contents, so equal stale chunks are
+        common; slots and facts name parsed ids only (the fresh-id
+        invariant)."""
+        parsed = [
+            Chunk(cls.P, sym("t"), {sym("s"): cls.P}),
+            Chunk(cls.Q, sym("u"), {sym("s"): cls.P}),
+        ]
+        buffers = [sym("goal"), sym("retrieval"), sym("visual")][: rng.randint(2, 3)]
+        gamma = {b: (rng.choice([*fresh, cls.P, NIL]), rng.randint(0, 1)) for b in buffers}
+        atoms = [Atom("dm", (x,)) for x in (cls.P, cls.Q) if rng.random() < 0.5]
+        chunks = parsed + [cls.small_chunk(f, rng) for f in fresh]
+        return AbstractState.make(ChunkStore(chunks), gamma, atoms)
+
+    @classmethod
+    def near_miss(cls, state: AbstractState, rng: random.Random) -> AbstractState:
+        """The state with one fresh chunk's content or one buffer redrawn."""
+        fresh = [c.id for c in state.store if is_fresh_id(c.id)]
+        chunks = {c.id: c for c in state.store}
+        gamma = state.gamma_map()
+        if fresh and rng.random() < 0.5:
+            cid = rng.choice(fresh)
+            chunks[cid] = cls.small_chunk(cid, rng)
+        else:
+            gamma[rng.choice(list(gamma))] = (rng.choice([*fresh, cls.P, NIL]), rng.randint(0, 1))
+        return AbstractState.make(ChunkStore(chunks.values()), gamma, state.upsilon)
+
+    @staticmethod
+    def isomorphic(a: AbstractState, b: AbstractState) -> bool:
+        """Some bijection of fresh ids maps ``a`` onto ``b`` (brute force)."""
+        fa = [c.id for c in a.store if is_fresh_id(c.id)]
+        fb = [c.id for c in b.store if is_fresh_id(c.id)]
+        if len(fa) != len(fb):
+            return False
+        for image in itertools.permutations(fb):
+            ren = dict(zip(fa, image))
+
+            def r(s: Symbol) -> Symbol:
+                return ren.get(s, s)
+
+            store = ChunkStore(
+                Chunk(r(c.id), c.type, [(s, r(v)) for s, v in c.pairs]) for c in a.store
+            )
+            gamma = [(x, r(c), d) for x, c, d in a.gamma]
+            atoms = [Atom(t.pred, tuple(r(x) for x in t.args)) for t in a.upsilon]
+            if AbstractState.make(store, gamma, atoms) == b:
+                return True
+        return False
+
+    def test_equal_keys_exactly_for_isomorphic_states(self):
+        def held_and_stale(held: str, stale: str) -> AbstractState:
+            chunks = [Chunk(sym(held), sym("t"), {sym("s"): self.P}), Chunk(sym(stale), sym("u"))]
+            return AbstractState.make(ChunkStore(chunks), {sym("goal"): (sym(held), 0)})
+
+        # a renumbering across name order: c#10 sorts before c#9
+        a, b = held_and_stale("c#9", "c#10"), held_and_stale("c#10", "c#9")
+        assert self.isomorphic(a, b) and canonical_key(a) == canonical_key(b)
+
+        rng = random.Random(74)
+        outcomes: Counter = Counter()
+        for _ in range(400):
+            names = [sym(f"c#{k}") for k in rng.sample(range(12), rng.randint(0, 5))]
+            a = self.small_state(rng, names)
+            pick = rng.random()
+            if pick < 0.4:
+                b = a
+            elif pick < 0.8:
+                b = self.near_miss(a, rng)
+            else:
+                b = self.small_state(rng, names)
+            b = self.permute_fresh(b, rng)
+            iso = self.isomorphic(a, b)
+            assert (canonical_key(a) == canonical_key(b)) == iso, (a, b)
+            outcomes[iso, a == b] += 1
+        # distinct isomorphic states and non-isomorphic ones both abound
+        assert min(outcomes[True, False], outcomes[False, False]) > 50, outcomes
+
     def test_ill_shaped_states_stay_apart_from_their_original(self):
-        a = Chunk(sym("c#0"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
-        b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("c#0"), sym("b"): NIL})
+        # slots and facts name only the parsed chunk x: the fresh-id invariant
+        a = Chunk(sym("x"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
+        b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("x"), sym("b"): NIL})
         delta = delta_c(encode_store(ChunkStore([a, b])))
         goal_g = gamma_c(sym("goal"), sym("c#1"), 0)
-        facts = (builtin("dm", sym("c#0")),)
+        facts = (builtin("dm", sym("x")),)
         original = ChrState((delta, goal_g), facts)
-        a_term, b_term = delta.args[0].items
+        b_term, a_term = delta.args[0].items
         swapped = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[::-1])))
         doubled = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[:1] * 2)))
         variants = [
             # the same gamma twice, and two gammas for one buffer
             ChrState((delta, goal_g, goal_g), facts),
-            ChrState((delta, goal_g, gamma_c(sym("goal"), sym("c#0"), 0)), facts),
+            ChrState((delta, goal_g, gamma_c(sym("goal"), sym("x"), 0)), facts),
             # a chunk id listed twice, with equal and with different content
             ChrState((delta_c(TList((a_term, b_term, b_term))), goal_g), facts),
             ChrState((delta_c(TList((a_term, b_term, encode_chunk(

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from actrchr.chr import fresh_gen_for as chr_fresh_gen_for
 from actrchr.core import Chunk, ChunkStore, IdGen, NIL, Symbol, Variable
 from actrchr.engine import (
+    Answer,
     ArchitectureConfig,
     DomainOverlap,
     Effect,
@@ -33,6 +35,7 @@ from actrchr.engine import (
 from actrchr.model import AbstractState, Action, Atom, BufferTest, MODIFY, REQUEST, Rule, dm_atom
 from actrchr.modelgen import random_model, random_state
 from actrchr.parser import parse_model
+from actrchr.translate import chr_of_state
 
 
 def sym(name: str) -> Symbol:
@@ -307,6 +310,21 @@ class TestRequest:
         config = ArchitectureConfig(fail_request=FAIL_STUCK)
         assert interpret_request(act, state, config, IdGen()) == []
 
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            Answer(sym("t"), ((sym("s"), sym("c#0")),)),
+            Answer(sym("t"), ((sym("s"), sym("g0")),), 1, (Atom("p", (sym("c#0"),)),)),
+        ],
+        ids=["pair", "fact"],
+    )
+    def test_an_answer_naming_a_fresh_id_raises(self, answer):
+        state = self.dm_state()
+        act = Action(REQUEST, GOAL, sym("t"), ())
+        config = ArchitectureConfig(handlers={GOAL: lambda *_: [answer]})
+        with pytest.raises(EngineError, match="fresh id c#0"):
+            interpret_request(act, state, config, IdGen())
+
     def test_no_handler_raises(self):
         state = self.dm_state()
         act = Action(REQUEST, GOAL, sym("t"), ())
@@ -396,14 +414,12 @@ class TestSuccessors:
         labels = [l for l, _ in successors(s2, counting_norm)]
         assert labels == ["no"]
 
-    def test_fresh_gen_for_scans_store_gamma_and_facts(self):
-        chunk = Chunk(sym("c#4"), sym("t"), {sym("s"): sym("c#9")})
-        state = AbstractState.make(
-            ChunkStore([chunk]),
-            {GOAL: (sym("c#4"), 0)},
-            [Atom("p", (sym("c#11"),))],
-        )
-        assert fresh_gen_for(state).fresh() == sym("c#12")
+    def test_both_fresh_gen_for_take_the_numeric_max_of_chunk_ids(self):
+        # c#10 sorts before c#9 by name; the generators compare numbers
+        store = ChunkStore(Chunk(sym(n), sym("t"), {sym("s"): NIL}) for n in ("c#9", "c#10"))
+        state = AbstractState.make(store, {GOAL: (sym("c#9"), 0)}, [Atom("p", (NIL,))])
+        assert fresh_gen_for(state).fresh() == sym("c#11")
+        assert chr_fresh_gen_for(chr_of_state(state)).fresh() == sym("c#11")
 
     def test_fresh_gen_for_plain_state_starts_at_zero(self):
         assert fresh_gen_for(tiny_state(goal=0)).fresh() == sym("c#0")
@@ -447,6 +463,16 @@ class TestExplore:
         assert state_fingerprint(a) == state_fingerprint(b)
         assert canonical_key(a) == canonical_key(b)
         assert state_fingerprint(s0) != state_fingerprint(a)
+
+    @pytest.mark.parametrize("where", ["slot", "fact"])
+    def test_canonical_key_rejects_a_fresh_id_outside_ids_and_buffers(self, where):
+        held = Chunk(sym("c#0"), sym("t"), {sym("s"): NIL})
+        pointer = sym("c#0") if where == "slot" else NIL
+        other = Chunk(sym("c#1"), sym("t"), {sym("s"): pointer})
+        atoms = [Atom("p", (sym("c#0") if where == "fact" else NIL,))]
+        state = AbstractState.make(ChunkStore([held, other]), {GOAL: (sym("c#1"), 0)}, atoms)
+        with pytest.raises(EngineError, match="fresh id c#0"):
+            canonical_key(state)
 
     def test_rejects_unknown_dedup_mode(self, counting_norm):
         with pytest.raises(ValueError):
