@@ -165,9 +165,13 @@ class TypeTable:
 
 
 class Chunk:
-    """Immutable typed record; every slot value is a chunk identifier."""
+    """Immutable typed record; every slot value is a chunk identifier.
 
-    __slots__ = ("id", "type", "pairs")
+    :meth:`content` is computed once and kept in a slot that equality,
+    hashing, printing, pickling and copying ignore; the fresh-id check of
+    :func:`~actrchr.engine.canonical_key` on it still runs on every call."""
+
+    __slots__ = ("id", "type", "pairs", "_content")
 
     def __init__(
         self,
@@ -189,9 +193,13 @@ class Chunk:
     def val(self) -> dict[Symbol, Symbol]:
         return dict(self.pairs)
 
-    def content(self) -> tuple[Symbol, tuple[tuple[Symbol, Symbol], ...]]:
-        """Type and slot values, identifier stripped."""
-        return (self.type, self.pairs)
+    def content(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], Symbol | None]:
+        """Type and slot values by name, identifier stripped, and the first
+        slot value that is a fresh id (None if there is none)."""
+        if not hasattr(self, "_content"):
+            names = (self.type.name, tuple((s.name, v.name) for s, v in self.pairs))
+            self._content = (names, next((v for _, v in self.pairs if is_fresh_id(v)), None))
+        return self._content
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -203,6 +211,9 @@ class Chunk:
 
     def __hash__(self) -> int:
         return hash((self.id, self.type, self.pairs))
+
+    def __reduce__(self):  # the cache may be unset, so copy the fields only
+        return Chunk, (self.id, self.type, self.pairs)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}: {v}" for s, v in self.pairs)
@@ -284,7 +295,9 @@ def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
             combined[c.id] = c
         elif mine != c:
             raise IdClash(f"merge: id {c.id} bound to {mine!r} and {c!r}")
-    return ChunkStore(combined.values())
+    out = object.__new__(ChunkStore)  # combined is checked: no second pass
+    out._by_id = combined
+    return out
 
 
 def merge_all(stores: Iterable[ChunkStore]) -> ChunkStore:

@@ -64,12 +64,6 @@ class DomainOverlap(EngineError):
     """Two combined effects set the same buffer."""
 
 
-def _no_fresh_id(syms: Iterable[Symbol], where: str) -> None:
-    for v in syms:
-        if is_fresh_id(v):
-            raise EngineError(f"fresh id {v} named by {where}")
-
-
 NO_LABEL = "no"
 
 
@@ -395,8 +389,9 @@ def interpret_request(
     pairs = _ground_pairs(action)
     effects = []
     for ans in handler(action.type, pairs, state):
-        named = [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]
-        _no_fresh_id(named, f"an answer on {action.buffer}")
+        for v in [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]:
+            if is_fresh_id(v):
+                raise EngineError(f"fresh id {v} named by an answer on {action.buffer}")
         fresh = ids.fresh()
         chunk = Chunk(fresh, ans.type, ans.val)
         delay = 1 if ans.delay > 0 else 0
@@ -460,9 +455,8 @@ def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     """Successor state: merged store, updated buffers, grown fact set."""
     gamma = state.gamma_map()
     gamma.update((b, (c, d)) for b, c, d in effect.gamma)
-    return AbstractState.make(
-        merge(state.store, effect.store), gamma, state.upsilon + effect.atoms
-    )
+    upsilon = state.upsilon + effect.atoms if effect.atoms else state.upsilon
+    return AbstractState.make(merge(state.store, effect.store), gamma, upsilon)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
@@ -505,7 +499,9 @@ def successors(
 
 def canonical_key(state: AbstractState):
     """Hashable form of a state, equal exactly for states that differ only
-    in the choice of fresh identifiers (see the module docstring)."""
+    in the choice of fresh identifiers (see the module docstring).  Each
+    chunk's and fact's ``content()`` is computed once; its fresh-id check
+    runs on every call."""
     ren: dict[Symbol, str] = {}
     gamma = []
     for b, c, d in state.gamma:
@@ -515,19 +511,22 @@ def canonical_key(state: AbstractState):
     chunks = []
     stale = []
     for c in state.store:
-        pairs = tuple((s.name, v.name) for s, v in c.pairs)
-        for _, v in pairs:
-            if v.startswith(FRESH_PREFIX):
-                raise EngineError(f"fresh id {v} named by a slot of chunk {c.id}")
+        content, fresh = c.content()
+        if fresh is not None:
+            raise EngineError(f"fresh id {fresh} named by a slot of chunk {c.id}")
         if c.id in ren:
-            chunks.append((ren[c.id], c.type.name, pairs))
+            chunks.append((ren[c.id], *content))
         elif is_fresh_id(c.id):
-            stale.append((c.type.name, pairs))
+            stale.append(content)
         else:
-            chunks.append((c.id.name, c.type.name, pairs))
-    _no_fresh_id([x for a in state.upsilon for x in a.args], "a fact")
-    atoms = tuple(sorted((a.pred, tuple(x.name for x in a.args)) for a in state.upsilon))
-    return (tuple(sorted(chunks)), tuple(sorted(stale)), tuple(gamma), atoms)
+            chunks.append((c.id.name, *content))
+    atoms = []
+    for a in state.upsilon:
+        names, fresh = a.content()
+        if fresh is not None:
+            raise EngineError(f"fresh id {fresh} named by a fact")
+        atoms.append(names)
+    return (tuple(sorted(chunks)), tuple(sorted(stale)), tuple(gamma), tuple(sorted(atoms)))
 
 
 def state_fingerprint(state: AbstractState) -> str:

@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import Chunk, ChunkStore, NIL, Symbol, TypeTable, Value, Variable
+from .core import Chunk, ChunkStore, NIL, Symbol, TypeTable, Value, Variable, is_fresh_id
 
 #: A single slot test or slot update, e.g. ``current: X``.
 Pair = tuple[Symbol, Value]
@@ -38,6 +38,18 @@ class Atom:
 
     pred: str
     args: tuple[Symbol, ...]
+    _content: tuple = field(init=False, repr=False, compare=False)  # as Chunk's
+
+    def content(self) -> tuple[tuple[str, tuple[str, ...]], Symbol | None]:
+        """As :meth:`Chunk.content`: predicate and argument names, first fresh argument."""
+        if not hasattr(self, "_content"):
+            names = (self.pred, tuple(a.name for a in self.args))
+            fresh = next((a for a in self.args if is_fresh_id(a)), None)
+            object.__setattr__(self, "_content", (names, fresh))
+        return self._content
+
+    def __reduce__(self):  # the cache may be unset, so copy the fields only
+        return Atom, (self.pred, self.args)
 
     def __repr__(self) -> str:
         return f"{self.pred}({', '.join(a.name for a in self.args)})"
@@ -48,7 +60,12 @@ def dm_atom(id: Symbol) -> Atom:
 
 
 def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms, key=lambda a: (a.pred, [s.name for s in a.args])))
+    """The facts by predicate and argument names; a tuple already in that
+    order is returned as it is, so a successor shares its parent's."""
+    keys = [a.content()[0] for a in atoms] if isinstance(atoms, tuple) else None
+    if keys is not None and all(x <= y for x, y in zip(keys, keys[1:])):
+        return atoms
+    return tuple(sorted(atoms, key=lambda a: a.content()[0]))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,28 @@
-"""Shared fixtures: the counting model in its three usual forms, and an
-engine fault."""
+"""Shared fixtures: the counting model in its three usual forms, an
+engine fault, and the package path for child interpreters."""
 
+import os
 from pathlib import Path
 
 import pytest
 
+import actrchr
 import actrchr.engine
 from actrchr.core import IdGen
 from actrchr.engine import normalize_model
 from actrchr.parser import parse_model
 
 MODELS = Path(__file__).parents[1] / "models"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child interpreters (``python -m actrchr.cli``) import the package
+    these tests import, whether it is installed or not."""
+    package_dir = Path(actrchr.__file__).resolve().parents[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(package_dir), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from actrchr.core import (
     merge,
     merge_all,
 )
+from actrchr.model import Atom
 from actrchr.modelgen import chunk_pool, clashing_variant, random_store
 from actrchr.parser import parse_model
 
@@ -93,8 +94,33 @@ class TestChunk:
         assert A.value(sym("other")) is None
 
     def test_content_drops_identifier(self):
-        assert A.content() == A_OTHER.content() or A.content() != A_OTHER.content()
-        assert A.content() == (sym("t"), ((sym("s"), sym("v")),))
+        assert A.content() == Chunk(sym("b"), sym("t"), A.pairs).content()
+        assert A.content() != A_OTHER.content()
+        assert A.content() == (("t", (("s", "v"),)), None)
+
+    def test_content_names_the_first_fresh_slot_value(self):
+        pairs = {sym("c"): sym("c#0"), sym("b"): sym("c#1"), sym("a"): sym("v")}
+        c = Chunk(sym("c#3"), sym("t"), pairs)
+        assert c.content() == (("t", (("a", "v"), ("b", "c#1"), ("c", "c#0"))), sym("c#1"))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Chunk(sym("c#1"), sym("t"), {sym("s"): sym("c#0"), sym("r"): NIL}),
+            lambda: Atom("p", (sym("a"), sym("c#0"))),
+        ],
+        ids=["chunk", "atom"],
+    )
+    def test_cached_content_is_no_part_of_the_value(self, make):
+        asked, unasked = make(), make()
+        asked.content()
+        assert asked == unasked and hash(asked) == hash(unasked)
+        assert repr(asked) == repr(unasked)
+        assert pickle.dumps(asked) == pickle.dumps(unasked)
+        for u in (asked, unasked):
+            for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+                assert v == u and hash(v) == hash(u) and repr(v) == repr(u)
+                assert v.content() == asked.content()
 
     def test_equality_includes_identifier(self):
         assert A != A_OTHER
@@ -249,6 +275,25 @@ class TestMergeLaws:
             ab = merge(a, b)
             assert all(ab.get(c.id) == c for c in a)
             assert all(ab.get(c.id) == c for c in b)
+
+    def test_result_is_the_store_of_its_chunks(self):
+        # the operands are drawn as acceptance criterion 2 draws them
+        rng = random.Random(17)
+        _, pool = chunk_pool(rng)
+        clashes = 0
+        for _ in range(300):
+            a, b = (random_store(rng, pool, max_chunks=8) for _ in range(2))
+            ab = merge(a, b)
+            assert ab == ChunkStore(list(ab))
+            assert list(ab) == [*a, *(c for c in b if c.id not in a)]
+            bad = clashing_variant(rng, ab)
+            if bad is not None:
+                clashes += 1
+                with pytest.raises(IdClash):
+                    merge(ab, bad)
+                with pytest.raises(IdClash):
+                    merge(bad, ab)
+        assert clashes > 100
 
     def test_disagreeing_shared_id_always_clashes(self):
         rng = random.Random(16)

@@ -1,5 +1,6 @@
 """Operational semantics: matching, actions, transitions, exploration."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from actrchr.engine import (
     Answer,
     ArchitectureConfig,
     DomainOverlap,
+    EMPTY_EFFECT,
     Effect,
     EngineError,
     FAIL_STUCK,
@@ -31,8 +33,19 @@ from actrchr.engine import (
     select,
     state_fingerprint,
     successors,
+    to_dot,
 )
-from actrchr.model import AbstractState, Action, Atom, BufferTest, MODIFY, REQUEST, Rule, dm_atom
+from actrchr.model import (
+    AbstractState,
+    Action,
+    Atom,
+    BufferTest,
+    MODIFY,
+    REQUEST,
+    Rule,
+    dm_atom,
+    sort_atoms,
+)
 from actrchr.modelgen import random_model, random_state
 from actrchr.parser import parse_model
 from actrchr.translate import chr_of_state
@@ -424,6 +437,26 @@ class TestSuccessors:
     def test_fresh_gen_for_plain_state_starts_at_zero(self):
         assert fresh_gen_for(tiny_state(goal=0)).fresh() == sym("c#0")
 
+    def test_facts_stay_sorted_and_are_shared_when_none_are_added(self):
+        m = normalize_model(parse_model(BRANCHING_SRC + "buffer aux = d1 pending\n"))
+        late = [Atom("z", (sym("a"),)), Atom("a", (sym("a"),))]
+        answer = Answer(sym("t"), ((sym("s"), sym("g0")),), 1, tuple(late))
+        config = ArchitectureConfig(handlers={GOAL: lambda *_: [answer]})
+        s0 = m.initial_state()
+        (_, applied), (_, revealed) = successors(s0, m, config)
+        assert [a.pred for a in applied.upsilon] == ["a", "dm", "dm", "z"]
+        assert applied.upsilon == sort_atoms(applied.upsilon)
+        assert revealed.upsilon is s0.upsilon
+        assert apply_transition(s0, EMPTY_EFFECT).upsilon is s0.upsilon
+        for _, s in successors(applied, m, config):
+            assert s.upsilon == sort_atoms(s.upsilon)
+            assert s.upsilon is applied.upsilon  # a reveal adds no facts
+
+    def test_explored_facts_are_sorted_on_the_corpus(self):
+        for i in range(200):
+            for s in explore(random_model(random.Random(i)), depth=6).states:
+                assert s.upsilon == sort_atoms(s.upsilon)
+
 
 BRANCHING_SRC = """
 type q {}
@@ -471,8 +504,20 @@ class TestExplore:
         other = Chunk(sym("c#1"), sym("t"), {sym("s"): pointer})
         atoms = [Atom("p", (sym("c#0") if where == "fact" else NIL,))]
         state = AbstractState.make(ChunkStore([held, other]), {GOAL: (sym("c#1"), 0)}, atoms)
-        with pytest.raises(EngineError, match="fresh id c#0"):
-            canonical_key(state)
+        named_by = "a slot of chunk c#1" if where == "slot" else "a fact"
+        for _ in range(2):  # the second call reads cached contents
+            with pytest.raises(EngineError) as err:
+                canonical_key(state)
+            assert str(err.value) == f"fresh id c#0 named by {named_by}"
+
+    def test_corpus_graphs_are_pinned(self):
+        # any change to keys or fingerprints has to show itself here
+        h = hashlib.sha256()
+        for i in range(20):
+            h.update(to_dot(explore(random_model(random.Random(i)), depth=6)).encode())
+        assert h.hexdigest() == (
+            "684cabbfe3578fd1fb49e8feab88c3165109ed09a9e512f56d90d220ae9d104f"
+        )
 
     def test_rejects_unknown_dedup_mode(self, counting_norm):
         with pytest.raises(ValueError):
