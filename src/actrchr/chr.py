@@ -589,14 +589,21 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     :func:`encode_store` lists a store, and is read through its index.
     A shared identifier must carry equal terms and keeps the left
     operand's, so a successor store holds its parent's term objects.  A
-    clash or an operand out of order raises :class:`ChrError`.
+    clash or an operand out of order raises :class:`ChrError`.  A lone
+    non-empty operand comes back as it is, checked and indexed.
     """
     merged: dict[Term, Term] = {}
+    nonempty = []
     for lst in lists:
-        for id, (term,) in _chunk_index(lst).items():
+        index = _chunk_index(lst)
+        if index:
+            nonempty.append(lst)
+        for id, (term,) in index.items():
             kept = merged.setdefault(id, term)
             if kept is not term and kept != term:
                 raise ChrError(f"merge: id {id} bound to {render_term(kept)} and {render_term(term)}")
+    if len(nonempty) == 1:
+        return nonempty[0]  # type: ignore[return-value]
     return TList(tuple(sorted(merged.values(), key=lambda t: t.args[0].name)))  # type: ignore[union-attr]
 
 

@@ -193,12 +193,14 @@ class Chunk:
     def val(self) -> dict[Symbol, Symbol]:
         return dict(self.pairs)
 
-    def content(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], Symbol | None]:
-        """Type and slot values by name, identifier stripped, and the first
-        slot value that is a fresh id (None if there is none)."""
+    def content(self) -> tuple[tuple[str, tuple[tuple[str, str], ...]], Symbol | None, bool]:
+        """Type and slot values by name, identifier stripped, the first
+        slot value that is a fresh id (None if there is none), and whether
+        the identifier itself is fresh."""
         if not hasattr(self, "_content"):
             names = (self.type.name, tuple((s.name, v.name) for s, v in self.pairs))
-            self._content = (names, next((v for _, v in self.pairs if is_fresh_id(v)), None))
+            fresh = next((v for _, v in self.pairs if is_fresh_id(v)), None)
+            self._content = (names, fresh, is_fresh_id(self.id))
         return self._content
 
     def __eq__(self, other: object) -> bool:

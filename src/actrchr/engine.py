@@ -45,6 +45,8 @@ from .model import (
     Model,
     Pair,
     Rule,
+    check_rows,
+    sort_atoms,
 )
 
 
@@ -433,18 +435,19 @@ def interpret_rule(
     """All combined effects of the rule's actions under the binding.
 
     Actions are interpreted independently in the given state and their
-    effect sets combined pairwise; sequential fresh identifiers keep the
+    effect sets combined pairwise, folded from the first action's set (no
+    actions yield ``[EMPTY_EFFECT]``); sequential fresh identifiers keep the
     partial stores disjoint.  The result is non-empty unless a request
     comes back empty under fail_request="stuck".
     """
-    combos = [EMPTY_EFFECT]
+    combos = None
     for action in rule.actions:
         ground = Action(action.kind, action.buffer, action.type, _subst_pairs(action.pairs, theta))
         parts = interpret_action(ground, state, config, ids)
-        combos = [combine_effects(acc, part) for acc in combos for part in parts]
+        combos = parts if combos is None else [combine_effects(a, p) for a in combos for p in parts]
         if not combos:
             return []
-    return combos
+    return [EMPTY_EFFECT] if combos is None else combos
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +455,27 @@ def interpret_rule(
 
 
 def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
-    """Successor state: merged store, updated buffers, grown fact set."""
-    gamma = state.gamma_map()
-    gamma.update((b, (c, d)) for b, c, d in effect.gamma)
-    upsilon = state.upsilon + effect.atoms if effect.atoms else state.upsilon
-    return AbstractState.make(merge(state.store, effect.store), gamma, upsilon)
+    """Successor state: merged store, updated buffers, grown fact set.  It
+    keeps the parent's checked rows and facts (see :meth:`AbstractState.make`)
+    and checks only the rows the effect sets."""
+    store = merge(state.store, effect.store)
+    check_rows(store, effect.gamma)
+    rows = {r[0]: r for r in effect.gamma}
+    gamma = tuple(rows.pop(r[0], r) for r in state.gamma)
+    if rows:
+        gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
+    upsilon = sort_atoms(state.upsilon + effect.atoms) if effect.atoms else state.upsilon
+    return AbstractState(store, gamma, upsilon)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
-    """One successor per pending buffer, revealing exactly that buffer."""
+    """One successor per pending buffer, revealing exactly that buffer; it
+    shares the parent's store and facts."""
     out = []
-    for b, c, d in state.gamma:
+    for i, (b, c, d) in enumerate(state.gamma):
         if d > 0:
-            gamma = state.gamma_map()
-            gamma[b] = (c, 0)
-            out.append((NO_LABEL, AbstractState.make(state.store, gamma, state.upsilon)))
+            gamma = state.gamma[:i] + ((b, c, 0),) + state.gamma[i + 1:]
+            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon)))
     return out
 
 
@@ -500,8 +509,8 @@ def successors(
 def canonical_key(state: AbstractState):
     """Hashable form of a state, equal exactly for states that differ only
     in the choice of fresh identifiers (see the module docstring).  Each
-    chunk's and fact's ``content()`` is computed once; its fresh-id check
-    runs on every call."""
+    chunk's and fact's ``content()``, the freshness of a chunk's id
+    included, is computed once; its fresh-id check runs on every call."""
     ren: dict[Symbol, str] = {}
     gamma = []
     for b, c, d in state.gamma:
@@ -511,15 +520,15 @@ def canonical_key(state: AbstractState):
     chunks = []
     stale = []
     for c in state.store:
-        content, fresh = c.content()
+        content, fresh, fresh_id = c.content()
         if fresh is not None:
             raise EngineError(f"fresh id {fresh} named by a slot of chunk {c.id}")
-        if c.id in ren:
-            chunks.append((ren[c.id], *content))
-        elif is_fresh_id(c.id):
-            stale.append(content)
-        else:
+        if not fresh_id:
             chunks.append((c.id.name, *content))
+        elif c.id in ren:
+            chunks.append((ren[c.id], *content))
+        else:
+            stale.append(content)
     atoms = []
     for a in state.upsilon:
         names, fresh = a.content()

@@ -140,16 +140,16 @@ class AbstractState:
         gamma: Mapping[Symbol, tuple[Symbol, int]] | Iterable[tuple[Symbol, Symbol, int]],
         upsilon: Iterable[Atom] = (),
     ) -> "AbstractState":
+        """A checked state from outside (initial, CHR-decoded, tests): rows
+        name chunks of the store, which holds ``nil``, and facts are sorted.
+        Stores only grow, so successors rely on this and check only the rows
+        their step sets, with :func:`check_rows`."""
         if isinstance(gamma, Mapping):
             rows = [(b, c, d) for b, (c, d) in gamma.items()]
         else:
             rows = list(gamma)
         store = store.with_nil()
-        for b, c, d in rows:
-            if c not in store:
-                raise ValueError(f"buffer {b} holds unknown chunk id {c}")
-            if d not in (0, 1):
-                raise ValueError(f"buffer {b} has non-binary delay {d}")
+        check_rows(store, rows)
         return AbstractState(
             store=store,
             gamma=tuple(sorted(rows, key=lambda r: r[0].name)),
@@ -165,11 +165,17 @@ class AbstractState:
                 return (c, d)
         raise KeyError(f"no buffer {b}")
 
-    def gamma_map(self) -> dict[Symbol, tuple[Symbol, int]]:
-        return {b: (c, d) for b, c, d in self.gamma}
-
     def pending_buffers(self) -> tuple[Symbol, ...]:
         return tuple(b for b, _, d in self.gamma if d > 0)
+
+
+def check_rows(store: ChunkStore, rows: Iterable[tuple[Symbol, Symbol, int]]) -> None:
+    """Each buffer row names a chunk of the store and a delay of 0 or 1."""
+    for b, c, d in rows:
+        if c not in store:
+            raise ValueError(f"buffer {b} holds unknown chunk id {c}")
+        if d not in (0, 1):
+            raise ValueError(f"buffer {b} has non-binary delay {d}")
 
 
 @dataclass(frozen=True)

@@ -524,6 +524,15 @@ class TestTermMerge:
         kept = [t for t in out.items if t.args[0] != sym("c#4")]
         assert all(any(t is u for u in parent.items) for t in kept)
 
+    def test_a_lone_nonempty_operand_is_the_merge_itself(self):
+        lone = encode_store(ChunkStore([CHUNK, Chunk(sym("c#3"), sym("t"), {})]))
+        for lists in ([lone], [lone, TList(())], [TList(()), lone], [TList(()), lone, TList(())]):
+            assert merge_chunk_lists(lists) is lone
+        bad = TList(tuple(reversed(lone.items)))
+        for lists in ([bad], [bad, TList(())], [TList(()), bad]):
+            with pytest.raises(ChrError, match="strict id order"):
+                merge_chunk_lists(lists)
+
     def test_operands_must_be_strictly_id_ordered(self):
         j = encode_chunk(Chunk(sym("j"), sym("t"), {}))
         k = encode_chunk(CHUNK)
@@ -807,7 +816,7 @@ class TestStateEquivalence:
         """The state with one fresh chunk's content or one buffer redrawn."""
         fresh = [c.id for c in state.store if is_fresh_id(c.id)]
         chunks = {c.id: c for c in state.store}
-        gamma = state.gamma_map()
+        gamma = {b: (c, d) for b, c, d in state.gamma}
         if fresh and rng.random() < 0.5:
             cid = rng.choice(fresh)
             chunks[cid] = cls.small_chunk(cid, rng)

@@ -96,12 +96,14 @@ class TestChunk:
     def test_content_drops_identifier(self):
         assert A.content() == Chunk(sym("b"), sym("t"), A.pairs).content()
         assert A.content() != A_OTHER.content()
-        assert A.content() == (("t", (("s", "v"),)), None)
+        assert A.content() == (("t", (("s", "v"),)), None, False)
 
     def test_content_names_the_first_fresh_slot_value(self):
         pairs = {sym("c"): sym("c#0"), sym("b"): sym("c#1"), sym("a"): sym("v")}
         c = Chunk(sym("c#3"), sym("t"), pairs)
-        assert c.content() == (("t", (("a", "v"), ("b", "c#1"), ("c", "c#0"))), sym("c#1"))
+        assert c.content() == (
+            ("t", (("a", "v"), ("b", "c#1"), ("c", "c#0"))), sym("c#1"), True
+        )
 
     @pytest.mark.parametrize(
         "make",

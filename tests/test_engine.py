@@ -7,7 +7,7 @@ import random
 import pytest
 
 from actrchr.chr import fresh_gen_for as chr_fresh_gen_for
-from actrchr.core import Chunk, ChunkStore, IdGen, NIL, Symbol, Variable
+from actrchr.core import Chunk, ChunkStore, IdGen, NIL, Symbol, Variable, merge
 from actrchr.engine import (
     Answer,
     ArchitectureConfig,
@@ -15,14 +15,17 @@ from actrchr.engine import (
     EMPTY_EFFECT,
     Effect,
     EngineError,
+    FAIL_NIL,
     FAIL_STUCK,
     MissingIncumbent,
+    NO_LABEL,
     NoHandler,
     apply_transition,
     canonical_key,
     combine_effects,
     explore,
     fresh_gen_for,
+    interpret_action,
     interpret_modification,
     interpret_request,
     interpret_rule,
@@ -384,6 +387,31 @@ class TestEffects:
         assert sym("c_goal") in nxt.store
         assert Atom("p", (sym("x"),)) in nxt.upsilon
 
+    def test_an_effect_row_is_checked_as_make_checks_it(self):
+        base = tiny_state(goal=0, retrieval=0)
+        fresh = Chunk(sym("c#7"), sym("t"), {sym("s"): sym("c_goal")})
+        cases = [
+            ((sym("c#8"), 0), "buffer goal holds unknown chunk id c#8"),
+            ((fresh.id, 2), "buffer goal has non-binary delay 2"),
+        ]
+        for (cid, delay), message in cases:
+            effect = Effect(ChunkStore([fresh]), ((GOAL, cid, delay),), ())
+            with pytest.raises(ValueError) as made:
+                AbstractState.make(merge(base.store, effect.store), {GOAL: (cid, delay)})
+            with pytest.raises(ValueError) as applied:
+                apply_transition(base, effect)
+            assert str(applied.value) == str(made.value) == message
+
+    def test_an_effect_adding_a_buffer_or_facts_keeps_them_sorted(self):
+        base = tiny_state(goal=0, retrieval=1)
+        base = AbstractState.make(base.store, base.gamma, [Atom("p", (NIL,))])
+        late = (Atom("z", (NIL,)), Atom("a", (NIL,)))
+        aux = sym("aux")
+        nxt = apply_transition(base, Effect(ChunkStore(), ((aux, NIL, 1),), late))
+        assert [a.pred for a in nxt.upsilon] == ["a", "p", "z"]
+        assert [b.name for b in nxt.buffers()] == ["aux", "goal", "retrieval"]
+        assert nxt.gamma[1:] == base.gamma
+
 
 class TestNoRule:
     def test_one_successor_per_pending_buffer(self):
@@ -468,6 +496,77 @@ dm { d1, d2 }
 buffer goal = g0
 rule r { goal: q {} ==> request goal t {} }
 """
+
+
+def reference_interpret_rule(rule, theta, state, config, ids):
+    """The fold seeded with the empty effect: every action's effects pass
+    through combine_effects."""
+    combos = [EMPTY_EFFECT]
+    for a in rule.actions:
+        pairs = tuple((s, theta.get(v, v)) for s, v in a.pairs)
+        parts = interpret_action(Action(a.kind, a.buffer, a.type, pairs), state, config, ids)
+        combos = [combine_effects(acc, part) for acc in combos for part in parts]
+        if not combos:
+            return []
+    return combos
+
+
+def reference_apply_transition(state, effect):
+    gamma = {b: (c, d) for b, c, d in state.gamma + effect.gamma}
+    store = merge(state.store, effect.store)
+    return AbstractState.make(store, gamma, state.upsilon + effect.atoms)
+
+
+def reference_no_rule_successors(state):
+    gamma = {b: (c, d) for b, c, d in state.gamma}
+    return [
+        (NO_LABEL, AbstractState.make(state.store, {**gamma, b: (c, 0)}, state.upsilon))
+        for b, (c, d) in gamma.items()
+        if d > 0
+    ]
+
+
+class TestSuccessorsAgainstReference:
+    """Successors built from what a step changes equal the states the
+    checked constructor builds from scratch, on reachable corpus states."""
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_reachable_corpus_states(self, policy):
+        config = ArchitectureConfig(fail_request=policy)
+        applied = revealed = 0
+        for i in range(30):
+            m = normalize_model(random_model(random.Random(i)))
+            for state in explore(m, config, depth=6).states:
+                for rule, theta in select(state, m.rules):
+                    start = fresh_gen_for(state).count
+                    effects = interpret_rule(rule, theta, state, config, IdGen(start))
+                    assert effects == reference_interpret_rule(
+                        rule, theta, state, config, IdGen(start)
+                    )
+                    for effect in effects:
+                        nxt = apply_transition(state, effect)
+                        assert nxt == reference_apply_transition(state, effect)
+                        applied += 1
+                reveals = no_rule_successors(state)
+                assert reveals == reference_no_rule_successors(state)
+                revealed += len(reveals)
+        assert applied > 300 and revealed > 50  # nil: 794 and 238, stuck: 356 and 72
+
+    def test_rules_without_actions_and_with_several(self):
+        src = (
+            "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: a }\ndm { a, b }\n"
+            "buffer goal = a\nbuffer retrieval = a\n"
+            "rule idle { goal: t { s: X } ==> }\n"
+            "rule two { goal: t { s: X } ==> request goal t {} request retrieval t {} }\n"
+        )
+        m = normalize_model(parse_model(src))
+        s0 = m.initial_state()
+        config = ArchitectureConfig()
+        idle, two = [interpret_rule(r, th, s0, config, IdGen()) for r, th in select(s0, m.rules)]
+        assert idle == [EMPTY_EFFECT]
+        assert len(two) == 4  # two answers each, paired in action order
+        theta = match_rule(m.rules[1], s0)
+        assert two == reference_interpret_rule(m.rules[1], theta, s0, config, IdGen())
 
 
 class TestExplore:

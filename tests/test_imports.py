@@ -1,6 +1,7 @@
 """Every module-level import is used, every package parameter read and
-every package default overridden somewhere, and the CHR engine imports no
-effect code of the abstract machine (stdlib-only lint)."""
+every package default overridden somewhere, the CHR engine imports no
+effect code of the abstract machine, and the package keeps no
+process-wide mutable state (stdlib-only lint)."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,59 @@ def test_no_never_passed_defaults():
                 if not (by_position or arg in kw or "**" in kw):
                     never.append(f"{path.name}:{fn.lineno} {fn.name}({arg})")
     assert not never, f"defaults no call overrides: {never}"
+
+
+# Process-wide state is shared by every caller in the process, so one run or
+# test could change the next.  Derived data lives on the immutable value it
+# is derived from (``Chunk.content``, a list's index); class-level interning
+# tables are not module-level names and so are not flagged.
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+CONTAINER_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+                   "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+MUTATORS = {"append", "appendleft", "extend", "extendleft", "insert", "add", "update",
+            "setdefault", "pop", "popleft", "popitem", "clear", "remove", "discard"}
+CACHES = {"cache", "lru_cache"}
+
+
+def _module_containers(tree):
+    """Names the module binds at top level to a list, dict or set."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            v = node.value
+            f = v.func if isinstance(v, ast.Call) else None
+            called = getattr(f, "id", getattr(f, "attr", None))
+            if isinstance(v, CONTAINERS) or called in CONTAINER_CALLS:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_process_wide_mutable_state(path):
+    tree = ast.parse(path.read_text(), str(path))
+    containers = _module_containers(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.add((node.lineno, "global " + ", ".join(node.names)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.update((node.lineno, f"functools.{a.name}") for a in node.names
+                         if a.name in CACHES)
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES:
+            if getattr(node.value, "id", None) == "functools":
+                found.add((node.lineno, f"functools.{node.attr}"))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            target = None
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+                target = node.func.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            if isinstance(target, ast.Name) and target.id in containers:
+                found.add((node.lineno, f"mutates module-level {target.id}"))
+    assert not found, f"process-wide mutable state (line, what): {sorted(found)}"
