@@ -571,14 +571,15 @@ def _modify(
 
 def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
     """merge(L, D): D is the merge of the chunk lists in L (see
-    :func:`merge_chunk_lists`)."""
+    :func:`merge_chunk_lists`); L and each operand are read in place."""
     if len(c.args) != 2:
         raise ChrError("merge/2 expected")
     lst, out_pat = c.args
-    lists = _ground_list(lst, env)
-    if lists is None:
+    lst = walk(lst, env)
+    operands = [subst(x, env) for x in lst.items] if isinstance(lst, TList) else None
+    if operands is None or not all(is_ground(x) for x in operands):
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    e = unify(out_pat, merge_chunk_lists(lists.items), env)
+    e = unify(out_pat, merge_chunk_lists(operands), env)
     return [] if e is None else [(e, ())]
 
 

@@ -155,9 +155,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: --depth must be non-negative", file=sys.stderr)
         return 2
     try:
-        text = Path(args.model).read_text()
+        text = Path(args.model).read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"error: {args.model}: {e}", file=sys.stderr)
         return 1
     try:
         model = parse_model(text)

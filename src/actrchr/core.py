@@ -5,11 +5,14 @@ chunks.  A chunk store keeps finitely many chunks under pairwise distinct
 identifiers; identifier lookup is total, falling back to the distinguished
 empty chunk ``nil``.  Stores combine with :func:`merge`, an
 id-deduplicating union: shared identifiers must carry equal chunks, so no
-identifier ever needs remapping.
+identifier ever needs remapping.  A merge derives the result's key parts
+(see :meth:`ChunkStore.key_parts`) from its left operand's and the chunks
+the right one adds, so a successor store is keyed for its new chunks only.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Union
 from weakref import WeakValueDictionary
@@ -168,8 +171,7 @@ class Chunk:
     """Immutable typed record; every slot value is a chunk identifier.
 
     :meth:`content` is computed once and kept in a slot that equality,
-    hashing, printing, pickling and copying ignore; the fresh-id check of
-    :func:`~actrchr.engine.canonical_key` on it still runs on every call."""
+    hashing, printing, pickling and copying ignore."""
 
     __slots__ = ("id", "type", "pairs", "_content")
 
@@ -233,7 +235,7 @@ class ChunkStore:
     :meth:`with_nil`); partial stores produced by actions need not.
     """
 
-    __slots__ = ("_by_id",)
+    __slots__ = ("_by_id", "_parts")
 
     def __init__(self, chunks: Iterable[Chunk] = ()) -> None:
         by_id: dict[Symbol, Chunk] = {}
@@ -243,6 +245,7 @@ class ChunkStore:
                 raise CoreError(f"store: id {c.id} bound to {old!r} and {c!r}")
             by_id[c.id] = c
         self._by_id = by_id
+        self._parts: tuple | None = None
 
     def ids(self) -> tuple[Symbol, ...]:
         return tuple(self._by_id)
@@ -282,13 +285,52 @@ class ChunkStore:
     def __repr__(self) -> str:
         return f"ChunkStore({list(self._by_id.values())!r})"
 
+    def __reduce__(self):  # copy the chunks only, not the key parts
+        return ChunkStore, (self.chunks(),)
+
+    def key_parts(self) -> tuple:
+        """The parts :func:`~actrchr.engine.canonical_key` reads: the sorted
+        entries ``(id name, type, pairs)`` of the chunks with a parsed id,
+        the sorted contents of those with a fresh id, and ``(fresh id, chunk
+        id)`` for the first chunk in store order naming a fresh id in a slot,
+        or None.  Computed once, in one pass and one sort per part, and kept
+        as :meth:`Chunk.content` is."""
+        if self._parts is None:
+            self._parts = _add_key_parts(((), (), None), self._by_id.values())
+        return self._parts
+
+
+def _add_key_parts(parts: tuple, chunks: Iterable[Chunk]) -> tuple:
+    """The key parts of a store with the chunks added, in their order."""
+    parsed, stale, bad = parts
+    new_parsed, new_stale = [], []
+    for c in chunks:
+        names, fresh, fresh_id = c.content()
+        if fresh is not None and bad is None:
+            bad = (fresh, c.id)
+        if fresh_id:
+            new_stale.append(names)
+        else:
+            new_parsed.append((c.id.name, *names))
+    return _sorted_in(parsed, new_parsed), _sorted_in(stale, new_stale), bad
+
+
+def _sorted_in(part: tuple, new: list) -> tuple:
+    if not (part and new):
+        return part or tuple(sorted(new))
+    out = list(part)
+    for entry in new:
+        insort(out, entry)
+    return tuple(out)
+
 
 def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
     """Union of two stores; a shared identifier must carry equal chunks.
 
     Raises :class:`IdClash` when the operands disagree about an identifier.
     The result keeps every chunk of ``left`` unchanged and adds the chunks
-    of ``right`` under new identifiers only.
+    of ``right`` under new identifiers only; if ``left`` has its key parts,
+    the result's are derived from them and the added chunks.
     """
     combined = dict(left._by_id)
     for c in right:
@@ -299,6 +341,9 @@ def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
             raise IdClash(f"merge: id {c.id} bound to {mine!r} and {c!r}")
     out = object.__new__(ChunkStore)  # combined is checked: no second pass
     out._by_id = combined
+    out._parts = None
+    if left._parts is not None:
+        out._parts = _add_key_parts(left._parts, (c for c in right if c.id not in left._by_id))
     return out
 
 

@@ -12,13 +12,16 @@ the parser rejects ``c#`` names, slot values are parsed ids, and
 :func:`canonical_key`, the package's one fresh-identifier canonicalisation,
 keys parsed chunks as they are, buffer-held fresh ids renamed in buffer
 name order and stale fresh chunks as a sorted multiset of contents; it
-raises :class:`EngineError` on a state that breaks the invariant.
+raises :class:`EngineError` on a state that breaks the invariant.  A key
+costs what its step adds: it reads the parts a successor's store derives
+from its parent's and the facts part a successor shares with its parent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -370,7 +373,7 @@ def interpret_modification(
             new_pairs.append((s, old))
     fresh = ids.fresh()
     copy = Chunk(fresh, incumbent.type, new_pairs)
-    return [Effect.make(ChunkStore([copy]), {action.buffer: (fresh, 0)})]
+    return [Effect(ChunkStore([copy]), ((action.buffer, fresh, 0),), ())]
 
 
 def interpret_request(
@@ -397,13 +400,11 @@ def interpret_request(
         fresh = ids.fresh()
         chunk = Chunk(fresh, ans.type, ans.val)
         delay = 1 if ans.delay > 0 else 0
-        effects.append(
-            Effect.make(ChunkStore([chunk]), {action.buffer: (fresh, delay)}, ans.atoms)
-        )
+        effects.append(Effect(ChunkStore([chunk]), ((action.buffer, fresh, delay),), tuple(ans.atoms)))
     if effects:
         return effects
     if config.fail_request == FAIL_NIL:
-        return [Effect.make(ChunkStore(), {action.buffer: (NIL, 1)})]
+        return [Effect(ChunkStore(), ((action.buffer, NIL, 1),), ())]
     return []
 
 
@@ -417,12 +418,15 @@ def interpret_action(
 
 def combine_effects(left: Effect, right: Effect) -> Effect:
     """Glue two effects: merged stores, disjoint buffer updates, joined
-    facts."""
+    facts.  The two sorted row tuples are re-sorted only when joining them
+    puts rows out of order."""
     overlap = left.buffers() & right.buffers()
     if overlap:
         raise DomainOverlap(f"effects overlap on buffers {sorted(overlap, key=str)}")
-    gamma = {b: (c, d) for b, c, d in left.gamma + right.gamma}
-    return Effect.make(merge(left.store, right.store), gamma, left.atoms + right.atoms)
+    gamma = left.gamma + right.gamma
+    if left.gamma and right.gamma and left.gamma[-1][0].name > right.gamma[0][0].name:
+        gamma = tuple(sorted(gamma, key=lambda r: r[0].name))
+    return Effect(merge(left.store, right.store), gamma, left.atoms + right.atoms)
 
 
 def interpret_rule(
@@ -437,12 +441,15 @@ def interpret_rule(
     Actions are interpreted independently in the given state and their
     effect sets combined pairwise, folded from the first action's set (no
     actions yield ``[EMPTY_EFFECT]``); sequential fresh identifiers keep the
-    partial stores disjoint.  The result is non-empty unless a request
-    comes back empty under fail_request="stuck".
+    partial stores disjoint.  An action whose pairs hold no variable is
+    used as it is.  The result is non-empty unless a request comes back
+    empty under fail_request="stuck".
     """
     combos = None
     for action in rule.actions:
-        ground = Action(action.kind, action.buffer, action.type, _subst_pairs(action.pairs, theta))
+        ground = action
+        if any(isinstance(v, Variable) for _, v in action.pairs):
+            ground = Action(action.kind, action.buffer, action.type, _subst_pairs(action.pairs, theta))
         parts = interpret_action(ground, state, config, ids)
         combos = parts if combos is None else [combine_effects(a, p) for a in combos for p in parts]
         if not combos:
@@ -464,8 +471,9 @@ def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     gamma = tuple(rows.pop(r[0], r) for r in state.gamma)
     if rows:
         gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
-    upsilon = sort_atoms(state.upsilon + effect.atoms) if effect.atoms else state.upsilon
-    return AbstractState(store, gamma, upsilon)
+    if effect.atoms:
+        return AbstractState(store, gamma, sort_atoms(state.upsilon + effect.atoms))
+    return _over_facts_of(state, store, gamma)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
@@ -475,7 +483,15 @@ def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
     for i, (b, c, d) in enumerate(state.gamma):
         if d > 0:
             gamma = state.gamma[:i] + ((b, c, 0),) + state.gamma[i + 1:]
-            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon)))
+            out.append((NO_LABEL, _over_facts_of(state, state.store, gamma)))
+    return out
+
+
+def _over_facts_of(parent: AbstractState, store: ChunkStore, gamma) -> AbstractState:
+    """A successor over the parent's facts, sharing their key part."""
+    out = AbstractState(store, gamma, parent.upsilon)
+    if hasattr(parent, "_facts"):
+        object.__setattr__(out, "_facts", parent._facts)
     return out
 
 
@@ -509,33 +525,41 @@ def successors(
 def canonical_key(state: AbstractState):
     """Hashable form of a state, equal exactly for states that differ only
     in the choice of fresh identifiers (see the module docstring).  Each
-    chunk's and fact's ``content()``, the freshness of a chunk's id
-    included, is computed once; its fresh-id check runs on every call."""
+    buffer-held fresh chunk's content moves out of the store's stale
+    multiset and its renamed entry goes in among the parsed ones, which
+    sort before or after every ``c#`` name.  A store records its first
+    fresh id in a slot once; every key of a state over it raises it."""
+    parsed, stale, bad = state.store.key_parts()
+    if bad is not None:
+        raise EngineError(f"fresh id {bad[0]} named by a slot of chunk {bad[1]}")
     ren: dict[Symbol, str] = {}
     gamma = []
+    held = []
     for b, c, d in state.gamma:
-        if is_fresh_id(c) and c not in ren:
-            ren[c] = f"{FRESH_PREFIX}{len(ren)}"
-        gamma.append((b.name, ren.get(c, c.name), d))
-    chunks = []
-    stale = []
-    for c in state.store:
-        content, fresh, fresh_id = c.content()
-        if fresh is not None:
-            raise EngineError(f"fresh id {fresh} named by a slot of chunk {c.id}")
-        if not fresh_id:
-            chunks.append((c.id.name, *content))
-        elif c.id in ren:
-            chunks.append((ren[c.id], *content))
+        if is_fresh_id(c):
+            name = ren.get(c)
+            if name is None:
+                ren[c] = name = f"{FRESH_PREFIX}{len(ren)}"
+                chunk = state.store.get(c)
+                if chunk is not None:
+                    held.append((name, *chunk.content()[0]))
+            gamma.append((b.name, name, d))
         else:
-            stale.append(content)
-    atoms = []
-    for a in state.upsilon:
-        names, fresh = a.content()
-        if fresh is not None:
-            raise EngineError(f"fresh id {fresh} named by a fact")
-        atoms.append(names)
-    return (tuple(sorted(chunks)), tuple(sorted(stale)), tuple(gamma), tuple(sorted(atoms)))
+            gamma.append((b.name, c.name, d))
+    for entry in held:
+        i = bisect_left(stale, entry[1:])
+        stale = stale[:i] + stale[i + 1:]
+    at = bisect_left(parsed, (FRESH_PREFIX,))
+    chunks = parsed[:at] + tuple(sorted(held)) + parsed[at:]
+    if not hasattr(state, "_facts"):
+        atoms = []
+        for a in state.upsilon:
+            names, fresh = a.content()
+            if fresh is not None:
+                raise EngineError(f"fresh id {fresh} named by a fact")
+            atoms.append(names)
+        object.__setattr__(state, "_facts", tuple(sorted(atoms)))
+    return (chunks, stale, tuple(gamma), state._facts)
 
 
 def state_fingerprint(state: AbstractState) -> str:

@@ -133,6 +133,11 @@ class AbstractState:
     store: ChunkStore
     gamma: tuple[tuple[Symbol, Symbol, int], ...]
     upsilon: tuple[Atom, ...]
+    # the facts part of canonical_key, filled in by its first call
+    _facts: tuple = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):  # copy the fields only, not the key part
+        return AbstractState, (self.store, self.gamma, self.upsilon)
 
     @staticmethod
     def make(

@@ -337,6 +337,16 @@ class TestBuiltinTheory:
         with pytest.raises(ChrError, match="merge: id x bound to"):
             solve([goal])
 
+    def test_merge_builtin_over_an_unbound_operand_is_undecided(self):
+        a = encode_store(ChunkStore([Chunk(sym("x"), sym("t"), {})]))
+        for lst in (TList((a, var("B"))), var("L")):
+            goal = builtin("merge", lst, var("D"))
+            with pytest.raises(Undecided) as err:
+                solve([goal], {var("A"): a})
+            assert str(err.value) == f"merge over unbound list: {render_constraint(goal)}"
+        ((env, _),) = solve([builtin("merge", TList((var("A"), TList(()))), var("D"))], {var("A"): a})
+        assert env[var("D")] is a
+
     def test_map_builtin_keeps_known_ids(self):
         store = ChunkStore([Chunk(sym("x"), sym("t"), {})])
         enc = encode_store(store)

@@ -62,6 +62,15 @@ class TestParse:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_a_file_that_is_not_utf8_is_an_error_line(self, capsys, tmp_path, counting_src):
+        p = tmp_path / "bad.actr"
+        p.write_bytes(b"\xff\xfe" + counting_src.encode())
+        code, out, err = run_cli(capsys, "parse", p)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["parse", "translate"])
     def test_unwritable_out(self, capsys, tmp_path, counting_path, command):
         target = tmp_path / "no" / "such" / "dir" / "x"

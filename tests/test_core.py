@@ -159,6 +159,65 @@ class TestChunkStore:
         assert s.id_inverse(sym("missing")) == NIL_CHUNK
 
 
+def key_pool(rng: random.Random) -> list[Chunk]:
+    """A chunk pool with fresh-id copies, each content twice, and chunks
+    naming a fresh id in a slot."""
+    _, pool = chunk_pool(rng)
+    copies = [Chunk(sym(f"c#{i}"), c.type, c.pairs) for i, c in enumerate(pool + pool)]
+    offenders = [
+        Chunk(sym(f"c#{30 + i}"), c.type, {s: sym(f"c#{i}") for s, _ in c.pairs})
+        for i, c in enumerate(pool[:4])
+        if c.pairs
+    ]
+    return pool + copies + offenders
+
+
+class TestKeyParts:
+    def test_merge_derives_the_parts_computed_from_scratch(self):
+        rng = random.Random(18)
+        derived = offended = 0
+        for _ in range(300):
+            pool = key_pool(rng)
+            acc = random_store(rng, pool, max_chunks=12)
+            acc.key_parts()
+            for _ in range(3):
+                acc = merge(acc, random_store(rng, pool, max_chunks=4))
+                assert acc._parts is not None
+                assert acc.key_parts() == ChunkStore(acc.chunks()).key_parts()
+                derived += 1
+                offended += acc.key_parts()[2] is not None
+        assert derived == 900 and offended > 300
+
+    def test_parts_hold_sorted_entries_and_the_first_offender(self):
+        bad = Chunk(sym("c#7"), sym("t"), {sym("s"): sym("c#0")})
+        worse = Chunk(sym("c#6"), sym("t"), {sym("s"): sym("c#1")})
+        s = ChunkStore([B, Chunk(sym("c#2"), sym("t"), A.pairs), A, bad, worse])
+        assert s.key_parts() == (
+            (("a", "t", (("s", "v"),)), ("b", "t", (("s", "w"),))),
+            (("t", (("s", "c#0"),)), ("t", (("s", "c#1"),)), ("t", (("s", "v"),))),
+            (sym("c#0"), sym("c#7")),
+        )
+        assert merge(store(A), s).key_parts()[2] == (sym("c#0"), sym("c#7"))
+        left = store(worse)
+        left.key_parts()
+        assert merge(left, s).key_parts()[2] == (sym("c#1"), sym("c#6"))
+
+    def test_parts_are_no_part_of_the_value(self):
+        chunks = [A, B, Chunk(sym("c#0"), sym("t"), A.pairs)]
+        asked, unasked = ChunkStore(chunks), ChunkStore(chunks)
+        parts = asked.key_parts()
+        derived = merge(asked, ChunkStore())
+        assert derived._parts is not None
+        for s in (asked, derived):
+            assert s == unasked and hash(s) == hash(unasked)
+            assert repr(s) == repr(unasked)
+            assert pickle.dumps(s) == pickle.dumps(unasked)
+        for u in (asked, unasked, derived):
+            for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+                assert v == u and hash(v) == hash(u) and repr(v) == repr(u)
+                assert v._parts is None and v.key_parts() == parts
+
+
 class TestTypeTable:
     def test_declare_and_query(self):
         t = TypeTable()

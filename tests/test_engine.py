@@ -1,13 +1,25 @@
 """Operational semantics: matching, actions, transitions, exploration."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 from actrchr.chr import fresh_gen_for as chr_fresh_gen_for
-from actrchr.core import Chunk, ChunkStore, IdGen, NIL, Symbol, Variable, merge
+from actrchr.core import (
+    Chunk,
+    ChunkStore,
+    IdGen,
+    NIL,
+    NIL_CHUNK,
+    Symbol,
+    Variable,
+    is_fresh_id,
+    merge,
+)
 from actrchr.engine import (
     Answer,
     ArchitectureConfig,
@@ -359,6 +371,14 @@ class TestEffects:
         assert set(both.buffers()) == {GOAL, RETR}
         assert len(both.store) == 2
 
+    def test_rows_joined_out_of_order_come_out_sorted(self):
+        a = Chunk(sym("c#0"), sym("t"), {})
+        b = Chunk(sym("c#1"), sym("t"), {})
+        left = Effect(ChunkStore([b]), ((RETR, b.id, 1),), ())
+        right = Effect(ChunkStore([a]), ((GOAL, a.id, 0),), ())
+        for x, y in ((left, right), (right, left)):
+            assert combine_effects(x, y).gamma == ((GOAL, a.id, 0), (RETR, b.id, 1))
+
     def test_overlapping_buffers_rejected(self):
         a = Chunk(sym("c#0"), sym("t"), {})
         left = Effect.make(ChunkStore([a]), {GOAL: (a.id, 0)})
@@ -498,14 +518,28 @@ rule r { goal: q {} ==> request goal t {} }
 """
 
 
+def make_effect(effect):
+    """The effect rebuilt through ``Effect.make``, rows from a dict."""
+    return Effect.make(effect.store, {b: (c, d) for b, c, d in effect.gamma}, effect.atoms)
+
+
+def reference_combine_effects(left, right):
+    """The dict-and-sort combination through ``Effect.make``."""
+    assert not left.buffers() & right.buffers()
+    gamma = {b: (c, d) for b, c, d in left.gamma + right.gamma}
+    return Effect.make(merge(left.store, right.store), gamma, left.atoms + right.atoms)
+
+
 def reference_interpret_rule(rule, theta, state, config, ids):
-    """The fold seeded with the empty effect: every action's effects pass
-    through combine_effects."""
+    """The fold seeded with the empty effect: every action's effects,
+    rebuilt through ``Effect.make``, pass through the dict-and-sort
+    combination."""
     combos = [EMPTY_EFFECT]
     for a in rule.actions:
         pairs = tuple((s, theta.get(v, v)) for s, v in a.pairs)
         parts = interpret_action(Action(a.kind, a.buffer, a.type, pairs), state, config, ids)
-        combos = [combine_effects(acc, part) for acc in combos for part in parts]
+        parts = [make_effect(p) for p in parts]
+        combos = [reference_combine_effects(acc, part) for acc in combos for part in parts]
         if not combos:
             return []
     return combos
@@ -544,8 +578,10 @@ class TestSuccessorsAgainstReference:
                         rule, theta, state, config, IdGen(start)
                     )
                     for effect in effects:
+                        assert effect == make_effect(effect)
                         nxt = apply_transition(state, effect)
                         assert nxt == reference_apply_transition(state, effect)
+                        assert nxt == apply_transition(state, make_effect(effect))
                         applied += 1
                 reveals = no_rule_successors(state)
                 assert reveals == reference_no_rule_successors(state)
@@ -567,6 +603,121 @@ class TestSuccessorsAgainstReference:
         assert len(two) == 4  # two answers each, paired in action order
         theta = match_rule(m.rules[1], s0)
         assert two == reference_interpret_rule(m.rules[1], theta, s0, config, IdGen())
+
+    def test_actions_out_of_buffer_order_and_without_variables(self):
+        src = (
+            "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: a }\ndm { a, b }\n"
+            "buffer goal = a\nbuffer retrieval = a\n"
+            "rule r { goal: t { s: X } ==> modify retrieval { s: b } request goal t { s: X } }\n"
+        )
+        m = normalize_model(parse_model(src))
+        s0 = m.initial_state()
+        (rule, theta), = select(s0, m.rules)
+        effects = interpret_rule(rule, theta, s0, ArchitectureConfig(), IdGen())
+        assert [[b.name for b, _, _ in e.gamma] for e in effects] == [["goal", "retrieval"]] * 2
+        assert effects == reference_interpret_rule(rule, theta, s0, ArchitectureConfig(), IdGen())
+
+
+def reference_canonical_key(state):
+    """The key computed from scratch in one loop over the store."""
+    ren = {}
+    gamma = []
+    for b, c, d in state.gamma:
+        if is_fresh_id(c) and c not in ren:
+            ren[c] = f"c#{len(ren)}"
+        gamma.append((b.name, ren.get(c, c.name), d))
+    chunks = []
+    stale = []
+    for c in state.store:
+        content = (c.type.name, tuple((s.name, v.name) for s, v in c.pairs))
+        for _, v in c.pairs:
+            if is_fresh_id(v):
+                raise EngineError(f"fresh id {v} named by a slot of chunk {c.id}")
+        if not is_fresh_id(c.id):
+            chunks.append((c.id.name, *content))
+        elif c.id in ren:
+            chunks.append((ren[c.id], *content))
+        else:
+            stale.append(content)
+    atoms = []
+    for a in state.upsilon:
+        for v in a.args:
+            if is_fresh_id(v):
+                raise EngineError(f"fresh id {v} named by a fact")
+        atoms.append((a.pred, tuple(v.name for v in a.args)))
+    return (tuple(sorted(chunks)), tuple(sorted(stale)), tuple(gamma), tuple(sorted(atoms)))
+
+
+def rebuilt(state):
+    """The state over a new store of the same chunks, with no key parts."""
+    return AbstractState(ChunkStore(state.store.chunks()), state.gamma, state.upsilon)
+
+
+class TestKeyParts:
+    """The key read from parts a successor derives from its parent's is
+    the key computed from scratch, on reachable corpus states."""
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_derived_keys_equal_keys_from_scratch(self, policy):
+        config = ArchitectureConfig(fail_request=policy)
+        keyed = shared_content = 0
+        for i in range(30):
+            m = normalize_model(random_model(random.Random(i)))
+            for state in explore(m, config, depth=6).states:
+                for _, nxt in successors(state, m, config):
+                    assert nxt.store._parts is not None  # derived, not computed
+                    key = canonical_key(nxt)
+                    assert key == reference_canonical_key(nxt) == canonical_key(rebuilt(nxt))
+                    assert nxt.store.key_parts() == ChunkStore(nxt.store.chunks()).key_parts()
+                    keyed += 1
+                    stale = nxt.store.key_parts()[1]
+                    held = {nxt.store.get(c).content()[0] for _, c, _ in nxt.gamma if is_fresh_id(c)}
+                    shared_content += any(stale.count(h) > 1 for h in held)
+        assert keyed > 300 and shared_content > 50  # nil: 1032 and 534, stuck: 428 and 286
+
+    def test_a_merged_offender_raises_the_same_error_on_every_key(self):
+        held = Chunk(sym("c#0"), sym("t"), {sym("s"): NIL})
+        base = AbstractState.make(ChunkStore([held]), {GOAL: (held.id, 0)})
+        canonical_key(base)
+        first = Chunk(sym("c#2"), sym("t"), {sym("s"): sym("c#0")})
+        second = Chunk(sym("c#1"), sym("t"), {sym("s"): sym("c#0")})
+        store = merge(base.store, ChunkStore([first, second]))
+        late = merge(store, ChunkStore([Chunk(sym("c#3"), sym("t"), {sym("s"): sym("c#1")})]))
+        atoms = (Atom("p", (sym("c#0"),)),)
+        for s in (store, late):
+            state = AbstractState(s, base.gamma, atoms)
+            for probe in (state, state, rebuilt(state)):
+                with pytest.raises(EngineError) as err:
+                    canonical_key(probe)
+                assert str(err.value) == "fresh id c#0 named by a slot of chunk c#2"
+            with pytest.raises(EngineError) as err:
+                reference_canonical_key(state)
+            assert str(err.value) == "fresh id c#0 named by a slot of chunk c#2"
+
+    def test_a_row_naming_a_fresh_id_the_store_lacks(self):
+        held = Chunk(sym("c#4"), sym("t"), {sym("s"): NIL})
+        stale = Chunk(sym("c#5"), sym("t"), {sym("s"): NIL})
+        store = ChunkStore([NIL_CHUNK, held, stale])
+        state = AbstractState(store, ((GOAL, sym("c#9"), 0), (RETR, held.id, 1)), ())
+        key = canonical_key(state)
+        assert key == reference_canonical_key(state) == canonical_key(rebuilt(state))
+        assert key[0] == (("c#1", "t", (("s", "nil"),)), ("nil", "chunk", ()))
+        assert key[1] == (("t", (("s", "nil"),)),)
+        assert key[2] == (("goal", "c#0", 0), ("retrieval", "c#1", 1))
+
+    def test_facts_part_is_no_part_of_the_value(self, counting_norm):
+        asked = counting_norm.initial_state()
+        unasked = counting_norm.initial_state()
+        key = canonical_key(asked)
+        (_, revealed), = no_rule_successors(asked)
+        assert revealed._facts is asked._facts
+        assert asked == unasked and hash(asked) == hash(unasked)
+        assert repr(asked) == repr(unasked)
+        assert pickle.dumps(asked) == pickle.dumps(unasked)
+        for u in (asked, unasked):
+            for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+                assert v == u and hash(v) == hash(u) and repr(v) == repr(u)
+                assert canonical_key(v) == key
 
 
 class TestExplore:
