@@ -3,11 +3,11 @@
 Just the CHR fragment that translated production models use: ground goals
 of user constraints (``delta/1``, ``gamma/3``), a built-in store of ground
 facts (e.g. ``dm/1``), pure simplification rules with guards, and a fixed
-built-in theory (syntactic ``=``, numeric ``>``, list membership ``in``,
-plus ``action``, ``merge`` and ``map`` over encoded chunk stores).  A step
-solves the guard and body built-ins and adds to the store only the facts
-``action`` contributes, so every successor is again a ground goal over a
-store of ground facts.
+built-in theory (``=`` matching its left side against its ground right
+side, numeric ``>``, list membership ``in``, plus ``action``, ``merge`` and
+``map`` over encoded chunk stores).  A step solves the guard and body
+built-ins and adds to the store only the facts ``action`` contributes, so
+every successor is again a ground goal over a store of ground facts.
 
 The module owns the chunk-term codec: ``chunk(Id, Type, Pairs)`` terms,
 stores as chunk lists sorted by identifier, and ``=``/``+`` action terms.
@@ -26,10 +26,11 @@ semantics leaves request handling, the modules, as a parameter.  So the
 bisimulation check tests modification and merge against an independent
 implementation.
 
-Ground terms are the cheap case: compounds and lists cache their
-groundness once asked, substitution returns ground terms as they are, and
-the rules match a goal as they are, since a ground goal shares no variable
-with them; the built-ins read their arguments' bindings in place and
+Every term a rule term meets is ground (a goal argument, a list item, a
+built-in's result), so :func:`match` is one-sided, as CHR head matching
+is, and binds rule variables to ground terms only.  Compounds and lists
+cache their groundness once asked, substitution returns ground terms as
+they are, and the built-ins read their arguments' bindings in place and
 substitute only a list that still holds bound variables.  A chunk term
 likewise keeps the chunk it decodes to, and a list its first-argument
 index, which finds the chunk a bound id names for ``in``, ``map`` and
@@ -116,9 +117,8 @@ Env = dict[Variable, Term]
 
 
 def walk(t: Term, env: Env) -> Term:
-    while isinstance(t, Variable) and t in env:
-        t = env[t]
-    return t
+    """A variable's value, which is ground (see :func:`match`), or the term."""
+    return env.get(t, t) if isinstance(t, Variable) else t
 
 
 def subst(t: Term, env: Env) -> Term:
@@ -137,39 +137,34 @@ def subst(t: Term, env: Env) -> Term:
     return t
 
 
-def unify(a: Term, b: Term, env: Env) -> Optional[Env]:
-    a = walk(a, env)
-    b = walk(b, env)
-    if a == b:
-        return env
-    if isinstance(a, Variable):
-        out = dict(env)
-        out[a] = b
-        return out
-    if isinstance(b, Variable):
-        out = dict(env)
-        out[b] = a
-        return out
-    if (
-        isinstance(a, Compound)
-        and isinstance(b, Compound)
-        and a.functor == b.functor
-        and len(a.args) == len(b.args)
-    ):
-        for x, y in zip(a.args, b.args):
-            nxt = unify(x, y, env)
-            if nxt is None:
-                return None
-            env = nxt
-        return env
-    if isinstance(a, TList) and isinstance(b, TList) and len(a.items) == len(b.items):
-        for x, y in zip(a.items, b.items):
-            nxt = unify(x, y, env)
-            if nxt is None:
-                return None
-            env = nxt
-        return env
-    return None
+def match(pattern: Term, term: Term, env: Env) -> Optional[Env]:
+    """The environment extended so that ``pattern`` under it equals the
+    ground ``term``, or None: one-sided, as CHR head matching is, so every
+    value bound is a ground subterm of ``term``."""
+    if isinstance(pattern, Variable):
+        bound = env.get(pattern)
+        if bound is None:
+            return {**env, pattern: term}
+        return env if bound == term else None
+    if isinstance(pattern, Compound):
+        if not (
+            isinstance(term, Compound)
+            and pattern.functor == term.functor
+            and len(pattern.args) == len(term.args)
+        ):
+            return None
+        pairs = zip(pattern.args, term.args)
+    elif isinstance(pattern, TList):
+        if not (isinstance(term, TList) and len(pattern.items) == len(term.items)):
+            return None
+        pairs = zip(pattern.items, term.items)
+    else:
+        return env if pattern == term else None
+    for p, t in pairs:
+        env = match(p, t, env)
+        if env is None:
+            return None
+    return env
 
 
 def is_ground(t: Term) -> bool:
@@ -429,7 +424,10 @@ def _solve_one(
     name = c.name
     if name == "=":
         a, b = c.args
-        out = unify(a, b, env)
+        b = subst(b, env)
+        if not is_ground(b):
+            raise Undecided(f"equation with an unbound right side: {render_constraint(c)}")
+        out = match(a, b, env)
         return [] if out is None else [(out, ())]
     if name == ">":
         a, b = (walk(x, env) for x in c.args)
@@ -449,7 +447,7 @@ def _solve_one(
                 candidates = _first_args(items).get(first, ())
         out = []
         for item in candidates:
-            e = unify(pattern, item, env)
+            e = match(pattern, item, env)
             if e is not None:
                 out.append((e, ()))
         return out
@@ -525,7 +523,7 @@ def _solve_action(
     for d_new, c_new, e_new, atoms in answers:
         e: Optional[Env] = env
         for pat, val in ((dres, d_new), (cres, c_new), (eres, e_new)):
-            e = unify(pat, val, e)
+            e = match(pat, val, e)
             if e is None:
                 break
         if e is not None:
@@ -579,7 +577,7 @@ def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
     operands = [subst(x, env) for x in lst.items] if isinstance(lst, TList) else None
     if operands is None or not all(is_ground(x) for x in operands):
         raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    e = unify(out_pat, merge_chunk_lists(operands), env)
+    e = match(out_pat, merge_chunk_lists(operands), env)
     return [] if e is None else [(e, ())]
 
 
@@ -631,7 +629,7 @@ def _solve_map(c: Constraint, env: Env) -> list[Solution]:
         raise Undecided(f"map over unbound id: {render_constraint(c)}")
     known = [_chunk_index(subst(t, env)) for t in (d_t, d2_t)]
     target = c_in if any(c_in in ids for ids in known) else NIL
-    e = unify(m_pat, target, env)
+    e = match(m_pat, target, env)
     return [] if e is None else [(e, ())]
 
 
@@ -692,7 +690,7 @@ def _head_matchings(
                 continue
             e: Optional[Env] = env
             for pa, ga in zip(h.args, g.args):
-                e = unify(pa, ga, e)
+                e = match(pa, ga, e)
                 if e is None:
                     break
             if e is not None:

@@ -154,6 +154,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "depth", 0) < 0:
         print("error: --depth must be non-negative", file=sys.stderr)
         return 2
+    out = args.out
+    if out is None and args.command == "translate":
+        out = str(Path(args.model).with_suffix(".chr"))
+        if Path(out) == Path(args.model):
+            print(f"error: {args.model}: the default output is the model itself; "
+                  "name another with --out", file=sys.stderr)
+            return 1
     try:
         text = Path(args.model).read_text(encoding="utf-8")
     except OSError as e:
@@ -173,9 +180,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for d in problems:
             print(f"{args.model}:{d}", file=sys.stderr)
         return 1
-    out = args.out
-    if out is None and args.command == "translate":
-        out = str(Path(args.model).with_suffix(".chr"))
     # like a shell redirection, the output opens before the command runs
     try:
         sink = nullcontext(sys.stdout) if out in (None, "-") else open(out, "w")

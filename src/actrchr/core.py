@@ -2,12 +2,12 @@
 
 A chunk is an immutable typed record whose slots hold identifiers of other
 chunks.  A chunk store keeps finitely many chunks under pairwise distinct
-identifiers; identifier lookup is total, falling back to the distinguished
-empty chunk ``nil``.  Stores combine with :func:`merge`, an
-id-deduplicating union: shared identifiers must carry equal chunks, so no
-identifier ever needs remapping.  A merge derives the result's key parts
-(see :meth:`ChunkStore.key_parts`) from its left operand's and the chunks
-the right one adds, so a successor store is keyed for its new chunks only.
+identifiers; a state's store always holds the distinguished empty chunk
+``nil``.  Stores combine with :func:`merge`, an id-deduplicating union:
+shared identifiers must carry equal chunks, so no identifier ever needs
+remapping.  A merge derives the result's key parts (see
+:meth:`ChunkStore.key_parts`) from its left operand's and the chunks the
+right one adds, so a successor store is keyed for its new chunks only.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ class TypeTable:
 class Chunk:
     """Immutable typed record; every slot value is a chunk identifier.
 
-    :meth:`content` is computed once and kept in a slot that equality,
-    hashing, printing, pickling and copying ignore."""
+    :meth:`content` is built with the chunk, since nearly every chunk is
+    keyed, and kept in a slot that equality, hashing and printing ignore."""
 
     __slots__ = ("id", "type", "pairs", "_content")
 
@@ -184,7 +184,10 @@ class Chunk:
         items = val.items() if isinstance(val, Mapping) else val
         self.id = id
         self.type = type
-        self.pairs = tuple(sorted(items, key=lambda p: p[0].name))
+        self.pairs = pairs = tuple(sorted(items, key=lambda p: p[0].name))
+        names = (type.name, tuple((s.name, v.name) for s, v in pairs))
+        fresh = next((v for _, v in pairs if is_fresh_id(v)), None)
+        self._content = (names, fresh, is_fresh_id(id))
 
     def value(self, slot: Symbol) -> Symbol | None:
         for s, v in self.pairs:
@@ -199,10 +202,6 @@ class Chunk:
         """Type and slot values by name, identifier stripped, the first
         slot value that is a fresh id (None if there is none), and whether
         the identifier itself is fresh."""
-        if not hasattr(self, "_content"):
-            names = (self.type.name, tuple((s.name, v.name) for s, v in self.pairs))
-            fresh = next((v for _, v in self.pairs if is_fresh_id(v)), None)
-            self._content = (names, fresh, is_fresh_id(self.id))
         return self._content
 
     def __eq__(self, other: object) -> bool:
@@ -216,9 +215,6 @@ class Chunk:
     def __hash__(self) -> int:
         return hash((self.id, self.type, self.pairs))
 
-    def __reduce__(self):  # the cache may be unset, so copy the fields only
-        return Chunk, (self.id, self.type, self.pairs)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}: {v}" for s, v in self.pairs)
         return f"{self.id}:{self.type}{{{inner}}}"
@@ -230,9 +226,8 @@ NIL_CHUNK = Chunk(NIL, CHUNK)
 class ChunkStore:
     """Finite set of chunks with pairwise distinct identifiers.
 
-    :meth:`id_inverse` is total: unknown identifiers resolve to the nil
-    chunk.  State stores always contain ``nil`` itself (see
-    :meth:`with_nil`); partial stores produced by actions need not.
+    State stores always contain ``nil`` itself (see :meth:`with_nil`);
+    partial stores produced by actions need not.
     """
 
     __slots__ = ("_by_id", "_parts")
@@ -245,6 +240,7 @@ class ChunkStore:
                 raise CoreError(f"store: id {c.id} bound to {old!r} and {c!r}")
             by_id[c.id] = c
         self._by_id = by_id
+        # lazy: eager parts (effect stores too) cost 71021 builds, not 24197, per explore pass
         self._parts: tuple | None = None
 
     def ids(self) -> tuple[Symbol, ...]:
@@ -258,9 +254,6 @@ class ChunkStore:
 
     def get(self, id: Symbol) -> Chunk | None:
         return self._by_id.get(id)
-
-    def id_inverse(self, id: Symbol) -> Chunk:
-        return self._by_id.get(id, NIL_CHUNK)
 
     def with_nil(self) -> ChunkStore:
         if NIL in self._by_id:
@@ -293,8 +286,9 @@ class ChunkStore:
         entries ``(id name, type, pairs)`` of the chunks with a parsed id,
         the sorted contents of those with a fresh id, and ``(fresh id, chunk
         id)`` for the first chunk in store order naming a fresh id in a slot,
-        or None.  Computed once, in one pass and one sort per part, and kept
-        as :meth:`Chunk.content` is."""
+        or None.  Computed on first use, in one pass and one sort per part,
+        and kept in a slot that equality, hashing, printing, pickling and
+        copying ignore."""
         if self._parts is None:
             self._parts = _add_key_parts(((), (), None), self._by_id.values())
         return self._parts

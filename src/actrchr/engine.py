@@ -13,8 +13,8 @@ the parser rejects ``c#`` names, slot values are parsed ids, and
 keys parsed chunks as they are, buffer-held fresh ids renamed in buffer
 name order and stale fresh chunks as a sorted multiset of contents; it
 raises :class:`EngineError` on a state that breaks the invariant.  A key
-costs what its step adds: it reads the parts a successor's store derives
-from its parent's and the facts part a successor shares with its parent.
+reads the parts a successor's store derives from its parent's, so its
+store part costs what the step adds; its few facts are keyed on each call.
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
         gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
     if effect.atoms:
         return AbstractState(store, gamma, sort_atoms(state.upsilon + effect.atoms))
-    return _over_facts_of(state, store, gamma)
+    return AbstractState(store, gamma, state.upsilon)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
@@ -483,15 +483,7 @@ def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
     for i, (b, c, d) in enumerate(state.gamma):
         if d > 0:
             gamma = state.gamma[:i] + ((b, c, 0),) + state.gamma[i + 1:]
-            out.append((NO_LABEL, _over_facts_of(state, state.store, gamma)))
-    return out
-
-
-def _over_facts_of(parent: AbstractState, store: ChunkStore, gamma) -> AbstractState:
-    """A successor over the parent's facts, sharing their key part."""
-    out = AbstractState(store, gamma, parent.upsilon)
-    if hasattr(parent, "_facts"):
-        object.__setattr__(out, "_facts", parent._facts)
+            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon)))
     return out
 
 
@@ -551,15 +543,13 @@ def canonical_key(state: AbstractState):
         stale = stale[:i] + stale[i + 1:]
     at = bisect_left(parsed, (FRESH_PREFIX,))
     chunks = parsed[:at] + tuple(sorted(held)) + parsed[at:]
-    if not hasattr(state, "_facts"):
-        atoms = []
-        for a in state.upsilon:
-            names, fresh = a.content()
-            if fresh is not None:
-                raise EngineError(f"fresh id {fresh} named by a fact")
-            atoms.append(names)
-        object.__setattr__(state, "_facts", tuple(sorted(atoms)))
-    return (chunks, stale, tuple(gamma), state._facts)
+    atoms = []
+    for a in state.upsilon:
+        names, fresh = a.content()
+        if fresh is not None:
+            raise EngineError(f"fresh id {fresh} named by a fact")
+        atoms.append(names)
+    return (chunks, stale, tuple(gamma), tuple(sorted(atoms)))
 
 
 def state_fingerprint(state: AbstractState) -> str:

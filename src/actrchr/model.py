@@ -40,16 +40,14 @@ class Atom:
     args: tuple[Symbol, ...]
     _content: tuple = field(init=False, repr=False, compare=False)  # as Chunk's
 
+    def __post_init__(self) -> None:
+        names = (self.pred, tuple(a.name for a in self.args))
+        fresh = next((a for a in self.args if is_fresh_id(a)), None)
+        object.__setattr__(self, "_content", (names, fresh))
+
     def content(self) -> tuple[tuple[str, tuple[str, ...]], Symbol | None]:
         """As :meth:`Chunk.content`: predicate and argument names, first fresh argument."""
-        if not hasattr(self, "_content"):
-            names = (self.pred, tuple(a.name for a in self.args))
-            fresh = next((a for a in self.args if is_fresh_id(a)), None)
-            object.__setattr__(self, "_content", (names, fresh))
         return self._content
-
-    def __reduce__(self):  # the cache may be unset, so copy the fields only
-        return Atom, (self.pred, self.args)
 
     def __repr__(self) -> str:
         return f"{self.pred}({', '.join(a.name for a in self.args)})"
@@ -60,11 +58,7 @@ def dm_atom(id: Symbol) -> Atom:
 
 
 def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """The facts by predicate and argument names; a tuple already in that
-    order is returned as it is, so a successor shares its parent's."""
-    keys = [a.content()[0] for a in atoms] if isinstance(atoms, tuple) else None
-    if keys is not None and all(x <= y for x, y in zip(keys, keys[1:])):
-        return atoms
+    """The facts by predicate and argument names."""
     return tuple(sorted(atoms, key=lambda a: a.content()[0]))
 
 
@@ -133,11 +127,6 @@ class AbstractState:
     store: ChunkStore
     gamma: tuple[tuple[Symbol, Symbol, int], ...]
     upsilon: tuple[Atom, ...]
-    # the facts part of canonical_key, filled in by its first call
-    _facts: tuple = field(init=False, repr=False, compare=False)
-
-    def __reduce__(self):  # copy the fields only, not the key part
-        return AbstractState, (self.store, self.gamma, self.upsilon)
 
     @staticmethod
     def make(
@@ -169,9 +158,6 @@ class AbstractState:
             if name == b:
                 return (c, d)
         raise KeyError(f"no buffer {b}")
-
-    def pending_buffers(self) -> tuple[Symbol, ...]:
-        return tuple(b for b, _, d in self.gamma if d > 0)
 
 
 def check_rows(store: ChunkStore, rows: Iterable[tuple[Symbol, Symbol, int]]) -> None:

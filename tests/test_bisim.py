@@ -7,6 +7,7 @@ import string
 from collections import Counter
 
 import actrchr.bisim
+import actrchr.chr
 import actrchr.engine
 from actrchr.bisim import (
     BACKWARD,
@@ -18,7 +19,7 @@ from actrchr.bisim import (
     drop_passthrough_gammas,
     effect_lemma_check,
 )
-from actrchr.chr import ChrRule, ChrState, builtin
+from actrchr.chr import ChrRule, ChrState, builtin, is_ground, render_term
 from actrchr.core import NIL, Chunk, ChunkStore, Symbol
 from actrchr.engine import (
     Answer,
@@ -425,6 +426,26 @@ class TestRandomCorpus:
                             matching[policy] += 1
                             assert effect_lemma_check(rule, state, norm.types, config)
         assert min(matching.values()) > 300
+
+    def test_the_chr_engine_matches_only_against_ground_terms(self, monkeypatch):
+        # match is one-sided: its second argument must be ground
+        inner = actrchr.chr.match
+        calls, loose = Counter(), []
+
+        def checked(pattern, term, env):
+            calls[policy] += 1
+            if not is_ground(term):
+                loose.append(term)
+            return inner(pattern, term, env)
+
+        monkeypatch.setattr(actrchr.chr, "match", checked)
+        for policy in (FAIL_NIL, FAIL_STUCK):
+            config = ArchitectureConfig(fail_request=policy)
+            for i in range(30):
+                report = bisim_check(random_model(random.Random(i)), depth=4, config=config)
+                assert not loose, render_term(loose[0])
+                assert report.ok, report.text()
+        assert min(calls.values()) > 4000  # nil: 7574, stuck: 4677
 
 
 class TestMutationFuzz:

@@ -42,6 +42,7 @@ from actrchr.chr import (
     fresh_gen_for,
     gamma_c,
     is_ground,
+    match,
     merge_chunk_lists,
     render_constraint,
     render_rule,
@@ -50,7 +51,6 @@ from actrchr.chr import (
     state_equiv,
     subst,
     tuple_term,
-    unify,
     user,
     walk,
 )
@@ -72,24 +72,37 @@ def var(name: str) -> Variable:
 
 class TestUnification:
     def test_variable_binds_to_symbol(self):
-        env = unify(var("X"), sym("a"), {})
+        env = match(var("X"), sym("a"), {})
         assert env == {var("X"): sym("a")}
 
-    def test_walk_follows_chains(self):
-        env = {var("X"): var("Y"), var("Y"): sym("a")}
-        assert walk(var("X"), env) == sym("a")
+    def test_bound_variables_compare_by_value(self):
+        env = {var("X"): sym("a")}
+        assert walk(var("X"), env) == sym("a") and walk(var("Y"), env) == var("Y")
+        assert match(var("X"), sym("a"), env) is env
+        assert match(var("X"), sym("b"), env) is None
+        pair = tuple_term(sym("a"), sym("b"))
+        assert match(var("P"), pair, {var("P"): pair}) == {var("P"): pair}
 
-    def test_compounds_unify_argumentwise(self):
-        a = Compound("f", (var("X"), sym("b")))
-        b = Compound("f", (sym("a"), var("Y")))
-        env = unify(a, b, {})
-        assert env[var("X")] == sym("a") and env[var("Y")] == sym("b")
+    def test_compounds_match_argumentwise(self):
+        x = var("X")
+        pattern = Compound("f", (x, sym("b"), TList((x,))))
+        term = Compound("f", (sym("a"), sym("b"), TList((sym("a"),))))
+        assert match(pattern, term, {}) == {x: sym("a")}
+        # one variable, two values
+        clash = Compound("f", (sym("a"), sym("b"), TList((sym("c"),))))
+        assert match(pattern, clash, {}) is None
+        # a variable takes a whole compound; a ground pattern only its equal
+        inner = Compound("g", (sym("b"),))
+        assert match(tuple_term(sym("a"), x), tuple_term(sym("a"), inner), {}) == {x: inner}
+        assert match(inner, inner, {}) == {}
+        assert match(inner, Compound("g", (sym("c"),)), {}) is None
+        assert match(sym("a"), inner, {}) is None
 
     def test_functor_mismatch_fails(self):
-        assert unify(Compound("f", ()), Compound("g", ()), {}) is None
+        assert match(Compound("f", ()), Compound("g", ()), {}) is None
 
     def test_list_length_mismatch_fails(self):
-        assert unify(TList((sym("a"),)), TList(()), {}) is None
+        assert match(TList((sym("a"),)), TList(()), {}) is None
 
     def test_subst_is_deep(self):
         t = Compound("f", (TList((var("X"),)),))
@@ -222,6 +235,15 @@ class TestBuiltinTheory:
     def test_failed_equality_kills_the_branch(self):
         assert solve([builtin("=", sym("a"), sym("b"))]) == []
 
+    def test_equality_matches_its_left_side_against_its_ground_right_side(self):
+        x, y = var("X"), var("Y")
+        assert solve([builtin("=", x, y)], {y: sym("a")}) == [({y: sym("a"), x: sym("a")}, ())]
+        assert len(solve([builtin("=", x, 0)], {x: 0})) == 1
+        assert solve([builtin("=", x, 0)], {x: 1}) == []
+        for unbound in ([builtin("=", x, y)], [builtin("=", sym("a"), x)]):
+            with pytest.raises(Undecided):
+                solve(unbound)
+
     def test_comparison_on_integers(self):
         assert len(solve([builtin(">", 1, 0)])) == 1
         assert solve([builtin(">", 0, 1)]) == []
@@ -264,7 +286,7 @@ class TestBuiltinTheory:
             (f(sym("c"), x), {}),  # matches nothing
         ]
         for pattern, env in cases:
-            scan = [unify(subst(pattern, env), item, env) for item in lst.items]
+            scan = [match(pattern, item, env) for item in lst.items]
             expected = [e for e in scan if e is not None]
             for _ in range(2):  # the second round reads the built index
                 sols = solve([builtin("in", pattern, lst)], env)

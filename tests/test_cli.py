@@ -3,8 +3,11 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from actrchr import cli
 from actrchr.cli import main
 from actrchr.modelgen import random_model
 from actrchr.parser import print_model
+
+ROOT = Path(__file__).parents[1]
 
 
 def run_cli(capsys, *args):
@@ -211,6 +216,16 @@ class TestTranslate:
         assert text.splitlines()[0].startswith("inc @ delta(D), gamma(goal,")
         assert text.rstrip().endswith("no @ gamma(B,C,D) <=> D > 0 | gamma(B,C,0).")
 
+    def test_a_default_output_that_is_the_model_is_refused(self, capsys, tmp_path, counting_src):
+        model = tmp_path / "cnt.chr"
+        model.write_text(counting_src)
+        before = model.read_bytes()
+        code, out, err = run_cli(capsys, "translate", model)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {model}:") and "--out" in err
+        assert err.count("\n") == 1
+        assert model.read_bytes() == before
+
     def test_dash_out_prints_to_stdout(self, capsys, counting_path):
         code, out, _ = run_cli(capsys, "translate", counting_path, "--out", "-")
         assert code == 0
@@ -284,3 +299,25 @@ class TestDeterminism:
         a, b = (self.invoke(name, counting_path, *options, hash_seed=s) for s in "01")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout and a.stdout
+
+
+def readme_session() -> list[tuple[list[str], list[str]]]:
+    """The arguments and printed lines of every ``$ actrchr`` line in the
+    README's text blocks."""
+    out = []
+    for block in re.findall(r"```text\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        for entry in re.split(r"^\$ actrchr ", block, flags=re.M)[1:]:
+            command, *lines = entry.rstrip("\n").split("\n")
+            out.append((shlex.split(command), lines))
+    return out
+
+
+def test_the_readme_session_is_what_the_command_prints():
+    session = readme_session()
+    assert [args[0] for args, _ in session] == ["run", "check"]
+    for args, lines in session:
+        got = subprocess.run(
+            [sys.executable, "-m", "actrchr.cli", *args], capture_output=True, text=True, cwd=ROOT
+        )
+        assert (got.returncode, got.stderr) == (0, "")
+        assert got.stdout.splitlines() == lines, " ".join(args)

@@ -153,11 +153,6 @@ class TestChunkStore:
         s = store(A).with_nil()
         assert same_chunks(s, s.with_nil())
 
-    def test_id_inverse_total_via_nil(self):
-        s = store(A).with_nil()
-        assert s.id_inverse(sym("a")) == A
-        assert s.id_inverse(sym("missing")) == NIL_CHUNK
-
 
 def key_pool(rng: random.Random) -> list[Chunk]:
     """A chunk pool with fresh-id copies, each content twice, and chunks

@@ -50,13 +50,6 @@ class TestAbstractState:
         with pytest.raises(KeyError):
             s.buffer(sym("other"))
 
-    def test_pending_buffers(self):
-        s = AbstractState.make(
-            STORE,
-            [(sym("a"), sym("g0"), 1), (sym("b"), sym("g0"), 0)],
-        )
-        assert s.pending_buffers() == (sym("a"),)
-
     def test_upsilon_stored_sorted(self):
         x = Atom("p", (sym("b"),))
         y = Atom("p", (sym("a"),))
