@@ -5,9 +5,11 @@ agree on its labelled transitions: each abstract step needs a translated
 step with the same label landing in an equivalent state, and vice versa.
 Both sides meet in the engine's canonical key: abstract successors are
 keyed by :func:`~actrchr.engine.canonical_key`, translated ones by
-:func:`~actrchr.chr.canonical_form`, which decodes a translated state into
-the abstract state it encodes and keys that.  Only the root is translated,
-so a faulty state translation cannot cancel out on both sides.  Per label
+:func:`~actrchr.chr.canonical_form`, which is the canonical key of the
+abstract state a translated state encodes.  A translated successor
+outside that shape has no key and becomes an ``error`` counterexample
+naming what breaks it.  Only the root is translated, so a faulty state
+translation cannot cancel out on both sides.  Per label
 the successor classes must also correspond one to one, which checks the
 per-rule effect correspondence at every visited pair.
 :func:`effect_lemma_check` states that correspondence for one rule and one
@@ -181,7 +183,7 @@ def bisim_check(
         side = "abstract"
         try:
             eng = [
-                (label, ("state", canonical_key(s2)), s2)
+                (label, canonical_key(s2), s2)
                 for label, s2 in successors(s, norm, config, ids)
             ]
             side = "translated"
@@ -282,12 +284,7 @@ def effect_lemma_check(
         if theta is not None
         else []
     )
-    eng_records = Counter(
-        ("state", canonical_key(apply_transition(state, e))) for e in effects
-    )
+    eng_records = Counter(canonical_key(apply_transition(state, e)) for e in effects)
     program = (chr_of_rule(nf, state.buffers(), types),)
-    chr_records = Counter(
-        canonical_form(c2)
-        for _, c2 in chr_step(chr_of_state(state), program, config)
-    )
-    return eng_records == chr_records
+    steps = chr_step(chr_of_state(state), program, config)
+    return eng_records == Counter(canonical_form(c2) for _, c2 in steps)

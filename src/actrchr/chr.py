@@ -38,15 +38,14 @@ index, which finds the chunk a bound id names for ``in``, ``map`` and
 parent's term objects, so a store decoded for a request or for
 :func:`canonical_form` costs a decoding only for its new chunks.
 
-The equivalence :func:`state_equiv` claims is the one of this fragment:
-ground goals, a store of ground facts, no global variables.  A state of
-the translated shape is decoded into the abstract state it encodes, so two
-such states are equivalent exactly when those abstract states have equal
-:func:`~actrchr.engine.canonical_key` (equal up to renaming of fresh chunk
-identifiers).  Any other state compares literally, as goal and fact
-multisets.  The general equivalence of CHR states over goal, built-ins
-and global variables, with equality as substitution and one class of
-failed states, is not claimed.
+The one state equivalence is the one the bisimulation needs.  A state of
+the translated shape (one ``delta`` over chunk terms and at most one
+``gamma`` per buffer, beside a store of facts) encodes exactly one
+abstract state, and :func:`canonical_form` is that state's
+:func:`~actrchr.engine.canonical_key`: two translated states are
+equivalent exactly when their abstract states are equal up to renaming of
+fresh chunk identifiers.  Any other state has no form; asking for one
+raises :class:`ChrError` naming what breaks the shape.
 """
 
 from __future__ import annotations
@@ -315,12 +314,6 @@ def _chunk_fields(t: Term) -> tuple[Symbol, Symbol, TList]:
     return id, type, pairs
 
 
-def _chunk_terms(t: Term) -> tuple[Term, ...]:
-    if not isinstance(t, TList):
-        raise ChrError(f"not a chunk list: {render_term(t)}")
-    return t.items
-
-
 def decode_chunk(t: Term) -> Chunk:
     """The chunk a term encodes; the inverse of :func:`encode_chunk`, so
     slots out of name order or repeated raise :class:`ChrError`.
@@ -339,10 +332,6 @@ def decode_chunk(t: Term) -> Chunk:
     chunk = Chunk(id, type, decoded)
     object.__setattr__(t, "_chunk", chunk)
     return chunk
-
-
-def decode_store(t: Term) -> ChunkStore:
-    return ChunkStore(decode_chunk(c) for c in _chunk_terms(t))
 
 
 def _decode_action(t: Term) -> Action:
@@ -611,7 +600,9 @@ def _chunk_index(t: Term) -> dict[Term, list[Term]]:
     by id, checked once and then marked in its ``_ordered`` slot; any
     other term raises ChrError."""
     if not getattr(t, "_ordered", False):
-        names = [decode_chunk(term).id.name for term in _chunk_terms(t)]
+        if not isinstance(t, TList):
+            raise ChrError(f"not a chunk list: {render_term(t)}")
+        names = [decode_chunk(term).id.name for term in t.items]
         if any(a >= b for a, b in zip(names, names[1:])):
             raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
         object.__setattr__(t, "_ordered", True)
@@ -637,24 +628,16 @@ def _solve_map(c: Constraint, env: Env) -> list[Solution]:
 # the step relation
 
 
-def _stored_facts(state: ChrState) -> tuple[Constraint, ...]:
-    """The built-in store, which holds only uninterpreted facts."""
+def facts_of(state: ChrState) -> Facts:
+    """The built-in store as facts: an interpreted built-in or an argument
+    that is no symbol lies outside the fragment and raises
+    :class:`Undecided`."""
     for c in state.builtins:
         if c.name in INTERPRETED:
             raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
-    return state.builtins
-
-
-def facts_of(state: ChrState) -> Facts:
-    out = []
-    for c in _stored_facts(state):
-        args = []
-        for a in c.args:
-            if not isinstance(a, Symbol):
-                raise Undecided(f"non-ground fact: {render_constraint(c)}")
-            args.append(a)
-        out.append(Atom(c.name, tuple(args)))
-    return tuple(out)
+        if not all(isinstance(a, Symbol) for a in c.args):
+            raise Undecided(f"fact over a non-symbol: {render_constraint(c)}")
+    return tuple(Atom(c.name, c.args) for c in state.builtins)  # type: ignore[arg-type]
 
 
 def fresh_gen_for(state: ChrState) -> IdGen:
@@ -749,76 +732,49 @@ def chr_step(
 # state equivalence
 
 
-def _decode_translated(
-    goal: tuple[Constraint, ...], facts: tuple[Constraint, ...]
-) -> Optional[AbstractState]:
-    """The abstract state a goal and fact store encode, or None outside the
-    translated shape.
+def canonical_form(state: ChrState) -> tuple:
+    """The :func:`~actrchr.engine.canonical_key` of the abstract state a
+    translated state encodes, so ``canonical_form(chr_of_state(s))`` is
+    ``canonical_key(s)``.
 
-    The shape is one ``delta`` over a list of chunk terms (each one the
-    image of a chunk, see :func:`decode_chunk`) with pairwise distinct
-    identifiers, at most one ``gamma(buffer, chunk, 0|1)`` per buffer
-    pointing at a listed chunk, facts over symbols and no other goal
-    constraint.
+    The translated shape is one ``delta`` over a list of chunk terms (each
+    the image of a chunk, see :func:`decode_chunk`) with pairwise distinct
+    ids, at most one ``gamma(buffer, chunk, 0|1)`` per buffer naming a
+    listed chunk, and no other goal constraint; a state outside it raises
+    :class:`ChrError` naming what breaks it.  The facts are read first, so
+    an interpreted built-in in the store raises :class:`Undecided`.  A
+    fresh id in a slot or a fact raises :class:`~actrchr.engine.EngineError`.
     """
-    deltas = [c for c in goal if c.kind == USER and c.name == "delta" and len(c.args) == 1]
-    gammas = [c for c in goal if c.kind == USER and c.name == "gamma" and len(c.args) == 3]
-    if len(deltas) != 1 or 1 + len(gammas) != len(goal):
-        return None
-    terms = deltas[0].args[0]
+    facts = facts_of(state)
+    terms = None
+    gammas: dict[Term, Constraint] = {}
+    for c in state.goal:
+        if c.kind == USER and c.name == "delta" and len(c.args) == 1:
+            if terms is not None:
+                raise ChrError(f"second delta in the goal: {render_constraint(c)}")
+            terms = c.args[0]
+        elif c.kind == USER and c.name == "gamma" and len(c.args) == 3:
+            if c.args[0] in gammas:
+                raise ChrError(f"two gamma rows for buffer {render_term(c.args[0])}")
+            gammas[c.args[0]] = c
+        else:
+            raise ChrError(f"goal constraint not delta/1 or gamma/3: {render_constraint(c)}")
     if not isinstance(terms, TList):
-        return None
-    try:
-        chunks = [decode_chunk(t) for t in terms.items]
-    except ChrError:
-        return None
+        raise ChrError("goal has no delta over a chunk list")
+    chunks = [decode_chunk(t) for t in terms.items]
     ids = {c.id for c in chunks}
     if len(ids) != len(chunks):
-        return None
+        raise ChrError(f"chunk id listed twice in delta: {render_term(terms)}")
     rows = []
-    for g in gammas:
-        b, cid, d = g.args
-        if not (isinstance(b, Symbol) and cid in ids and d in (0, 1)):
-            return None
+    for c in gammas.values():
+        b, cid, d = c.args
+        if not (isinstance(b, Symbol) and cid in ids):
+            raise ChrError(f"gamma row names no listed chunk: {render_constraint(c)}")
+        if d not in (0, 1):
+            raise ChrError(f"gamma row with a delay other than 0 or 1: {render_constraint(c)}")
         rows.append((b, cid, d))
-    if len({b for b, _, _ in rows}) != len(rows):
-        return None
-    if not all(isinstance(a, Symbol) for c in facts for a in c.args):
-        return None
-    return AbstractState(
-        ChunkStore(chunks),
-        tuple(sorted(rows, key=lambda r: r[0].name)),
-        tuple(Atom(c.name, c.args) for c in facts),  # type: ignore[arg-type]
-    )
-
-
-def canonical_form(state: ChrState):
-    """Hashable canonical form; two states are equivalent iff their forms
-    are equal.
-
-    A state of the translated shape (see :func:`_decode_translated`) is
-    decoded into the abstract state it encodes and keyed by
-    :func:`~actrchr.engine.canonical_key`: parsed chunks as they are,
-    buffer-held fresh ids renamed in buffer-name order, stale fresh chunks
-    as a sorted multiset of contents.  A fresh id in a slot or a fact
-    breaks the invariant that key rests on and raises
-    :class:`~actrchr.engine.EngineError`.  So ``canonical_form(chr_of_state(s))``
-    is ``("state", canonical_key(s))``, the key :func:`~actrchr.bisim.bisim_check`
-    gives abstract states.  Any other state compares as literal goal and
-    fact multisets.  A store holding an interpreted built-in (an equation,
-    a comparison) lies outside the fragment and raises :class:`Undecided`.
-    """
-    facts = _stored_facts(state)
-    decoded = _decode_translated(state.goal, facts)
-    if decoded is not None:
-        return ("state", canonical_key(decoded))
-    goal_key = tuple(sorted(render_constraint(c) for c in state.goal))
-    fact_key = tuple(sorted(render_constraint(c) for c in facts))
-    return ("raw", goal_key, fact_key)
-
-
-def state_equiv(a: ChrState, b: ChrState) -> bool:
-    return canonical_form(a) == canonical_form(b)
+    rows.sort(key=lambda r: r[0].name)
+    return canonical_key(AbstractState(ChunkStore(chunks), tuple(rows), facts))
 
 
 # ---------------------------------------------------------------------------

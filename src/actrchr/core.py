@@ -340,10 +340,3 @@ def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
         out._parts = _add_key_parts(left._parts, (c for c in right if c.id not in left._by_id))
     return out
 
-
-def merge_all(stores: Iterable[ChunkStore]) -> ChunkStore:
-    """Left fold of :func:`merge` starting from the empty store."""
-    acc = ChunkStore()
-    for s in stores:
-        acc = merge(acc, s)
-    return acc

@@ -20,6 +20,7 @@ store part costs what the step adds; its few facts are keyed on each call.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ from .model import (
     Atom,
     BufferTest,
     MODIFY,
+    NO_LABEL,
     Model,
     Pair,
     Rule,
@@ -67,9 +69,6 @@ class NoHandler(EngineError):
 
 class DomainOverlap(EngineError):
     """Two combined effects set the same buffer."""
-
-
-NO_LABEL = "no"
 
 
 def apply_label(rule_name: str) -> str:
@@ -187,14 +186,17 @@ def set_normal_form(rule: Rule, types: TypeTable):
     pin one slot to two distinct constants are returned as :data:`DROPPED`
     because no state can satisfy them.  The rewritten rule matches exactly
     the states the original matches.  Slots are visited by name, so the
-    ``V#n`` names do not depend on declared slot order.
+    ``V#n`` names do not depend on declared slot order; a name the rule
+    already uses is skipped.
     """
     merged = _merge_tests(rule)
     if merged is DROPPED:
         return DROPPED
     tests = merged
     actions = rule.actions
-    fresh = 0
+    taken = {v.name for v in rule.lhs_vars() | rule.rhs_vars()}
+    names = (f"{_NORMAL_VAR_PREFIX}{n}" for n in itertools.count())
+    fresh = (Variable(name) for name in names if name not in taken)
 
     while True:
         collapse: tuple[Symbol, Symbol, list[Value]] | None = None
@@ -215,8 +217,7 @@ def set_normal_form(rule: Rule, types: TypeTable):
         if consts:
             target: Value = consts[0]
         else:
-            target = Variable(f"{_NORMAL_VAR_PREFIX}{fresh}")
-            fresh += 1
+            target = next(fresh)
         theta = {v: target for v in vs if isinstance(v, Variable) and v != target}
         tests, actions = _subst_rule(tests, actions, theta)
 
@@ -226,8 +227,7 @@ def set_normal_form(rule: Rule, types: TypeTable):
         present = {s for s, _ in pairs}
         for s in sorted(types.slots(t.type), key=lambda s: s.name):
             if s not in present:
-                pairs.append((s, Variable(f"{_NORMAL_VAR_PREFIX}{fresh}")))
-                fresh += 1
+                pairs.append((s, next(fresh)))
         filled.append(BufferTest(t.buffer, t.type, types.ordered(t.type, pairs), t.span))
     return Rule(rule.name, tuple(filled), actions, rule.span)
 

@@ -19,6 +19,8 @@ Pair = tuple[Symbol, Value]
 
 MODIFY = "modify"
 REQUEST = "request"
+#: The label of the timing transition, which no rule may take as its name.
+NO_LABEL = "no"
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,6 +244,14 @@ def validate(model: Model) -> list[Diagnostic]:
             )
 
     for r in model.rules:
+        if r.name == NO_LABEL:
+            out.append(
+                Diagnostic(
+                    "reserved-rule-name",
+                    f"rule {r.name}: the timing transition's name is reserved",
+                    r.span,
+                )
+            )
         for t in r.tests:
             if t.buffer not in declared:
                 out.append(

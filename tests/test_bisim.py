@@ -5,6 +5,7 @@ import json
 import random
 import string
 from collections import Counter
+from dataclasses import replace
 
 import actrchr.bisim
 import actrchr.chr
@@ -241,6 +242,18 @@ class TestFaultInjection:
             (FORWARD, 0),
             (BACKWARD, 0),
         }
+
+    def test_an_ill_shaped_successor_is_an_error(self, counting_model):
+        # the rule's body restates its goal gamma, so its successor holds
+        # two gamma rows for one buffer and encodes no abstract state
+        prog = chr_of_model(counting_model)
+        inc = prog[0]
+        (again,) = [c for c in inc.body_user if c.name == "gamma" and c.args[0] == Symbol("goal")]
+        doubled = replace(inc, body_user=inc.body_user + (again,))
+        report = bisim_check(counting_model, depth=3, program=(doubled, *prog[1:]))
+        assert [(c.direction, c.depth) for c in report.counterexamples] == [(ERROR, 1)]
+        (cx,) = report.counterexamples
+        assert cx.missing == "translated step raised ChrError: two gamma rows for buffer goal"
 
     def test_undecided_programs_are_reported_not_raised(self, counting_model):
         prog = chr_of_model(counting_model)

@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -19,7 +20,7 @@ from actrchr.core import (
     Symbol,
     Variable,
     is_fresh_id,
-    merge_all,
+    merge,
 )
 from actrchr.chr import (
     ChrError,
@@ -32,7 +33,6 @@ from actrchr.chr import (
     canonical_form,
     chr_step,
     decode_chunk,
-    decode_store,
     delta_c,
     encode_action,
     encode_chunk,
@@ -48,7 +48,6 @@ from actrchr.chr import (
     render_rule,
     render_state,
     solve_builtins,
-    state_equiv,
     subst,
     tuple_term,
     user,
@@ -68,6 +67,10 @@ def sym(name: str) -> Symbol:
 
 def var(name: str) -> Variable:
     return Variable(name)
+
+
+def decoded(t: TList) -> ChunkStore:
+    return ChunkStore(decode_chunk(c) for c in t.items)
 
 
 class TestUnification:
@@ -214,7 +217,7 @@ class TestEncoding:
         enc = encode_store(store)
         ids = [t.args[0] for t in enc.items]
         assert ids == [sym("j"), sym("k")]  # identifier order is canonical
-        assert decode_store(enc).sorted_chunks() == store.sorted_chunks()
+        assert decoded(enc).sorted_chunks() == store.sorted_chunks()
 
     def test_partial_chunk_encodes_only_present_slots(self):
         partial = Chunk(sym("k"), sym("t"), {sym("b"): sym("k")})
@@ -345,7 +348,7 @@ class TestBuiltinTheory:
             var("D"),
         )
         ((env, _),) = solve([goal])
-        merged = decode_store(env[var("D")])
+        merged = decoded(env[var("D")])
         assert set(merged.ids()) == {sym("x"), sym("y")}
 
     def test_merge_builtin_propagates_id_clashes(self):
@@ -411,7 +414,7 @@ class TestBuiltinTheory:
         ((env, atoms),) = solve_builtins([c], {}, facts, ArchitectureConfig(), IdGen())
         assert atoms == ()
         assert env[var("Eres")] == 1  # the answer lands pending
-        (answer,) = decode_store(env[var("Dres")]).chunks()
+        (answer,) = decoded(env[var("Dres")]).chunks()
         assert answer.id == env[var("Cres")]
         assert answer.id.name.startswith("c#")
         assert answer.val() == hit.val()
@@ -431,7 +434,7 @@ class TestBuiltinTheory:
         )
         ((env, _),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen())
         assert env[var("Eres")] == 0
-        (copy,) = decode_store(env[var("Dres")]).chunks()
+        (copy,) = decoded(env[var("Dres")]).chunks()
         assert copy.val() == {sym("a"): sym("g0"), sym("b"): sym("g0")}
 
     def test_action_builtin_needs_an_id_ordered_store(self):
@@ -485,9 +488,9 @@ class TestTermMerge:
     @staticmethod
     def merged(*lists):
         """The term merge, or ChrError, where the store merge clashes."""
-        stores = [decode_store(t) for t in lists]
+        stores = [decoded(t) for t in lists]
         try:
-            expected = encode_store(merge_all(stores))
+            expected = encode_store(reduce(merge, stores, ChunkStore()))
         except IdClash:
             with pytest.raises(ChrError, match="merge: id .* bound to"):
                 merge_chunk_lists(lists)
@@ -731,44 +734,46 @@ class TestFacts:
 
 
 class TestStateEquivalence:
-    def test_renamed_fresh_ids_are_equivalent(self):
-        def st(name):
-            c = Chunk(sym(name), sym("t"), {sym("a"): NIL, sym("b"): NIL})
-            store = encode_store(ChunkStore([c]))
-            return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), ())
+    @staticmethod
+    def translated(name: str, facts=()) -> ChrState:
+        c = Chunk(sym(name), sym("t"), {sym("a"): NIL, sym("b"): NIL})
+        store = encode_store(ChunkStore([c]))
+        return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), facts)
 
-        assert state_equiv(st("c#0"), st("c#9"))
-        assert canonical_form(st("c#0")) == canonical_form(st("c#9"))
+    def test_renamed_fresh_ids_are_equivalent(self):
+        assert canonical_form(self.translated("c#0")) == canonical_form(self.translated("c#9"))
 
     def test_parsed_ids_are_not_renamed(self):
-        def st(name):
-            c = Chunk(sym(name), sym("t"), {})
-            store = encode_store(ChunkStore([c]))
-            return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), ())
-
-        assert not state_equiv(st("x"), st("y"))
+        assert canonical_form(self.translated("x")) != canonical_form(self.translated("y"))
 
     def test_interpreted_builtins_in_the_store_are_undecided(self):
         # the store holds facts only; equations and comparisons are not
         # solved away as in the general state equivalence
-        goal = (user("p", sym("a")),)
-        assert canonical_form(ChrState(goal, (builtin("dm", sym("a")),)))[0] == "raw"
-        for c in (builtin("=", var("X"), sym("a")), builtin(">", 1, 0)):
-            with pytest.raises(Undecided):
-                canonical_form(ChrState(goal, (builtin("dm", sym("a")), c)))
+        dm = builtin("dm", sym("x"))
+        canonical_form(self.translated("x", (dm,)))
+        for c, message in (
+            (builtin("=", var("X"), sym("a")), "unevaluated built-in"),
+            (builtin(">", 1, 0), "unevaluated built-in"),
+            (builtin("dm", 3), "fact over a non-symbol"),
+        ):
+            with pytest.raises(Undecided, match=message):
+                canonical_form(self.translated("x", (dm, c)))
+        # facts are read first: an ill-shaped goal does not hide them
+        bad = ChrState((user("p", sym("a")),), (builtin(">", 1, 0),))
+        with pytest.raises(Undecided):
+            canonical_form(bad)
 
     def test_goal_is_a_multiset(self):
-        one = ChrState((user("p", sym("a")),), ())
-        two = ChrState((user("p", sym("a")), user("p", sym("a"))), ())
-        assert not state_equiv(one, two)
-        swapped = ChrState(
-            (user("q", sym("b")), user("p", sym("a"))), ()
-        )
-        ordered = ChrState(
-            (user("p", sym("a")), user("q", sym("b"))), ()
-        )
-        assert state_equiv(swapped, ordered)
-
+        a = Chunk(sym("x"), sym("t"), {sym("a"): NIL})
+        delta = delta_c(encode_store(ChunkStore([a]).with_nil()))
+        goal_g, ctx_g = gamma_c(sym("goal"), sym("x"), 0), gamma_c(sym("ctx"), NIL, 1)
+        forms = {
+            canonical_form(ChrState(goal, ()))
+            for goal in itertools.permutations((delta, goal_g, ctx_g))
+        }
+        assert len(forms) == 1
+        with pytest.raises(ChrError, match="two gamma rows for buffer goal"):
+            canonical_form(ChrState((delta, goal_g, goal_g, ctx_g), ()))
 
     @staticmethod
     def reachable(seed: int, models: int = 30, depth: int = 5):
@@ -800,11 +805,8 @@ class TestStateEquivalence:
         for m, states in self.reachable(71):
             keys = [canonical_key(s) for s in states]
             forms = [canonical_form(chr_of_state(s)) for s in states]
-            # the form of a translated state holds the abstract key itself
-            for key, form in zip(keys, forms):
-                assert form == ("state", key)
-            # equal keys exactly when equal forms: the pairing is a bijection
-            assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms)))
+            # the form of a translated state is the abstract key itself
+            assert forms == keys
             renamings += len(states) - len(set(keys))
         assert renamings > 100
 
@@ -906,36 +908,50 @@ class TestStateEquivalence:
         # distinct isomorphic states and non-isomorphic ones both abound
         assert min(outcomes[True, False], outcomes[False, False]) > 50, outcomes
 
-    def test_ill_shaped_states_stay_apart_from_their_original(self):
+    def test_ill_shaped_states_have_no_form(self):
         # slots and facts name only the parsed chunk x: the fresh-id invariant
         a = Chunk(sym("x"), sym("t"), {sym("a"): NIL, sym("b"): NIL})
         b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("x"), sym("b"): NIL})
-        delta = delta_c(encode_store(ChunkStore([a, b])))
+        delta = delta_c(encode_store(ChunkStore([a, b]).with_nil()))
         goal_g = gamma_c(sym("goal"), sym("c#1"), 0)
         facts = (builtin("dm", sym("x")),)
         original = ChrState((delta, goal_g), facts)
-        b_term, a_term = delta.args[0].items
+        b_term, _, a_term = delta.args[0].items
         swapped = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[::-1])))
         doubled = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[:1] * 2)))
         variants = [
+            # no delta, a second one, and one over no chunk list
+            ((goal_g,), "no delta over a chunk list"),
+            ((delta, delta, goal_g), "second delta"),
+            ((delta_c(sym("x")), goal_g), "no delta over a chunk list"),
+            # a goal constraint other than delta/1 and gamma/3
+            ((delta, goal_g, user("p", sym("x"))), r"not delta/1 or gamma/3: p\(x\)"),
+            ((delta, user("gamma", sym("goal"), sym("x"))), "not delta/1 or gamma/3"),
+            ((delta, builtin("gamma", sym("ctx"), sym("x"), 0)), "not delta/1 or gamma/3"),
             # the same gamma twice, and two gammas for one buffer
-            ChrState((delta, goal_g, goal_g), facts),
-            ChrState((delta, goal_g, gamma_c(sym("goal"), sym("x"), 0)), facts),
+            ((delta, goal_g, goal_g), "two gamma rows for buffer goal"),
+            ((delta, goal_g, gamma_c(sym("goal"), sym("x"), 0)), "two gamma rows"),
             # a chunk id listed twice, with equal and with different content
-            ChrState((delta_c(TList((a_term, b_term, b_term))), goal_g), facts),
-            ChrState((delta_c(TList((a_term, b_term, encode_chunk(
-                Chunk(sym("c#1"), sym("t"), {}))))), goal_g), facts),
-            # a gamma pointing at no listed chunk
-            ChrState((delta_c(TList((a_term,))), goal_g), facts),
-            ChrState((delta, gamma_c(sym("goal"), sym("c#7"), 0)), facts),
-            # slots out of name order, and one slot listed twice
-            ChrState((delta_c(TList((swapped, b_term))), goal_g), facts),
-            ChrState((delta_c(TList((doubled, b_term))), goal_g), facts),
+            ((delta_c(TList((a_term, b_term, b_term))), goal_g), "listed twice"),
+            ((delta_c(TList((a_term, b_term, encode_chunk(
+                Chunk(sym("c#1"), sym("t"), {}))))), goal_g), "listed twice"),
+            # a gamma naming no listed chunk, and one with a delay of 2
+            ((delta_c(TList((a_term,))), goal_g), "names no listed chunk"),
+            ((delta, gamma_c(sym("goal"), sym("c#7"), 0)), r"no listed chunk: gamma\(goal,c#7,0\)"),
+            ((delta, gamma_c(sym("goal"), sym("x"), 2)), "delay other than 0 or 1"),
+            # slots out of name order, one slot listed twice, no chunk term
+            ((delta_c(TList((swapped, b_term))), goal_g), "slots not in strict name order"),
+            ((delta_c(TList((doubled, b_term))), goal_g), "slots not in strict name order"),
+            ((delta_c(TList((sym("x"),))), goal_g), "not a chunk term"),
         ]
-        assert canonical_form(original)[0] == "state"
-        for i, variant in enumerate(variants):
-            assert canonical_form(variant)[0] == "raw", i
-            assert not state_equiv(variant, original)
+        assert canonical_form(original) == canonical_key(
+            AbstractState.make(ChunkStore([a, b]), {sym("goal"): (sym("c#1"), 0)},
+                               [Atom("dm", (sym("x"),))])
+        )
+        for goal, message in variants:
+            with pytest.raises(ChrError, match=message) as raised:
+                canonical_form(ChrState(goal, facts))
+            assert raised.type is ChrError, message
 
 
 class TestRendering:

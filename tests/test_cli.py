@@ -258,6 +258,13 @@ class TestCheck:
         assert out.startswith("FAIL\nverdict: fail")
         assert "error mismatch at depth 1: abstract step raised IdClash" in out
 
+    def test_a_rule_named_no_is_refused(self, capsys, tmp_path, counting_src):
+        path = tmp_path / "no.actr"
+        path.write_text(counting_src.replace("rule inc {", "rule no {"))
+        code, out, err = run_cli(capsys, "check", path, "--depth", "0")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r".*no\.actr:\d+:\d+: reserved-rule-name: rule no: .*\n", err)
+
 
 class TestDeterminism:
     """Byte equality across separate interpreter processes."""

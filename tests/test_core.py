@@ -19,7 +19,6 @@ from actrchr.core import (
     Variable,
     is_fresh_id,
     merge,
-    merge_all,
 )
 from actrchr.model import Atom
 from actrchr.modelgen import chunk_pool, clashing_variant, random_store
@@ -283,10 +282,6 @@ class TestMergeHandExamples:
     def test_identity_element(self):
         merged = merge(store(A), ChunkStore())
         assert same_chunks(merged, store(A))
-
-    def test_merge_all_folds_left(self):
-        merged = merge_all([store(A), store(B), ChunkStore()])
-        assert same_chunks(merged, store(A, B))
 
 
 class TestMergeLaws:

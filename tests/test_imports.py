@@ -1,9 +1,12 @@
 """Every module-level import is used, every package parameter read and
 every package default overridden somewhere, the CHR engine imports no
-effect code of the abstract machine, and the package keeps no
-process-wide mutable state (stdlib-only lint)."""
+effect code of the abstract machine, the package keeps no process-wide
+mutable state, and every name the benchmark traces exists (stdlib-only
+lint)."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,7 @@ def test_no_unused_imports(path):
 
 # modification and the store merge are fixed by the semantics, so the CHR
 # engine solves them itself; only request handling is shared
-ENGINE_EFFECTS = {"interpret_action", "interpret_modification", "merge", "merge_all"}
+ENGINE_EFFECTS = {"interpret_action", "interpret_modification", "merge"}
 
 
 def test_the_chr_engine_solves_modify_and_merge_itself():
@@ -150,3 +153,15 @@ def test_no_process_wide_mutable_state(path):
             if isinstance(target, ast.Name) and target.id in containers:
                 found.add((node.lineno, f"mutates module-level {target.id}"))
     assert not found, f"process-wide mutable state (line, what): {sorted(found)}"
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/tracing.py wraps these names from outside the package, so a
+    # change that drops one fails here rather than in a traced benchmark run
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for ts in tracing.LAYERS.values() for t in ts]
+    missing = [(m, a) for m, a in targets if not hasattr(importlib.import_module(m), a)]
+    assert targets and not missing, f"traced names missing from the package: {missing}"

@@ -128,6 +128,12 @@ class TestValidate:
         src = GOOD_PREFIX + "rule r { goal: t { s: X } ==> modify goal { s: Y } }\n"
         assert "rhs-new-variable" in diagnose(src)
 
+    def test_rule_named_like_the_timing_transition(self):
+        # its CHR rule would be read as a reveal step
+        rule = "rule {} {{ goal: t {{ s: X }} ==> modify goal {{ s: X }} }}\n"
+        assert "reserved-rule-name" in diagnose(GOOD_PREFIX + rule.format("no"))
+        assert diagnose(GOOD_PREFIX + rule.format("now")) == set()
+
     def test_diagnostics_carry_spans(self):
         src = GOOD_PREFIX + "rule r { other: t {} ==> modify goal { s: a } }\n"
         diags = [d for d in validate(parse_model(src)) if d.code == "unknown-buffer"]

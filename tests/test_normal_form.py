@@ -3,6 +3,7 @@
 import itertools
 import random
 
+from actrchr.bisim import bisim_check
 from actrchr.core import Chunk, ChunkStore, IdGen, Symbol, TypeTable, Variable
 from actrchr.engine import (
     ArchitectureConfig,
@@ -115,6 +116,29 @@ class TestHandExamples:
         names = [v.name for _, v in test.pairs if isinstance(v, Variable)]
         assert len(names) == 2 and len(set(names)) == 2
         assert all(n.startswith("V#") for n in names)
+
+    def test_fresh_variables_avoid_the_rules_own_names(self):
+        # the parser accepts V#0 as a variable, so normal form must not
+        # hand the same name to the missing slot
+        src = (
+            "type g { current, other }\nchunk a : g { current: a, other: nil }\n"
+            "buffer goal = a\n"
+            "rule r { goal: g { other: V#0 } ==> modify goal { current: V#0 } }\n"
+        )
+        model = parse_model(src)
+        nf = set_normal_form(model.rule("r"), model.types)
+        (test,) = nf.tests
+        assert dict(test.pairs)[sym("other")] == var("V#0")
+        assert dict(test.pairs)[sym("current")] == var("V#1")
+        state = model.initial_state()
+        assert behaviors_agree(model.rule("r"), nf, state, ArchitectureConfig())
+        report = bisim_check(model, depth=2)
+        assert report.ok and report.transitions > 0
+        # a collapsed slot draws its fresh name from the same supply
+        pairs = ((sym("a"), var("X")), (sym("a"), var("Y")), (sym("b"), var("V#0")))
+        doubled = rule([BufferTest(GOAL, T, pairs)])
+        (test,) = set_normal_form(doubled, table(t=("a", "b"))).tests
+        assert test.pairs == ((sym("a"), var("V#1")), (sym("b"), var("V#0")))
 
     def test_transitive_constant_clash_is_dropped(self):
         # X is pinned to k via slot a, which forces k against m on slot b
