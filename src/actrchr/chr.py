@@ -26,17 +26,25 @@ semantics leaves request handling, the modules, as a parameter.  So the
 bisimulation check tests modification and merge against an independent
 implementation.
 
-Every term a rule term meets is ground (a goal argument, a list item, a
-built-in's result), so :func:`match` is one-sided, as CHR head matching
-is, and binds rule variables to ground terms only.  Compounds and lists
-cache their groundness once asked, substitution returns ground terms as
-they are, and the built-ins read their arguments' bindings in place and
-substitute only a list that still holds bound variables.  A chunk term
-likewise keeps the chunk it decodes to, and a list its first-argument
-index, which finds the chunk a bound id names for ``in``, ``map`` and
-``action`` and serves ``merge``.  The merge hands a successor store its
-parent's term objects, so a store decoded for a request or for
-:func:`canonical_form` costs a decoding only for its new chunks.
+Each rule is planned once, when it is made (see :class:`ChrRule`): its
+variables become registers of a flat list, numbered in the order the rule
+binds them, so the plan knows whether a built-in's input is bound when
+the built-in is reached.  The head is put in head normal form and matched
+from a per-step goal index; the guard and body built-ins read their
+inputs from registers, build the terms they need from bindings, and store
+a result variable met for the first time directly.  Every term a pattern
+meets is ground (a goal argument, a list item, a built-in's result), so
+:func:`match_into` is one-sided, as CHR head matching is, and binds rule
+variables to ground terms only; :func:`match`, :func:`subst` and
+:func:`solve_builtins` plan their input and run the plan once.
+Compounds and lists cache their groundness once asked, and a store
+encoding, a checked chunk list and a merged one are marked ground when
+made.  A chunk term likewise keeps the chunk it decodes to, and a list its
+first-argument index, which finds the chunk a bound id names for ``in``,
+``map`` and ``action`` and serves ``merge``.  The merge hands a successor
+store its parent's term objects, and its index, so a store decoded for a
+request or for :func:`canonical_form` costs a decoding only for its new
+chunks.
 
 The one state equivalence is the one the bisimulation needs.  A state of
 the translated shape (one ``delta`` over chunk terms and at most one
@@ -51,6 +59,8 @@ raises :class:`ChrError` naming what breaks the shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Union
 
 from .core import (
@@ -99,7 +109,8 @@ class Compound:
 class TList:
     items: tuple[Term, ...]
     _ground: bool = field(init=False, repr=False, compare=False)
-    # filled in on first use: see _first_args and _chunk_index
+    # filled in on first use, or by merge_chunk_lists: see _first_args and
+    # _chunk_index
     _ids: dict = field(init=False, repr=False, compare=False)
     _ordered: bool = field(init=False, repr=False, compare=False)
 
@@ -121,49 +132,27 @@ def walk(t: Term, env: Env) -> Term:
 
 
 def subst(t: Term, env: Env) -> Term:
-    """Apply the bindings; ground terms come back as they are."""
+    """Apply the bindings; ground terms come back as they are.  This is a
+    plan's term template (see :meth:`_Planner.template`) filled once."""
     if not env:
         return t
-    t = walk(t, env)
-    if isinstance(t, Compound):
-        if is_ground(t):
-            return t
-        return Compound(t.functor, tuple(subst(a, env) for a in t.args))
-    if isinstance(t, TList):
-        if is_ground(t):
-            return t
-        return TList(tuple(subst(a, env) for a in t.items))
-    return t
+    plan, builds = _Planner(env), []
+    i = plan.template(t, builds)
+    regs = list(plan.init)
+    _build(builds, regs)
+    return regs[i]
 
 
 def match(pattern: Term, term: Term, env: Env) -> Optional[Env]:
     """The environment extended so that ``pattern`` under it equals the
-    ground ``term``, or None: one-sided, as CHR head matching is, so every
-    value bound is a ground subterm of ``term``."""
-    if isinstance(pattern, Variable):
-        bound = env.get(pattern)
-        if bound is None:
-            return {**env, pattern: term}
-        return env if bound == term else None
-    if isinstance(pattern, Compound):
-        if not (
-            isinstance(term, Compound)
-            and pattern.functor == term.functor
-            and len(pattern.args) == len(term.args)
-        ):
-            return None
-        pairs = zip(pattern.args, term.args)
-    elif isinstance(pattern, TList):
-        if not (isinstance(term, TList) and len(pattern.items) == len(term.items)):
-            return None
-        pairs = zip(pattern.items, term.items)
-    else:
-        return env if pattern == term else None
-    for p, t in pairs:
-        env = match(p, t, env)
-        if env is None:
-            return None
-    return env
+    ground ``term``, or None (see :func:`match_into`); ``env`` itself when
+    nothing new is bound."""
+    plan = _Planner(env)
+    compiled = plan.pattern(pattern)
+    regs = list(plan.init)
+    if not match_into(compiled, term, regs):
+        return None
+    return env if len(plan.slots) == len(env) else plan.env_of(regs)
 
 
 def is_ground(t: Term) -> bool:
@@ -171,7 +160,8 @@ def is_ground(t: Term) -> bool:
 
     Compounds and lists compute this on the first query and keep it in
     their ``_ground`` slot, left unset at construction because most
-    encoded terms are never asked.
+    terms are never asked; the lists known ground when made (a store
+    encoding, a checked or merged chunk list) are marked then.
     """
     if isinstance(t, Compound):
         g = getattr(t, "_ground", None)
@@ -194,10 +184,6 @@ def is_ground(t: Term) -> bool:
 
 USER = "user"
 BUILTIN = "builtin"
-
-#: Built-in predicates with a fixed interpretation; everything else in a
-#: built-in store is an uninterpreted ground fact (e.g. ``dm/1``).
-INTERPRETED = frozenset(["=", ">", "in", "action", "merge", "map"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +213,6 @@ def fact_constraint(atom: Atom) -> Constraint:
     return builtin(atom.pred, *atom.args)
 
 
-def subst_constraint(c: Constraint, env: Env) -> Constraint:
-    return Constraint(c.name, tuple(subst(a, env) for a in c.args), c.kind)
-
-
 @dataclass(frozen=True)
 class ChrState:
     """Ground goal multiset and built-in store of ground facts; there are
@@ -250,6 +232,11 @@ class ChrRule:
     guard: tuple[Constraint, ...]
     body_user: tuple[Constraint, ...]
     body_builtin: tuple[Constraint, ...]
+    # what chr_step runs, made with the rule (see _RulePlan)
+    _plan: "_RulePlan" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_plan", _RulePlan(self))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +260,11 @@ def encode_chunk(chunk: Chunk) -> Compound:
 
 
 def encode_store(store: ChunkStore) -> TList:
-    """Chunk list sorted by identifier name; the canonical encoding."""
-    return TList(tuple(encode_chunk(c) for c in store.sorted_chunks()))
+    """Chunk list sorted by identifier name; the canonical encoding,
+    marked ground (see :func:`is_ground`)."""
+    out = TList(tuple(encode_chunk(c) for c in store.sorted_chunks()))
+    object.__setattr__(out, "_ground", True)
+    return out
 
 
 def encode_action(action: Action) -> Compound:
@@ -334,7 +324,8 @@ def decode_chunk(t: Term) -> Chunk:
     return chunk
 
 
-def _decode_action(t: Term) -> Action:
+def _decode_action(t: Term) -> tuple[str, Symbol, Optional[Symbol], tuple[tuple[Symbol, Symbol], ...]]:
+    """Kind, buffer, type and slot pairs of a ground action term."""
     if not (isinstance(t, Compound) and t.functor in ("=", "+") and len(t.args) == 3):
         raise ChrError(f"not an action term: {render_term(t)}")
     buffer, type, pairs = t.args
@@ -342,28 +333,10 @@ def _decode_action(t: Term) -> Action:
         raise ChrError(f"malformed action term: {render_term(t)}")
     decoded = _decode_pairs(pairs, Undecided, "action pair not ground")
     if t.functor == "=":
-        return Action(MODIFY, buffer, None, decoded)
+        return MODIFY, buffer, None, decoded
     if not isinstance(type, Symbol):
         raise ChrError(f"request without a type: {render_term(t)}")
-    return Action(REQUEST, buffer, type, decoded)
-
-
-def _decode_cogstate(t: Term, env: Env) -> dict[Symbol, tuple[Symbol, int]]:
-    t = walk(t, env)
-    if not isinstance(t, TList):
-        raise Undecided(f"cognitive state not a list: {render_term(subst(t, env))}")
-    out: dict[Symbol, tuple[Symbol, int]] = {}
-    for item in t.items:
-        item = walk(item, env)
-        b = cid = delay = None
-        if isinstance(item, Compound) and item.functor == "," and len(item.args) == 2:
-            b, entry = (walk(a, env) for a in item.args)
-            if isinstance(entry, Compound) and entry.functor == "," and len(entry.args) == 2:
-                cid, delay = (walk(a, env) for a in entry.args)
-        if not (isinstance(b, Symbol) and isinstance(cid, Symbol) and isinstance(delay, int)):
-            raise Undecided(f"cognitive state entry not ground: {render_term(subst(item, env))}")
-        out[b] = (cid, delay)
-    return out
+    return REQUEST, buffer, type, decoded
 
 
 def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
@@ -373,10 +346,284 @@ def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
 
 
 # ---------------------------------------------------------------------------
-# built-in solving
+# rule plans
+#
+# Head variables get the first registers, then each guard and body
+# built-in's results.  Constants have registers too, so every input is one
+# register; an unbound variable stays in a built-in's input, where the
+# built-in raises Undecided on it or names it in a message.
 
 Facts = tuple[Atom, ...]
 Solution = tuple[Env, tuple[Atom, ...]]
+
+# the built-ins and their arities; anything else is an uninterpreted fact
+_ARITY = {"=": 2, ">": 2, "in": 2, "action": 6, "merge": 2, "map": 4}
+# goal arguments ground by their class; a head keys its goal index by one
+_ATOMIC = frozenset([Symbol, int])
+
+#: Built-in predicates with a fixed interpretation; everything else in a
+#: built-in store is an uninterpreted ground fact (e.g. ``dm/1``).
+INTERPRETED = frozenset(_ARITY)
+
+# pattern kinds; a pattern is (kind, register or value or functor, subpatterns)
+_BIND, _SAME, _CONST, _COMPOUND, _LIST = range(5)
+
+
+def _kids(t: Union[Compound, TList]) -> tuple[Term, ...]:
+    return t.args if t.__class__ is Compound else t.items
+
+
+class _Planner:
+    """The registers of a plan while it is made.
+
+    ``slots`` maps each variable bound so far to its register and ``init``
+    holds each register's starting value: None for a variable, the value
+    for a constant.  ``loose`` is set when a template meets an unbound
+    variable, and ``seen`` counts the variables patterns meet.  Register
+    ``atoms``, made with the first ``action``, collects the facts the
+    ``action`` constraints contribute.
+    """
+
+    __slots__ = ("slots", "init", "atoms", "loose", "seen")
+
+    def __init__(self, env: Env) -> None:
+        self.slots: dict[Variable, int] = {}
+        self.init: list = []
+        self.atoms: Optional[int] = None
+        self.loose = False
+        self.seen = 0
+        for v, value in env.items():
+            self.slots[v] = len(self.init)
+            self.init.append(value)
+
+    def env_of(self, regs: list) -> Env:
+        return {v: regs[i] for v, i in self.slots.items()}
+
+    def template(self, t: Term, builds: list) -> int:
+        """The register holding ``t`` under the bindings, as :func:`subst`
+        gives it, once ``builds`` (register, functor or None for a list,
+        argument registers) has run in order."""
+        cls = t.__class__
+        if cls is Variable:
+            i = self.slots.get(t)
+            if i is not None:
+                return i
+            self.loose = True
+        elif (cls is Compound or cls is TList) and not is_ground(t):
+            kids = tuple([self.template(a, builds) for a in _kids(t)])
+            builds.append((len(self.init), t.functor if cls is Compound else None, kids))
+            t = None
+        self.init.append(t)
+        return len(self.init) - 1
+
+    def inputs(self, terms: Iterable[Term], builds: list) -> tuple[int, ...]:
+        """The terms' registers; ``loose`` tells whether one holds an
+        unbound variable."""
+        self.loose = False
+        return tuple([self.template(t, builds) for t in terms])
+
+    def pattern(self, t: Term) -> tuple:
+        """``t`` as a pattern for :func:`match_into`; its variables are
+        bound from here on."""
+        cls = t.__class__
+        if cls is Variable:
+            self.seen += 1
+            i = self.slots.get(t)
+            if i is not None:
+                return (_SAME, i, ())
+            self.slots[t] = i = len(self.init)
+            self.init.append(None)
+            return (_BIND, i, ())
+        if cls is Compound or cls is TList:
+            seen = self.seen
+            subs = tuple([self.pattern(a) for a in _kids(t)])
+            if self.seen != seen:  # not ground
+                return (_COMPOUND, t.functor, subs) if cls is Compound else (_LIST, None, subs)
+        return (_CONST, t, ())
+
+    def result(self, t: Term) -> Union[int, tuple]:
+        """A built-in's result: a variable met here first is stored
+        directly in the register returned; anything else is a pattern."""
+        if t.__class__ is Variable and t not in self.slots:
+            self.slots[t] = i = len(self.init)
+            self.init.append(None)
+            return i
+        return self.pattern(t)
+
+    def heads(self, removed: tuple[Constraint, ...]) -> tuple[tuple, list]:
+        """The head in head normal form, each argument a ground term or a
+        variable.  Per head constraint: its goal index key (name, arity and
+        a symbol or integer first argument), a function taking the values of
+        the variables it binds first, and (position, source, x) checks of
+        the other arguments against a head register (source 0), an earlier
+        argument (1) or a constant (2).  A non-variable, non-ground argument
+        gets a register and comes back with it, to be matched by the guard."""
+        out, hnf = [], []
+        slots, init = self.slots, self.init
+        for c in removed:
+            args = c.args
+            keyed = 1 if args and args[0].__class__ in _ATOMIC else 0
+            base = len(init)
+            taken: list[int] = []
+            checks = []
+            for pos in range(keyed, len(args)):
+                a = args[pos]
+                cls = a.__class__
+                if cls is Variable:
+                    i = slots.get(a)
+                    if i is None:
+                        slots[a] = len(init)
+                    else:
+                        checks.append((pos, 1, taken[i - base]) if i >= base else (pos, 0, i))
+                        continue
+                elif (cls is Compound or cls is TList) and not is_ground(a):
+                    hnf.append((a, len(init)))
+                else:
+                    checks.append((pos, 2, a))
+                    continue
+                taken.append(pos)
+                init.append(None)
+            if len(taken) > 1:
+                take = itemgetter(*taken)
+            else:  # a slice, so that the values come as a tuple
+                take = itemgetter(slice(taken[0], taken[0] + 1) if taken else slice(0))
+            key = (c.name, len(args), args[0]) if keyed else (c.name, len(args))
+            out.append((key, take, tuple(checks)))
+        return tuple(out), hnf
+
+    def action(self, t: Term, builds: list) -> Union[int, tuple]:
+        """An action term: when its shape is in the rule, (kind, buffer,
+        type, slots, registers of the slot values); otherwise its register,
+        decoded when reached."""
+        if t.__class__ is Compound and t.functor in ("=", "+") and len(t.args) == 3:
+            buffer, type, pairs = t.args
+            modify = t.functor == "="
+            if (
+                buffer.__class__ is Symbol
+                and pairs.__class__ is TList
+                and (modify or type.__class__ is Symbol)
+                and all(_is_pair(p) and p.args[0].__class__ is Symbol for p in pairs.items)
+            ):
+                slots = tuple([p.args[0] for p in pairs.items])
+                values = tuple([self.template(p.args[1], builds) for p in pairs.items])
+                return (MODIFY if modify else REQUEST, buffer, None if modify else type, slots, values)
+        return self.template(t, builds)
+
+    def cogstate(self, t: Term, builds: list) -> Union[int, tuple[int, ...]]:
+        """A cognitive-state term: when its rows' shape is in the rule, the
+        registers of each row's buffer, chunk and delay in turn; otherwise
+        its register, decoded when reached."""
+        rows = t.items if t.__class__ is TList else ()
+        if rows and all(_is_pair(r) and _is_pair(r.args[1]) for r in rows):
+            return tuple([self.template(x, builds) for r in rows for x in (r.args[0], *r.args[1].args)])
+        return self.template(t, builds)
+
+    def step(self, c: Constraint) -> tuple:
+        """A guard or body built-in as (builds, solver, operands)."""
+        arity = _ARITY.get(c.name)
+        if arity is None:
+            return (), _fail, (Undecided, "uninterpreted constraint used as a goal", c)
+        if len(c.args) != arity:
+            return (), _fail, (ChrError, f"{c.name}/{arity} expected", None)
+        builds: list = []
+        name, args = c.name, c.args
+        if name == "=":
+            right = self.inputs(args[1:], builds)
+            if self.loose:
+                return (), _fail, (Undecided, "equation with an unbound right side", c)
+            return tuple(builds), _solve_eq, (self.pattern(args[0]), right[0])
+        if name == ">":
+            return tuple(builds), _solve_gt, (*(self.template(x, builds) for x in args), c)
+        if name == "in":
+            pattern, lst = args
+            items = self.inputs((lst,), builds)
+            if self.loose:
+                return (), _fail, (Undecided, "membership over unbound list", c)
+            key = None  # a bound first argument: read the list's index
+            if pattern.__class__ is Compound and pattern.args:
+                key = self.inputs(pattern.args[:1], builds)[0]
+                key = None if self.loose else key
+            return tuple(builds), _solve_in, (self.pattern(pattern), items[0], key, c)
+        if name == "action":
+            ins = (self.action(args[0], builds), self.template(args[1], builds), self.cogstate(args[2], builds))
+            if self.atoms is None:
+                self.atoms = len(self.init)
+                self.init.append(())
+            outs = tuple([self.result(x) for x in args[3:]])
+            return tuple(builds), _solve_action, (*ins, outs, self.atoms, c)
+        if name == "merge":
+            lst = args[0]  # a list term: its operands, each in a register
+            lists = self.inputs(lst.items if lst.__class__ is TList else (lst,), builds)
+            if self.loose:
+                return (), _fail, (Undecided, "merge over unbound list", c)
+            operands = lists if lst.__class__ is TList else lists[0]
+            return tuple(builds), _solve_merge, (operands, self.result(args[1]), c)
+        ins = tuple([self.template(x, builds) for x in args[:3]])
+        return tuple(builds), _solve_map, (*ins, self.result(args[3]), c)
+
+
+def _is_pair(t: Term) -> bool:
+    return t.__class__ is Compound and t.functor == "," and len(t.args) == 2
+
+
+def _build(builds: tuple, regs: list) -> None:
+    for i, functor, kids in builds:
+        args = tuple(map(regs.__getitem__, kids))
+        regs[i] = TList(args) if functor is None else Compound(functor, args)
+
+
+def match_into(pattern: tuple, term: Term, regs: list) -> bool:
+    """Match a plan's pattern against the ground ``term``, storing the
+    values of its first-bound variables in ``regs``: one-sided, as CHR
+    head matching is, so every value stored is a ground subterm of
+    ``term``.  On failure some of those registers may be written."""
+    kind, x, subs = pattern
+    if kind == _COMPOUND:
+        if term.__class__ is not Compound or term.functor != x:
+            return False
+        args = term.args
+    elif kind == _LIST:
+        if term.__class__ is not TList:
+            return False
+        args = term.items
+    elif kind == _BIND:
+        regs[x] = term
+        return True
+    elif kind == _SAME:
+        return regs[x] == term
+    else:
+        return x == term
+    if len(args) != len(subs):
+        return False
+    for sub, arg in zip(subs, args):
+        kind, x, _ = sub
+        if kind == _BIND:
+            regs[x] = arg
+        elif kind == _CONST:
+            if x != arg:
+                return False
+        elif kind == _SAME:
+            if regs[x] != arg:
+                return False
+        elif not match_into(sub, arg, regs):
+            return False
+    return True
+
+
+def _run(steps: tuple, states: list, ctx: tuple) -> list:
+    """Solve a conjunction left to right, branching where the theory does:
+    every state solves one built-in before any state solves the next, so
+    the first error raised is the one a breadth-first solver meets."""
+    for builds, solve, operands in steps:
+        nxt: list = []
+        for regs in states:
+            if builds:
+                _build(builds, regs)
+            nxt += solve(regs, operands, ctx)
+        if not nxt:
+            return nxt
+        states = nxt
+    return states
 
 
 def solve_builtins(
@@ -394,71 +641,53 @@ def solve_builtins(
     (the translation emits constraints in such an order); otherwise
     :class:`Undecided` is raised.  ``ids`` supplies the fresh identifiers
     of ``action`` answers and must avoid every identifier in the state.
+    The conjunction is planned with ``env``'s variables bound, as a rule's
+    guard and body are (see :class:`ChrRule`).
     """
-    solutions: list[Solution] = [(env, ())]
-    for c in constraints:
-        nxt: list[Solution] = []
-        for e, atoms in solutions:
-            for e2, extra in _solve_one(c, e, facts, config, ids):
-                nxt.append((e2, atoms + extra))
-        solutions = nxt
-        if not solutions:
-            break
-    return solutions
+    plan = _Planner(env)
+    steps = tuple([plan.step(c) for c in constraints])
+    states = _run(steps, [list(plan.init)], (facts, config, ids))
+    atoms = plan.atoms
+    return [(plan.env_of(r), () if atoms is None else r[atoms]) for r in states]
 
 
-def _solve_one(
-    c: Constraint, env: Env, facts: Facts, config: ArchitectureConfig, ids: IdGen
-) -> list[Solution]:
-    name = c.name
-    if name == "=":
-        a, b = c.args
-        b = subst(b, env)
-        if not is_ground(b):
-            raise Undecided(f"equation with an unbound right side: {render_constraint(c)}")
-        out = match(a, b, env)
-        return [] if out is None else [(out, ())]
-    if name == ">":
-        a, b = (walk(x, env) for x in c.args)
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise Undecided(f"non-numeric comparison: {render_constraint(c)}")
-        return [(env, ())] if a > b else []
-    if name == "in":
-        pattern, lst = c.args
-        items = _ground_list(lst, env)
-        if items is None:
-            raise Undecided(f"membership over unbound list: {render_constraint(c)}")
-        candidates = items.items
-        first = walk(pattern, env)  # a bound first argument: use the index
-        if isinstance(first, Compound) and first.args:
-            first = subst(first.args[0], env)
-            if is_ground(first):
-                candidates = _first_args(items).get(first, ())
-        out = []
-        for item in candidates:
-            e = match(pattern, item, env)
-            if e is not None:
-                out.append((e, ()))
-        return out
-    if name == "action":
-        return _solve_action(c, env, facts, config, ids)
-    if name == "merge":
-        return _solve_merge(c, env)
-    if name == "map":
-        return _solve_map(c, env)
-    raise Undecided(f"uninterpreted constraint used as a goal: {render_constraint(c)}")
+def _fail(_regs: list, operands: tuple, _ctx: tuple) -> list:
+    """A built-in whose plan already shows it fails once reached."""
+    error, text, c = operands
+    raise error(text if c is None else f"{text}: {render_constraint(c)}")
 
 
-def _ground_list(t: Term, env: Env) -> Optional[TList]:
-    """The ground list a term is bound to, or None.  The list is read in
-    place; only one that still holds bound variables is substituted."""
-    t = walk(t, env)
-    if isinstance(t, TList) and not is_ground(t):
-        t = subst(t, env)
-    return t if isinstance(t, TList) and is_ground(t) else None
+def _solve_eq(regs: list, operands: tuple, _ctx: tuple) -> tuple:
+    """left = right: the left side matched against the ground right side."""
+    pattern, right = operands
+    return (regs,) if match_into(pattern, regs[right], regs) else ()
 
 
-def _first_args(t: TList) -> dict[Term, list[Term]]:
+def _solve_gt(regs: list, operands: tuple, _ctx: tuple) -> tuple:
+    a, b, c = operands
+    a, b = regs[a], regs[b]
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise Undecided(f"non-numeric comparison: {render_constraint(c)}")
+    return (regs,) if a > b else ()
+
+
+def _solve_in(regs: list, operands: tuple, _ctx: tuple) -> Union[tuple, list]:
+    """pattern in list: one solution per item the pattern matches, in list
+    order; a bound first argument reads the list's index."""
+    pattern, lst, key, c = operands
+    lst = regs[lst]
+    if lst.__class__ is not TList:
+        raise Undecided(f"membership over unbound list: {render_constraint(c)}")
+    items = lst.items if key is None else _first_args(lst).get(regs[key], ())
+    out = []
+    for item in items:
+        r = regs.copy()
+        if match_into(pattern, item, r):
+            out.append(r)
+    return out
+
+
+def _first_args(t: TList) -> dict[Term, tuple[Term, ...]]:
     """The first argument of each compound item (a chunk term's id),
     mapped to the items with it in list order; built once and kept in the
     list's ``_ids`` slot, so it lives exactly as long as the list."""
@@ -467,14 +696,12 @@ def _first_args(t: TList) -> dict[Term, list[Term]]:
         index = {}
         for item in t.items:
             if isinstance(item, Compound) and item.args:
-                index.setdefault(item.args[0], []).append(item)
+                index[item.args[0]] = index.get(item.args[0], ()) + (item,)
         object.__setattr__(t, "_ids", index)
     return index
 
 
-def _solve_action(
-    c: Constraint, env: Env, facts: Facts, config: ArchitectureConfig, ids: IdGen
-) -> list[Solution]:
+def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]:
     """action(A, D, G, Dres, Cres, Eres): interpret action A in the state
     encoded by chunk list D, cognitive state G and the ambient facts; one
     solution per effect, binding the effect's chunk list, the chunk id it
@@ -488,64 +715,109 @@ def _solve_action(
     :func:`~actrchr.engine.interpret_request`, which costs a decoding only
     for terms no earlier store held (see :func:`decode_chunk`).
     """
-    if len(c.args) != 6:
-        raise ChrError("action/6 expected")
-    a_t, d_t, g_t, dres, cres, eres = c.args
-    action = _decode_action(subst(a_t, env))  # its pairs hold bound variables
-    listed = _listed_chunks(subst(d_t, env))
-    gamma = _decode_cogstate(g_t, env)
+    a, d, g, outs, atoms, c = operands
+    kind, buffer, type, pairs = _action_of(a, regs, c)
+    d = regs[d]
+    if d.__class__ is Variable:
+        raise Undecided(f"action over an unbound store: {render_constraint(c)}")
+    listed = _chunk_index(d)  # nil may be missing; it is in every state store
+    gamma = _cogstate_of(g, regs)
     for b, (cid, delay) in gamma.items():
-        if cid not in listed:
+        if cid not in listed and cid is not NIL:
             raise ChrError(f"buffer {b} holds unknown chunk id {cid}")
         if delay not in (0, 1):
             raise ChrError(f"buffer {b} has non-binary delay {delay}")
-    if action.kind == MODIFY:
-        answers = [_modify(action, listed, gamma, ids)]
+    facts, config, ids = ctx
+    if kind == MODIFY:
+        answers = [_modify(buffer, pairs, listed, gamma, ids)]
     else:
-        store = ChunkStore(decode_chunk(t) for t in listed.values())
-        state = AbstractState.make(store, gamma, facts)
+        action = Action(kind, buffer, type, pairs)
+        chunks = [decode_chunk(t) for (t,) in listed.values()]
+        if NIL not in listed:
+            chunks.append(decode_chunk(_NIL_TERM))
+        state = AbstractState.make(ChunkStore(chunks), gamma, facts)
         answers = []
         for eff in interpret_request(action, state, config, ids):
-            cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[action.buffer]
+            cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[buffer]
             answers.append((encode_store(eff.store), cid, delay, eff.atoms))
-    out: list[Solution] = []
-    for d_new, c_new, e_new, atoms in answers:
-        e: Optional[Env] = env
-        for pat, val in ((dres, d_new), (cres, c_new), (eres, e_new)):
-            e = match(pat, val, e)
-            if e is None:
+    out = []
+    for answer in answers:
+        r = regs if len(answers) == 1 else regs.copy()
+        for result, value in zip(outs, answer):
+            if result.__class__ is int:
+                r[result] = value
+            elif not match_into(result, value, r):
                 break
-        if e is not None:
-            out.append((e, atoms))
+        else:
+            if answer[3]:
+                r[atoms] += answer[3]
+            out.append(r)
     return out
+
+
+def _action_of(spec: Union[int, tuple], regs: list, c: Constraint) -> tuple:
+    """Kind, buffer, type and slot pairs of a planned action term (see
+    :meth:`_Planner.action`)."""
+    if spec.__class__ is int:
+        t = regs[spec]
+        if t.__class__ is Variable:
+            raise Undecided(f"action over an unbound action term: {render_constraint(c)}")
+        return _decode_action(t)
+    kind, buffer, type, slots, values = spec
+    pairs = tuple(zip(slots, map(regs.__getitem__, values)))
+    for slot, value in pairs:
+        if value.__class__ is not Symbol:
+            raise Undecided(f"action pair not ground: {render_term(tuple_term(slot, value))}")
+    return kind, buffer, type, pairs
+
+
+def _cogstate_of(spec: Union[int, tuple[int, ...]], regs: list) -> dict[Symbol, tuple[Symbol, int]]:
+    """The buffer rows of a planned cognitive-state term (see
+    :meth:`_Planner.cogstate`), each (buffer, (chunk, delay))."""
+    if spec.__class__ is int:
+        t = regs[spec]
+        if not isinstance(t, TList):
+            raise Undecided(f"cognitive state not a list: {render_term(t)}")
+        rows = map(_cogstate_row, t.items)
+    else:
+        flat = map(regs.__getitem__, spec)
+        rows = zip(flat, flat, flat)
+    out: dict[Symbol, tuple[Symbol, int]] = {}
+    for b, cid, delay in rows:
+        if not (b.__class__ is Symbol and cid.__class__ is Symbol and isinstance(delay, int)):
+            entry = tuple_term(b, tuple_term(cid, delay))
+            raise Undecided(f"cognitive state entry not ground: {render_term(entry)}")
+        out[b] = (cid, delay)
+    return out
+
+
+def _cogstate_row(item: Term) -> tuple[Term, Term, Term]:
+    if not (_is_pair(item) and _is_pair(item.args[1])):
+        raise Undecided(f"cognitive state entry not ground: {render_term(item)}")
+    return (item.args[0], *item.args[1].args)
 
 
 _NIL_TERM = encode_chunk(NIL_CHUNK)
 
 
-def _listed_chunks(t: Term) -> dict[Symbol, Term]:
-    """The chunk terms of an id-ordered chunk list by identifier, nil
-    included as in every state store."""
-    listed = {id: terms[0] for id, terms in _chunk_index(t).items()}
-    listed.setdefault(NIL, _NIL_TERM)
-    return listed
-
-
 def _modify(
-    action: Action,
-    listed: dict[Symbol, Term],
+    buffer: Symbol,
+    pairs: tuple[tuple[Symbol, Symbol], ...],
+    listed: dict[Term, tuple[Term, ...]],
     gamma: dict[Symbol, tuple[Symbol, int]],
     ids: IdGen,
 ) -> tuple[TList, Symbol, int, tuple[Atom, ...]]:
     """The incumbent's term copied under a fresh id, visible, with the
     update slots set.  An update value that names no listed chunk becomes
-    nil; an update slot the incumbent lacks is ignored."""
-    if action.buffer not in gamma:
-        raise ChrError(f"no buffer {action.buffer}")
-    _, type, pairs = _chunk_fields(listed[gamma[action.buffer][0]])
-    updates = dict(action.pairs)
+    nil; an update slot the incumbent lacks is ignored.  ``listed`` is the
+    store's index, where nil may be missing."""
+    if buffer not in gamma:
+        raise ChrError(f"no buffer {buffer}")
+    (incumbent,) = listed.get(gamma[buffer][0], (_NIL_TERM,))
+    _, type, old = _chunk_fields(incumbent)
+    updates = dict(pairs)
     new_pairs = []
-    for p in pairs.items:
+    for p in old.items:
         slot = p.args[0]  # type: ignore[union-attr]
         if slot in updates:
             v = updates[slot]
@@ -556,18 +828,22 @@ def _modify(
     return TList((copy,)), fresh, 0, ()
 
 
-def _solve_merge(c: Constraint, env: Env) -> list[Solution]:
+def _solve_merge(regs: list, operands: tuple, _ctx: tuple) -> tuple:
     """merge(L, D): D is the merge of the chunk lists in L (see
-    :func:`merge_chunk_lists`); L and each operand are read in place."""
-    if len(c.args) != 2:
-        raise ChrError("merge/2 expected")
-    lst, out_pat = c.args
-    lst = walk(lst, env)
-    operands = [subst(x, env) for x in lst.items] if isinstance(lst, TList) else None
-    if operands is None or not all(is_ground(x) for x in operands):
-        raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-    e = match(out_pat, merge_chunk_lists(operands), env)
-    return [] if e is None else [(e, ())]
+    :func:`merge_chunk_lists`)."""
+    lists, out, c = operands
+    if lists.__class__ is int:
+        lst = regs[lists]
+        if lst.__class__ is not TList:
+            raise Undecided(f"merge over unbound list: {render_constraint(c)}")
+        merged = merge_chunk_lists(lst.items)
+    else:
+        merged = merge_chunk_lists(map(regs.__getitem__, lists))
+    if out.__class__ is int:
+        regs[out] = merged
+    elif not match_into(out, merged, regs):
+        return ()
+    return (regs,)
 
 
 def merge_chunk_lists(lists: Iterable[Term]) -> TList:
@@ -578,50 +854,72 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     A shared identifier must carry equal terms and keeps the left
     operand's, so a successor store holds its parent's term objects.  A
     clash or an operand out of order raises :class:`ChrError`.  A lone
-    non-empty operand comes back as it is, checked and indexed.
+    non-empty operand comes back as it is, checked and indexed; any other
+    result comes with its index and its ordered and ground marks set.
     """
-    merged: dict[Term, Term] = {}
+    merged: dict[Term, tuple[Term, ...]] = {}
     nonempty = []
     for lst in lists:
         index = _chunk_index(lst)
-        if index:
-            nonempty.append(lst)
-        for id, (term,) in index.items():
-            kept = merged.setdefault(id, term)
-            if kept is not term and kept != term:
-                raise ChrError(f"merge: id {id} bound to {render_term(kept)} and {render_term(term)}")
+        if not index:
+            continue
+        nonempty.append(lst)
+        if not merged:
+            merged = dict(index)
+            continue
+        for id, entry in index.items():
+            kept = merged.setdefault(id, entry)
+            if kept is not entry and kept != entry:
+                raise ChrError(f"merge: id {id} bound to {render_term(kept[0])} and {render_term(entry[0])}")
     if len(nonempty) == 1:
         return nonempty[0]  # type: ignore[return-value]
-    return TList(tuple(sorted(merged.values(), key=lambda t: t.args[0].name)))  # type: ignore[union-attr]
+    ids = sorted(merged, key=_NAME)
+    entries = tuple(map(merged.__getitem__, ids))
+    out = TList(tuple(chain.from_iterable(entries)))
+    object.__setattr__(out, "_ids", dict(zip(ids, entries)))
+    object.__setattr__(out, "_ordered", True)
+    object.__setattr__(out, "_ground", True)
+    return out
 
 
-def _chunk_index(t: Term) -> dict[Term, list[Term]]:
+_NAME = attrgetter("name")
+
+
+def _chunk_index(t: Term) -> dict[Term, tuple[Term, ...]]:
     """The index (see :func:`_first_args`) of a chunk list strictly ordered
-    by id, checked once and then marked in its ``_ordered`` slot; any
-    other term raises ChrError."""
-    if not getattr(t, "_ordered", False):
-        if not isinstance(t, TList):
-            raise ChrError(f"not a chunk list: {render_term(t)}")
-        names = [decode_chunk(term).id.name for term in t.items]
-        if any(a >= b for a, b in zip(names, names[1:])):
-            raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
-        object.__setattr__(t, "_ordered", True)
-    return _first_args(t)  # type: ignore[arg-type]
+    by id, checked once and then marked in its ``_ordered`` slot, and as
+    ground, since every item decodes; any other term raises ChrError."""
+    if getattr(t, "_ordered", False):
+        return t._ids
+    if not isinstance(t, TList):
+        raise ChrError(f"not a chunk list: {render_term(t)}")
+    names = [decode_chunk(term).id.name for term in t.items]
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
+    index = _first_args(t)
+    object.__setattr__(t, "_ordered", True)
+    object.__setattr__(t, "_ground", True)
+    return index
 
 
-def _solve_map(c: Constraint, env: Env) -> list[Solution]:
+def _solve_map(regs: list, operands: tuple, _ctx: tuple) -> tuple:
     """map(D, D2, C, M): M is C's identifier after merging D with D2 —
     identity when either store knows C, nil otherwise."""
-    if len(c.args) != 4:
-        raise ChrError("map/4 expected")
-    d_t, d2_t, c_in, m_pat = c.args
-    c_in = walk(c_in, env)
-    if not isinstance(c_in, Symbol):
+    d, d2, cid, out, c = operands
+    cid = regs[cid]
+    if cid.__class__ is not Symbol:
         raise Undecided(f"map over unbound id: {render_constraint(c)}")
-    known = [_chunk_index(subst(t, env)) for t in (d_t, d2_t)]
-    target = c_in if any(c_in in ids for ids in known) else NIL
-    e = match(m_pat, target, env)
-    return [] if e is None else [(e, ())]
+    known = False
+    for store in (regs[d], regs[d2]):
+        if store.__class__ is Variable:
+            raise Undecided(f"map over an unbound store: {render_constraint(c)}")
+        known = cid in _chunk_index(store) or known
+    target = cid if known else NIL
+    if out.__class__ is int:
+        regs[out] = target
+    elif not match_into(out, target, regs):
+        return ()
+    return (regs,)
 
 
 # ---------------------------------------------------------------------------
@@ -655,32 +953,84 @@ def fresh_gen_for(state: ChrState) -> IdGen:
     )
 
 
-def _head_matchings(
-    patterns: tuple[Constraint, ...], goal: tuple[Constraint, ...]
-) -> list[tuple[Env, tuple[int, ...]]]:
-    """Injective matchings of head patterns against goal constraints."""
-    out: list[tuple[Env, tuple[int, ...]]] = []
+class _RulePlan:
+    """What :func:`chr_step` runs for a rule: the head (see
+    :meth:`_Planner.heads`), the registers after the head's, the guard and
+    body built-ins (see :meth:`_Planner.step`), and the body constraints,
+    each the position of the head constraint it equals or (name, kind,
+    argument registers) after ``builds``, with the position of the first
+    one that keeps an unbound variable, if any."""
 
-    def rec(hi: int, env: Env, used: tuple[int, ...]) -> None:
-        if hi == len(patterns):
-            out.append((env, used))
-            return
-        h = patterns[hi]
-        for gi, g in enumerate(goal):
-            if gi in used or g.kind != USER or g.name != h.name:
-                continue
-            if len(g.args) != len(h.args):
-                continue
-            e: Optional[Env] = env
-            for pa, ga in zip(h.args, g.args):
-                e = match(pa, ga, e)
-                if e is None:
-                    break
-            if e is not None:
-                rec(hi + 1, e, used + (gi,))
+    __slots__ = ("heads", "tail", "guard", "body", "builds", "adds", "leak", "atoms")
 
-    rec(0, {}, ())
-    return out
+    def __init__(self, rule: ChrRule) -> None:
+        plan = _Planner({})
+        self.heads, hnf = plan.heads(rule.removed)
+        head_size = len(plan.init)
+        # a non-variable head argument is matched first: pattern = V
+        guard = [((), _solve_eq, (plan.pattern(t), i)) for t, i in hnf]
+        self.guard = tuple(guard + [plan.step(c) for c in rule.guard])
+        self.body = tuple([plan.step(c) for c in rule.body_builtin])
+        builds: list = []
+        self.leak = None
+        adds: list = []
+        # a body constraint equal to a head constraint is the goal
+        # constraint that head constraint matched
+        at = {(h.name, h.args, h.kind): k for k, h in enumerate(rule.removed)}
+        for u in rule.body_user:
+            k = at.get((u.name, u.args, u.kind))
+            if k is not None:
+                adds.append(k)
+                continue
+            adds.append((u.name, u.kind, plan.inputs(u.args, builds)))
+            if plan.loose and self.leak is None:
+                self.leak = len(adds) - 1
+        self.builds, self.adds = tuple(builds), tuple(adds)
+        self.atoms = plan.atoms
+        self.tail = tuple(plan.init[head_size:])
+
+    def successor(self, regs: list, goal: tuple, used: tuple, builtins: tuple) -> ChrState:
+        """The state a body solution gives: the goal without the matched
+        positions ``used``, plus the body constraints, beside the facts."""
+        if self.builds:
+            _build(self.builds, regs)
+        added = tuple([
+            goal[used[a]] if a.__class__ is int else Constraint(a[0], tuple(map(regs.__getitem__, a[2])), a[1])
+            for a in self.adds
+        ])
+        if self.leak is not None:
+            raise Undecided(f"body constraint not ground: {render_constraint(added[self.leak])}")
+        if len(used) == len(goal):
+            kept: tuple = ()
+        else:
+            kept = tuple([c for gi, c in enumerate(goal) if gi not in used])
+        if self.atoms is not None and regs[self.atoms]:
+            builtins = builtins + tuple(fact_constraint(a) for a in regs[self.atoms])
+        return ChrState(kept + added, builtins)
+
+
+def _match_heads(heads: tuple, goal: tuple[Constraint, ...], index: dict) -> list:
+    """Injective matchings of a planned head against the goal, in goal
+    order, as (head register values, matched goal positions)."""
+    found: list = [((), ())]
+    for key, take, checks in heads:
+        candidates = index.get(key)
+        if candidates is None:
+            return []
+        nxt = []
+        for vals, used in found:
+            for gi in candidates:
+                if gi in used:
+                    continue
+                args = goal[gi].args
+                for pos, source, x in checks:
+                    v = vals[x] if source == 0 else args[x] if source == 1 else x
+                    if v != args[pos]:
+                        break
+                else:
+                    nxt.append((vals + take(args), used + (gi,)))
+        found = nxt
+    return found
 
 
 def chr_step(
@@ -691,40 +1041,41 @@ def chr_step(
     """All successor states, labelled by the rule that produced them.
 
     The goal must be ground, so it shares no variable with a rule: rules
-    are used as they are, in program order, each attempt starting from an
-    empty environment.  A goal constraint with a variable raises
-    :class:`ChrError`.  Every injective head matching and every guard/body
-    solution yields one successor: the matched constraints are removed, the
-    body's user constraints are added ground, and the built-in store grows
-    only by the facts contributed by ``action``.
+    are used as they are, in program order, each through its plan.  A
+    goal constraint with a variable raises :class:`ChrError`.  Every
+    injective head matching and every guard/body solution yields one
+    successor: the matched constraints are removed, the body's user
+    constraints are added ground, and the built-in store grows only by the
+    facts contributed by ``action``.  Rules that share one head tuple
+    (as :func:`~actrchr.translate.chr_of_model` makes them) share its
+    matchings.
     """
-    for c in state.goal:
-        if not all(is_ground(a) for a in c.args):
-            raise ChrError(f"goal not ground: {render_constraint(c)}")
+    goal = state.goal
+    index: dict = {}  # user constraints by (name, arity[, symbol first argument])
+    for gi, c in enumerate(goal):
+        args = c.args
+        for a in args:
+            if a.__class__ not in _ATOMIC and not is_ground(a):
+                raise ChrError(f"goal not ground: {render_constraint(c)}")
+        if c.kind == USER:
+            index.setdefault((c.name, len(args)), []).append(gi)
+            if args and args[0].__class__ in _ATOMIC:
+                index.setdefault((c.name, len(args), args[0]), []).append(gi)
     config = config or ArchitectureConfig()
     ids = fresh_gen_for(state)
-    facts = facts_of(state)
-    matchings: dict = {}  # translated rules share one head: match it once
+    ctx = (facts_of(state), config, ids)
+    matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:
-        if rule.removed not in matchings:
-            matchings[rule.removed] = _head_matchings(rule.removed, state.goal)
-        for env, used in matchings[rule.removed]:
-            for genv, _ in solve_builtins(rule.guard, env, facts, config, ids):
-                for benv, atoms in solve_builtins(rule.body_builtin, genv, facts, config, ids):
-                    added = []
-                    for u in rule.body_user:
-                        g = subst_constraint(u, benv)
-                        if any(not is_ground(a) for a in g.args):
-                            raise Undecided(
-                                f"body constraint not ground: {render_constraint(g)}"
-                            )
-                        added.append(g)
-                    goal = tuple(
-                        g for gi, g in enumerate(state.goal) if gi not in used
-                    ) + tuple(added)
-                    builtins = state.builtins + tuple(fact_constraint(a) for a in atoms)
-                    out.append((rule.name, ChrState(goal, builtins)))
+        plan = rule._plan
+        # keyed by identity; the entry keeps the head alive, so ids stay unique
+        entry = matchings.get(id(rule.removed))
+        if entry is None:
+            entry = matchings[id(rule.removed)] = (rule.removed, _match_heads(plan.heads, goal, index))
+        for vals, used in entry[1]:
+            for regs in _run(plan.guard, [[*vals, *plan.tail]], ctx):
+                for regs in _run(plan.body, [regs], ctx):
+                    out.append((rule.name, plan.successor(regs, goal, used, state.builtins)))
     return out
 
 

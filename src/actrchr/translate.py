@@ -58,7 +58,12 @@ def chr_of_state(state: AbstractState) -> ChrState:
 
 
 def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> ChrRule:
-    """Translate one set-normal-form rule.
+    """Translate one set-normal-form rule (see :func:`_rule_parts`)."""
+    return ChrRule(*_rule_parts(rule, buffers, types))
+
+
+def _rule_parts(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> tuple:
+    """The fields of one set-normal-form rule's translation.
 
     Head: the delta constraint and every buffer's gamma.  Guard: one store
     membership per test plus a zero-delay check.  Body: the rebuilt delta,
@@ -115,13 +120,7 @@ def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> Ch
         else:
             body_user.append(gamma_c(b, cvar[b], dvar[b]))
 
-    return ChrRule(
-        name=rule.name,
-        removed=tuple(head),
-        guard=tuple(guard),
-        body_user=tuple(body_user),
-        body_builtin=tuple(body_builtin),
-    )
+    return rule.name, tuple(head), tuple(guard), tuple(body_user), tuple(body_builtin)
 
 
 def no_rule() -> ChrRule:
@@ -138,8 +137,13 @@ def no_rule() -> ChrRule:
 
 def chr_of_model(model: Model) -> tuple[ChrRule, ...]:
     """The full program: one rule per (normalised, kept) model rule, the
-    generic ``no`` rule last."""
+    generic ``no`` rule last.  Rules with equal heads share one head tuple,
+    so :func:`~actrchr.chr.chr_step` matches it once per step."""
     normalized = normalize_model(model)
-    rules = [chr_of_rule(r, model.buffers, model.types) for r in normalized.rules]
+    heads: dict = {}
+    rules = []
+    for r in normalized.rules:
+        name, head, *rest = _rule_parts(r, model.buffers, model.types)
+        rules.append(ChrRule(name, heads.setdefault(head, head), *rest))
     rules.append(no_rule())
     return tuple(rules)

@@ -2,6 +2,7 @@
 state equivalence."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 import random
@@ -54,7 +55,14 @@ from actrchr.chr import (
     walk,
 )
 from actrchr.chr import encode_cogstate
-from actrchr.engine import ArchitectureConfig, canonical_key, explore, normalize_model
+from actrchr.engine import (
+    FAIL_NIL,
+    FAIL_STUCK,
+    ArchitectureConfig,
+    canonical_key,
+    explore,
+    normalize_model,
+)
 from actrchr.model import AbstractState, Action, Atom, MODIFY, REQUEST
 from actrchr.modelgen import random_model
 from actrchr.parser import parse_model, print_model
@@ -339,6 +347,14 @@ class TestBuiltinTheory:
         )
         assert len(sols) == 1
 
+    def test_a_conjunction_raises_the_first_error_breadth_first(self):
+        # every branch meets a constraint before any meets the next: the
+        # second branch's comparison fails before the first's third goal
+        x = var("X")
+        goals = [builtin("in", x, TList((1, sym("a")))), builtin(">", x, 0), builtin("frob", x)]
+        with pytest.raises(Undecided, match="non-numeric comparison"):
+            solve(goals)
+
     def test_merge_builtin_merges_encodings(self):
         a = ChunkStore([Chunk(sym("x"), sym("t"), {sym("a"): sym("x")})])
         b = ChunkStore([Chunk(sym("y"), sym("t"), {sym("a"): sym("y")})])
@@ -383,6 +399,13 @@ class TestBuiltinTheory:
         empty = encode_store(ChunkStore())
         ((env, _),) = solve([builtin("map", empty, empty, sym("zz"), var("M"))])
         assert env[var("M")] == NIL
+
+    def test_map_builtin_over_an_unbound_store_is_undecided(self):
+        empty = encode_store(ChunkStore())
+        for args in ((var("D"), empty), (empty, var("D"))):
+            goal = builtin("map", *args, sym("x"), var("M"))
+            with pytest.raises(Undecided, match=r"map over an unbound store: map\("):
+                solve([goal])
 
     def test_map_builtin_rejects_malformed_stores(self):
         empty = encode_store(ChunkStore())
@@ -445,6 +468,31 @@ class TestBuiltinTheory:
             c = builtin("action", modify, store, cogstate, var("D"), var("C"), var("E"))
             with pytest.raises(ChrError, match="strict id order"):
                 solve([c])
+
+    @staticmethod
+    def modification_over(action_term, store_term):
+        goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0")})
+        store = encode_store(ChunkStore([goal]).with_nil()) if store_term is None else store_term
+        if action_term is None:
+            action_term = encode_action(Action(MODIFY, sym("goal"), None, ()))
+        cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
+        return builtin("action", action_term, store, cogstate, var("D"), var("C"), var("E"))
+
+    def test_action_builtin_over_an_unbound_action_is_undecided(self):
+        with pytest.raises(Undecided, match="action over an unbound action term: action"):
+            solve([self.modification_over(var("A"), None)])
+        # a ground term that is no action is an error
+        with pytest.raises(ChrError, match="not an action term: x") as raised:
+            solve([self.modification_over(sym("x"), None)])
+        assert raised.type is ChrError
+
+    def test_action_builtin_over_an_unbound_store_is_undecided(self):
+        with pytest.raises(Undecided, match="action over an unbound store: action"):
+            solve([self.modification_over(None, var("S"))])
+        # a ground term that is no chunk list is an error
+        with pytest.raises(ChrError, match="not a chunk list: x") as raised:
+            solve([self.modification_over(None, sym("x"))])
+        assert raised.type is ChrError
 
     def test_modification_falls_back_to_nil_and_ignores_unknown_slots(self):
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): sym("g0")})
@@ -713,6 +761,70 @@ class TestStepRelation:
         state = ChrState((user("p", sym("a")), user("p", var("X"))), ())
         with pytest.raises(ChrError, match=r"goal not ground: p\(X\)"):
             chr_step(state, [pair_rule()])
+
+    def test_a_non_variable_head_argument_is_matched_as_a_pattern(self):
+        x = var("X")
+        rule = ChrRule("f", (user("p", Compound("f", (x,))),), (), (user("q", x),), ())
+        fa = ChrState((user("p", Compound("f", (sym("a"),))),), ())
+        assert chr_step(fa, [rule]) == [("f", ChrState((user("q", sym("a")),), ()))]
+        ga = ChrState((user("p", Compound("g", (sym("a"),))),), ())
+        assert chr_step(ga, [rule]) == []
+        # the pattern's variable is bound by a later head constraint too
+        both = ChrRule("fq", (user("p", Compound("f", (x,))), user("q", x)), (), (), ())
+        goal = (user("q", sym("b")), user("p", Compound("f", (sym("a"),))), user("q", sym("a")))
+        assert chr_step(ChrState(goal, ()), [both]) == [("fq", ChrState(goal[:1], ()))]
+
+    def test_a_repeated_head_variable_matches_equal_arguments(self):
+        x = var("X")
+        rule = ChrRule("same", (user("p", x, x),), (), (user("q", x),), ())
+        aa = ChrState((user("p", sym("a"), sym("a")),), ())
+        assert chr_step(aa, [rule]) == [("same", ChrState((user("q", sym("a")),), ()))]
+        ab = ChrState((user("p", sym("a"), sym("b")),), ())
+        assert chr_step(ab, [rule]) == []
+
+    def test_a_ground_head_argument_matches_only_its_equal(self):
+        x, fa = var("X"), Compound("f", (sym("a"),))
+        goal = (user("p", sym("b"), sym("a")), user("p", fa, sym("c")), user("p", sym("a"), sym("d")))
+        heads = [
+            (user("p", sym("a"), x), 2, sym("d")),  # a first argument
+            (user("p", x, sym("a")), 0, sym("b")),  # a later one
+            (user("p", fa, x), 1, sym("c")),  # a compound
+        ]
+        for head, matched, value in heads:
+            rule = ChrRule("g", (head,), (), (user("q", x),), ())
+            kept = tuple(c for i, c in enumerate(goal) if i != matched)
+            succ = ChrState(kept + (user("q", value),), ())
+            assert chr_step(ChrState(goal, ()), [rule]) == [("g", succ)]
+        miss = ChrRule("g", (user("p", sym("e"), x),), (), (user("q", x),), ())
+        assert chr_step(ChrState(goal, ()), [miss]) == []
+
+    # sha256 over every successor, in order, of a breadth-first walk of CHR
+    # states alone: corpus models 0-29, depth 3, deduplicated by form
+    PINNED = {
+        FAIL_NIL: "5a2485dc9879a742d51c51a1c6fd8b3c39ea305dcd82fbae0694071ac2b5c5cf",
+        FAIL_STUCK: "6dfcd964f918747432dba4b0e90de16a2f295508b442d865b346f9e312876be8",
+    }
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_successors_come_out_in_a_pinned_order(self, policy):
+        config = ArchitectureConfig(fail_request=policy)
+        digest = hashlib.sha256()
+        for i in range(30):
+            model = random_model(random.Random(i))
+            program = chr_of_model(model)
+            start = chr_of_state(normalize_model(model).initial_state())
+            seen, frontier = {canonical_form(start)}, [start]
+            for _ in range(3):
+                deeper = []
+                for state in frontier:
+                    for label, succ in chr_step(state, program, config):
+                        digest.update(f"{label} {render_state(succ)}\n".encode())
+                        form = canonical_form(succ)
+                        if form not in seen:
+                            seen.add(form)
+                            deeper.append(succ)
+                frontier = deeper
+        assert digest.hexdigest() == self.PINNED[policy]
 
 
 class TestFacts:
