@@ -18,9 +18,11 @@ the same keys.
 
 What the two sides share, and so what the check cannot test: the request
 handlers (:func:`~actrchr.engine.interpret_request`, a parameter of the
-semantics) and the canonical key.  Rule matching, modification, the store
-merge and the fresh-id supply run as separate code on each side: the
-engine's on chunks and stores, the CHR engine's built-ins on chunk terms.
+semantics), the canonical key, and the key parts a merged store derives
+(:meth:`~actrchr.core.ChunkStore.adding`; two ``TestKeyParts`` tests check
+them).  Rule matching, modification, the store merge and the fresh-id
+supply (one generator per side and run) are separate code on each side:
+the engine's on chunks and stores, the CHR engine's on chunk terms.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .chr import (
     chr_step,
     render_state,
 )
+from .chr import fresh_gen_for as chr_fresh_gen_for
 from .core import CoreError, TypeTable
 from .engine import (
     DROPPED,
@@ -170,7 +173,7 @@ def bisim_check(
     prog = tuple(program) if program is not None else chr_of_model(model)
     s0 = norm.initial_state()
     c0 = chr_of_state(s0)
-    ids = fresh_gen_for(s0)
+    ids, chr_ids = fresh_gen_for(s0), chr_fresh_gen_for(c0)
     report = BisimReport(depth=depth)
     seen = {canonical_form(c0)}
     queue = deque([(s0, c0, 0)])
@@ -189,7 +192,7 @@ def bisim_check(
             side = "translated"
             chrs = [
                 (_engine_label(name), canonical_form(c2), c2)
-                for name, c2 in chr_step(c, prog, config)
+                for name, c2 in chr_step(c, prog, config, chr_ids)
             ]
         except (ChrError, CoreError, EngineError) as e:
             if isinstance(e, Undecided):
@@ -234,9 +237,9 @@ def bisim_check(
                     )
                 )
 
-        for label, form in eng_count | chr_count:
-            n, m = eng_count[(label, form)], chr_count[(label, form)]
-            if n != m and n > 0 and m > 0:
+        for (label, form), n in eng_count.items():
+            m = chr_count[(label, form)]
+            if m and n != m:
                 report.counterexamples.append(
                     Counterexample(
                         BIJECTION, d, label, s, c,

@@ -39,12 +39,12 @@ variables to ground terms only; :func:`match`, :func:`subst` and
 :func:`solve_builtins` plan their input and run the plan once.
 Compounds and lists cache their groundness once asked, and a store
 encoding, a checked chunk list and a merged one are marked ground when
-made.  A chunk term likewise keeps the chunk it decodes to, and a list its
-first-argument index, which finds the chunk a bound id names for ``in``,
-``map`` and ``action`` and serves ``merge``.  The merge hands a successor
-store its parent's term objects, and its index, so a store decoded for a
-request or for :func:`canonical_form` costs a decoding only for its new
-chunks.
+made.  A list also keeps its first-argument index, which finds the chunk
+a bound id names for ``in``, ``map`` and ``action`` and serves ``merge``.
+A term carries the value it was built from and is decoded only otherwise:
+a chunk term its chunk, a store encoding its store, a merged list the
+store derived from its first operand's (see
+:meth:`~actrchr.core.ChunkStore.adding`), a successor its parent's facts.
 
 The one state equivalence is the one the bisimulation needs.  A state of
 the translated shape (one ``delta`` over chunk terms and at most one
@@ -97,8 +97,8 @@ class Compound:
     args: tuple[Term, ...]
     # groundness, filled in by the first is_ground query (see there)
     _ground: bool = field(init=False, repr=False, compare=False)
-    # the chunk a chunk term encodes, filled in by its first successful
-    # decode_chunk (see there)
+    # the chunk a chunk term encodes, set when the term is built from it or
+    # by its first successful decode_chunk (see there)
     _chunk: Chunk = field(init=False, repr=False, compare=False)
 
     def __reduce__(self):  # the caches may be unset, so copy the fields only
@@ -109,10 +109,11 @@ class Compound:
 class TList:
     items: tuple[Term, ...]
     _ground: bool = field(init=False, repr=False, compare=False)
-    # filled in on first use, or by merge_chunk_lists: see _first_args and
-    # _chunk_index
+    # filled in on first use, or by encode_store and merge_chunk_lists: see
+    # _first_args, _chunk_index and _store_of
     _ids: dict = field(init=False, repr=False, compare=False)
     _ordered: bool = field(init=False, repr=False, compare=False)
+    _store: ChunkStore = field(init=False, repr=False, compare=False)
 
     def __reduce__(self):
         return TList, (self.items,)
@@ -220,6 +221,10 @@ class ChrState:
 
     goal: tuple[Constraint, ...]
     builtins: tuple[Constraint, ...]
+    _facts: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return ChrState, (self.goal, self.builtins)
 
 
 @dataclass(frozen=True)
@@ -254,16 +259,20 @@ def encode_pairs(pairs: Iterable[tuple[Symbol, Term]]) -> TList:
 
 
 def encode_chunk(chunk: Chunk) -> Compound:
-    """The chunk's pairs as they are, which is slot-name order."""
+    """The chunk's pairs as they are, in slot-name order; carries ``chunk``."""
     pairs = TList(tuple(tuple_term(s, v) for s, v in chunk.pairs))
-    return Compound("chunk", (chunk.id, chunk.type, pairs))
+    out = Compound("chunk", (chunk.id, chunk.type, pairs))
+    object.__setattr__(out, "_chunk", chunk)
+    return out
 
 
 def encode_store(store: ChunkStore) -> TList:
-    """Chunk list sorted by identifier name; the canonical encoding,
-    marked ground (see :func:`is_ground`)."""
+    """Chunk list sorted by identifier name; the canonical encoding, which
+    carries ``store`` with its index, ordered and ground marks set."""
     out = TList(tuple(encode_chunk(c) for c in store.sorted_chunks()))
-    object.__setattr__(out, "_ground", True)
+    index = {t.args[0]: (t,) for t in out.items}
+    for name, value in (("_ids", index), ("_ordered", True), ("_ground", True), ("_store", store)):
+        object.__setattr__(out, name, value)
     return out
 
 
@@ -308,8 +317,8 @@ def decode_chunk(t: Term) -> Chunk:
     """The chunk a term encodes; the inverse of :func:`encode_chunk`, so
     slots out of name order or repeated raise :class:`ChrError`.
 
-    The first successful decoding is kept in the term's ``_chunk`` slot,
-    so a term is validated once, however many stores share it.
+    A term built from a chunk carries it in its ``_chunk`` slot; any other
+    keeps its first successful decoding there, so it is validated once.
     """
     chunk = getattr(t, "_chunk", None)
     if chunk is not None:
@@ -711,9 +720,8 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     Every buffer must name a listed chunk.  A modification is solved over
     chunk terms (see :func:`_modify`).  A request is the one built-in the
     abstract machine shares, since the semantics leaves its handlers as a
-    parameter: the state is decoded for
-    :func:`~actrchr.engine.interpret_request`, which costs a decoding only
-    for terms no earlier store held (see :func:`decode_chunk`).
+    parameter: :func:`~actrchr.engine.interpret_request` reads the store
+    the list carries (see :func:`_store_of`).
     """
     a, d, g, outs, atoms, c = operands
     kind, buffer, type, pairs = _action_of(a, regs, c)
@@ -732,10 +740,7 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
         answers = [_modify(buffer, pairs, listed, gamma, ids)]
     else:
         action = Action(kind, buffer, type, pairs)
-        chunks = [decode_chunk(t) for (t,) in listed.values()]
-        if NIL not in listed:
-            chunks.append(decode_chunk(_NIL_TERM))
-        state = AbstractState.make(ChunkStore(chunks), gamma, facts)
+        state = AbstractState.make(_store_of(d), gamma, facts)
         answers = []
         for eff in interpret_request(action, state, config, ids):
             cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[buffer]
@@ -825,6 +830,7 @@ def _modify(
         new_pairs.append(p)
     fresh = ids.fresh()
     copy = Compound("chunk", (fresh, type, TList(tuple(new_pairs))))
+    object.__setattr__(copy, "_chunk", Chunk(fresh, type, [p.args for p in new_pairs]))
     return TList((copy,)), fresh, 0, ()
 
 
@@ -855,10 +861,12 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     operand's, so a successor store holds its parent's term objects.  A
     clash or an operand out of order raises :class:`ChrError`.  A lone
     non-empty operand comes back as it is, checked and indexed; any other
-    result comes with its index and its ordered and ground marks set.
+    result comes with its index, its ordered and ground marks set, and the
+    store derived from the first operand's when that carries one.
     """
     merged: dict[Term, tuple[Term, ...]] = {}
     nonempty = []
+    added: list[Term] = []
     for lst in lists:
         index = _chunk_index(lst)
         if not index:
@@ -868,8 +876,11 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
             merged = dict(index)
             continue
         for id, entry in index.items():
-            kept = merged.setdefault(id, entry)
-            if kept is not entry and kept != entry:
+            kept = merged.get(id)
+            if kept is None:
+                merged[id] = entry
+                added += entry
+            elif kept is not entry and kept != entry:
                 raise ChrError(f"merge: id {id} bound to {render_term(kept[0])} and {render_term(entry[0])}")
     if len(nonempty) == 1:
         return nonempty[0]  # type: ignore[return-value]
@@ -879,6 +890,9 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     object.__setattr__(out, "_ids", dict(zip(ids, entries)))
     object.__setattr__(out, "_ordered", True)
     object.__setattr__(out, "_ground", True)
+    store = getattr(nonempty[0], "_store", None) if nonempty else None
+    if store is not None:
+        object.__setattr__(out, "_store", store.adding([decode_chunk(t) for t in added]))
     return out
 
 
@@ -900,6 +914,18 @@ def _chunk_index(t: Term) -> dict[Term, tuple[Term, ...]]:
     object.__setattr__(t, "_ordered", True)
     object.__setattr__(t, "_ground", True)
     return index
+
+
+def _store_of(t: TList) -> ChunkStore:
+    """The store a chunk list carries, else its decoding, ids checked distinct."""
+    store = getattr(t, "_store", None)
+    if store is None:
+        chunks = [decode_chunk(x) for x in t.items]
+        if len({c.id for c in chunks}) != len(chunks):
+            raise ChrError(f"chunk id listed twice in delta: {render_term(t)}")
+        store = ChunkStore(chunks)
+        object.__setattr__(t, "_store", store)
+    return store
 
 
 def _solve_map(regs: list, operands: tuple, _ctx: tuple) -> tuple:
@@ -927,15 +953,19 @@ def _solve_map(regs: list, operands: tuple, _ctx: tuple) -> tuple:
 
 
 def facts_of(state: ChrState) -> Facts:
-    """The built-in store as facts: an interpreted built-in or an argument
-    that is no symbol lies outside the fragment and raises
-    :class:`Undecided`."""
-    for c in state.builtins:
-        if c.name in INTERPRETED:
-            raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
-        if not all(isinstance(a, Symbol) for a in c.args):
-            raise Undecided(f"fact over a non-symbol: {render_constraint(c)}")
-    return tuple(Atom(c.name, c.args) for c in state.builtins)  # type: ignore[arg-type]
+    """The built-in store as facts, read once and kept in the state: an
+    interpreted built-in or an argument that is no symbol lies outside the
+    fragment and raises :class:`Undecided`."""
+    facts = getattr(state, "_facts", None)
+    if facts is None:
+        for c in state.builtins:
+            if c.name in INTERPRETED:
+                raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
+            if not all(isinstance(a, Symbol) for a in c.args):
+                raise Undecided(f"fact over a non-symbol: {render_constraint(c)}")
+        facts = tuple(Atom(c.name, c.args) for c in state.builtins)  # type: ignore[arg-type]
+        object.__setattr__(state, "_facts", facts)
+    return facts
 
 
 def fresh_gen_for(state: ChrState) -> IdGen:
@@ -989,9 +1019,10 @@ class _RulePlan:
         self.atoms = plan.atoms
         self.tail = tuple(plan.init[head_size:])
 
-    def successor(self, regs: list, goal: tuple, used: tuple, builtins: tuple) -> ChrState:
+    def successor(self, regs: list, goal: tuple, used: tuple, parent: ChrState) -> ChrState:
         """The state a body solution gives: the goal without the matched
-        positions ``used``, plus the body constraints, beside the facts."""
+        positions ``used``, plus the body constraints, beside the facts;
+        with no fact added, it shares the parent's read facts."""
         if self.builds:
             _build(self.builds, regs)
         added = tuple([
@@ -1005,8 +1036,10 @@ class _RulePlan:
         else:
             kept = tuple([c for gi, c in enumerate(goal) if gi not in used])
         if self.atoms is not None and regs[self.atoms]:
-            builtins = builtins + tuple(fact_constraint(a) for a in regs[self.atoms])
-        return ChrState(kept + added, builtins)
+            return ChrState(kept + added, parent.builtins + tuple(map(fact_constraint, regs[self.atoms])))
+        out = ChrState(kept + added, parent.builtins)
+        object.__setattr__(out, "_facts", parent._facts)
+        return out
 
 
 def _match_heads(heads: tuple, goal: tuple[Constraint, ...], index: dict) -> list:
@@ -1037,6 +1070,7 @@ def chr_step(
     state: ChrState,
     program: Iterable[ChrRule],
     config: ArchitectureConfig | None = None,
+    ids: IdGen | None = None,
 ) -> list[tuple[str, ChrState]]:
     """All successor states, labelled by the rule that produced them.
 
@@ -1048,7 +1082,8 @@ def chr_step(
     constraints are added ground, and the built-in store grows only by the
     facts contributed by ``action``.  Rules that share one head tuple
     (as :func:`~actrchr.translate.chr_of_model` makes them) share its
-    matchings.
+    matchings.  ``ids`` supplies fresh identifiers, by default
+    :func:`fresh_gen_for` the state.
     """
     goal = state.goal
     index: dict = {}  # user constraints by (name, arity[, symbol first argument])
@@ -1062,8 +1097,7 @@ def chr_step(
             if args and args[0].__class__ in _ATOMIC:
                 index.setdefault((c.name, len(args), args[0]), []).append(gi)
     config = config or ArchitectureConfig()
-    ids = fresh_gen_for(state)
-    ctx = (facts_of(state), config, ids)
+    ctx = (facts_of(state), config, ids or fresh_gen_for(state))
     matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:
@@ -1075,7 +1109,7 @@ def chr_step(
         for vals, used in entry[1]:
             for regs in _run(plan.guard, [[*vals, *plan.tail]], ctx):
                 for regs in _run(plan.body, [regs], ctx):
-                    out.append((rule.name, plan.successor(regs, goal, used, state.builtins)))
+                    out.append((rule.name, plan.successor(regs, goal, used, state)))
     return out
 
 
@@ -1112,20 +1146,17 @@ def canonical_form(state: ChrState) -> tuple:
             raise ChrError(f"goal constraint not delta/1 or gamma/3: {render_constraint(c)}")
     if not isinstance(terms, TList):
         raise ChrError("goal has no delta over a chunk list")
-    chunks = [decode_chunk(t) for t in terms.items]
-    ids = {c.id for c in chunks}
-    if len(ids) != len(chunks):
-        raise ChrError(f"chunk id listed twice in delta: {render_term(terms)}")
+    store = _store_of(terms)
     rows = []
     for c in gammas.values():
         b, cid, d = c.args
-        if not (isinstance(b, Symbol) and cid in ids):
+        if not (isinstance(b, Symbol) and cid in store):
             raise ChrError(f"gamma row names no listed chunk: {render_constraint(c)}")
         if d not in (0, 1):
             raise ChrError(f"gamma row with a delay other than 0 or 1: {render_constraint(c)}")
         rows.append((b, cid, d))
     rows.sort(key=lambda r: r[0].name)
-    return canonical_key(AbstractState(ChunkStore(chunks), tuple(rows), facts))
+    return canonical_key(AbstractState(store, tuple(rows), facts))
 
 
 # ---------------------------------------------------------------------------

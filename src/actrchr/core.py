@@ -281,6 +281,13 @@ class ChunkStore:
     def __reduce__(self):  # copy the chunks only, not the key parts
         return ChunkStore, (self.chunks(),)
 
+    def adding(self, chunks: list[Chunk]) -> ChunkStore:
+        """This store plus ``chunks`` under new ids, key parts derived if it has them."""
+        out = object.__new__(ChunkStore)  # the caller checked the ids: no second pass
+        out._by_id = {**self._by_id, **{c.id: c for c in chunks}}
+        out._parts = self._parts and _add_key_parts(self._parts, chunks)
+        return out
+
     def key_parts(self) -> tuple:
         """The parts :func:`~actrchr.engine.canonical_key` reads: the sorted
         entries ``(id name, type, pairs)`` of the chunks with a parsed id,
@@ -326,17 +333,11 @@ def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
     of ``right`` under new identifiers only; if ``left`` has its key parts,
     the result's are derived from them and the added chunks.
     """
-    combined = dict(left._by_id)
+    added = []
     for c in right:
-        mine = combined.get(c.id)
+        mine = left._by_id.get(c.id)
         if mine is None:
-            combined[c.id] = c
+            added.append(c)
         elif mine != c:
             raise IdClash(f"merge: id {c.id} bound to {mine!r} and {c!r}")
-    out = object.__new__(ChunkStore)  # combined is checked: no second pass
-    out._by_id = combined
-    out._parts = None
-    if left._parts is not None:
-        out._parts = _add_key_parts(left._parts, (c for c in right if c.id not in left._by_id))
-    return out
-
+    return left.adding(added)

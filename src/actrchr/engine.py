@@ -381,8 +381,8 @@ def interpret_request(
 ) -> list[Effect]:
     """One effect per handler answer, each under a fresh identifier.
 
-    An answer whose pairs or facts name a fresh identifier raises
-    :class:`EngineError`: it would break the fresh-id invariant.
+    An answer that repeats a slot, or whose pairs or facts name a fresh
+    identifier (breaking the fresh-id invariant), raises :class:`EngineError`.
 
     An empty answer set either parks the nil chunk pending in the buffer
     (fail_request="nil", the default) or yields no effect at all
@@ -397,6 +397,8 @@ def interpret_request(
         for v in [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]:
             if is_fresh_id(v):
                 raise EngineError(f"fresh id {v} named by an answer on {action.buffer}")
+        if len(dict(ans.val)) != len(ans.val):
+            raise EngineError(f"slot repeated by an answer on {action.buffer}")
         fresh = ids.fresh()
         chunk = Chunk(fresh, ans.type, ans.val)
         delay = 1 if ans.delay > 0 else 0

@@ -135,6 +135,9 @@ def no_rule() -> ChrRule:
     )
 
 
+_NO_RULE = no_rule()  # planned once, shared by every program
+
+
 def chr_of_model(model: Model) -> tuple[ChrRule, ...]:
     """The full program: one rule per (normalised, kept) model rule, the
     generic ``no`` rule last.  Rules with equal heads share one head tuple,
@@ -145,5 +148,5 @@ def chr_of_model(model: Model) -> tuple[ChrRule, ...]:
     for r in normalized.rules:
         name, head, *rest = _rule_parts(r, model.buffers, model.types)
         rules.append(ChrRule(name, heads.setdefault(head, head), *rest))
-    rules.append(no_rule())
+    rules.append(_NO_RULE)
     return tuple(rules)

@@ -349,11 +349,14 @@ class TestFaultMatrix:
         fresh = (Symbol("c#0"),)
         in_a_pair = Answer(Symbol("succ"), ((Symbol("number"), fresh[0]),))
         in_a_fact = Answer(Symbol("succ"), (), 1, (Atom("seen", fresh),))
+        number = Symbol("number")
+        repeating = Answer(Symbol("succ"), ((number, Symbol("1")), (number, Symbol("2"))))
         retrieval = Symbol("retrieval")
         cases = [
             (ArchitectureConfig(default_handler=None), "NoHandler"),
             (ArchitectureConfig({retrieval: lambda *_: [in_a_pair]}), "EngineError"),
             (ArchitectureConfig({retrieval: lambda *_: [in_a_fact]}), "EngineError"),
+            (ArchitectureConfig({retrieval: lambda *_: [repeating]}), "EngineError"),
         ]
         for config, error in cases:
             report = bisim_check(counting_model, depth=3, config=config)

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -60,6 +61,7 @@ from actrchr.engine import (
     FAIL_STUCK,
     ArchitectureConfig,
     canonical_key,
+    declarative_retrieval,
     explore,
     normalize_model,
 )
@@ -78,7 +80,9 @@ def var(name: str) -> Variable:
 
 
 def decoded(t: TList) -> ChunkStore:
-    return ChunkStore(decode_chunk(c) for c in t.items)
+    """The store the terms spell, decoded from a copy: a term built from a
+    chunk carries it, and pickling drops it."""
+    return ChunkStore(decode_chunk(c) for c in pickle.loads(pickle.dumps(t)).items)
 
 
 class TestUnification:
@@ -194,7 +198,7 @@ class TestEncoding:
         )
 
     def test_chunk_round_trip(self):
-        assert decode_chunk(encode_chunk(CHUNK)) == CHUNK
+        assert decoded(TList((encode_chunk(CHUNK),))).chunks() == (CHUNK,)
 
     def test_decoding_rejects_slots_out_of_name_order_or_repeated(self):
         a, b = tuple_term(sym("a"), sym("k")), tuple_term(sym("b"), NIL)
@@ -203,12 +207,15 @@ class TestEncoding:
                 decode_chunk(Compound("chunk", (sym("k"), sym("t"), TList(pairs))))
 
     def test_a_term_is_decoded_once(self):
-        term = encode_chunk(CHUNK)
+        # an encoded term carries the chunk it was built from
+        assert decode_chunk(encode_chunk(CHUNK)) is CHUNK
+        term = Compound("chunk", encode_chunk(CHUNK).args)
         first = decode_chunk(term)
+        assert first == CHUNK and first is not CHUNK
         assert decode_chunk(term) is first
         # an equal term decodes alike; the cache is no part of equality,
         # hashing, rendering or copying
-        fresh = encode_chunk(CHUNK)
+        fresh = Compound("chunk", term.args)
         assert decode_chunk(fresh) == first and decode_chunk(fresh) is not first
         assert term == encode_chunk(CHUNK) and hash(term) == hash(encode_chunk(CHUNK))
         assert repr(term) == repr(encode_chunk(CHUNK))
@@ -511,9 +518,9 @@ class TestBuiltinTheory:
         ((env, atoms),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen(4))
         assert atoms == () and env[var("Cres")] == sym("c#4") and env[var("Eres")] == 0
         (copy,) = env[var("Dres")].items
-        assert decode_chunk(copy) == Chunk(
-            sym("c#4"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL}
-        )
+        expected = Chunk(sym("c#4"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})
+        # the term spells the chunk it carries
+        assert decoded(env[var("Dres")]).chunks() == (expected,) == (decode_chunk(copy),)
         # the untouched pair is the incumbent's own term
         (incumbent,) = [t for t in store.items if t.args[0] == sym("g0")]
         assert copy.args[2].items[0] is incumbent.args[2].items[0]
@@ -1064,6 +1071,61 @@ class TestStateEquivalence:
             with pytest.raises(ChrError, match=message) as raised:
                 canonical_form(ChrState(goal, facts))
             assert raised.type is ChrError, message
+
+
+def noting(type, pairs, state):
+    """Retrieval whose every answer also adds a fact."""
+    answers = declarative_retrieval(type, pairs, state)
+    return [replace(a, atoms=(Atom("seen", (type,)),)) for a in answers]
+
+
+class TestKeyParts:
+    """The CHR side's twin of the engine's key-part test: a successor's
+    chunk list carries a store derived from its parent's, and its facts,
+    and both equal what decoding the successor from scratch gives."""
+
+    @staticmethod
+    def store(state: ChrState) -> ChunkStore:
+        """The store the state's delta list carries, once it is keyed."""
+        (delta,) = [c for c in state.goal if c.name == "delta"]
+        return delta.args[0]._store
+
+    @pytest.mark.parametrize("config", [
+        ArchitectureConfig(fail_request=FAIL_NIL),
+        ArchitectureConfig(fail_request=FAIL_STUCK),
+        ArchitectureConfig(default_handler=noting),
+    ], ids=["nil", "stuck", "facts"])
+    def test_carried_stores_and_facts_equal_decoded_ones(self, config):
+        keyed = shared_facts = added = 0
+        for i in range(30):
+            m = random_model(random.Random(i))
+            prog = chr_of_model(m)
+            c0 = chr_of_state(normalize_model(m).initial_state())
+            ids = fresh_gen_for(c0)  # run-wide, as bisim_check draws them
+            seen = {canonical_form(c0)}
+            queue = [(c0, 0)]
+            for c, d in queue:
+                if d == 5:
+                    continue
+                for _, c2 in chr_step(c, prog, config, ids):
+                    carried = self.store(c2)
+                    assert carried._parts is not None  # derived, not computed
+                    copied = pickle.loads(pickle.dumps(c2))  # drops every cache
+                    form = canonical_form(c2)
+                    assert form == canonical_form(copied)
+                    assert carried == self.store(copied)
+                    assert carried.key_parts() == ChunkStore(carried.chunks()).key_parts()
+                    shared_facts += c2._facts is c._facts
+                    assert facts_of(c2) == facts_of(copied)
+                    added += len(carried) > len(self.store(c))
+                    keyed += 1
+                    if form not in seen:
+                        seen.add(form)
+                        queue.append((c2, d + 1))
+        # keyed, sharing facts, adding chunks: nil 605, 605, 254; stuck 290, 290,
+        # 139; facts 605, 596, 254
+        assert keyed > 250 and shared_facts > 250 and added > 100
+        assert (shared_facts < keyed) == (config.default_handler is noting)
 
 
 class TestRendering:

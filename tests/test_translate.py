@@ -1,5 +1,6 @@
 """Shape and determinism of the model-to-constraint-program translation."""
 
+import pickle
 import random
 import re
 
@@ -73,7 +74,8 @@ class TestStateTranslation:
         state = counting_norm.initial_state()
         cs = chr_of_state(state)
         (delta,) = [c for c in cs.goal if c.name == "delta"]
-        assert [decode_chunk(t) for t in delta.args[0].items] == list(state.store.sorted_chunks())
+        terms = pickle.loads(pickle.dumps(delta.args[0])).items  # a copy carries no chunks
+        assert [decode_chunk(t) for t in terms] == list(state.store.sorted_chunks())
 
     def test_facts_become_the_builtin_store(self, counting_norm):
         state = counting_norm.initial_state()
@@ -206,6 +208,11 @@ class TestProgramTranslation:
 
     def test_no_rule_is_stable(self):
         assert render_rule(no_rule()) == NO_RULE_TEXT
+
+    def test_programs_share_one_planned_reveal_rule(self, counting_model):
+        other = chr_of_model(random_model(random.Random(0)))
+        last = chr_of_model(counting_model)[-1]
+        assert other[-1] is last and render_rule(last) == NO_RULE_TEXT
 
     def test_dropped_rules_vanish_from_the_program(self):
         src = (
