@@ -58,6 +58,7 @@ raises :class:`ChrError` naming what breaks the shape.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -865,6 +866,7 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     store derived from the first operand's when that carries one.
     """
     merged: dict[Term, tuple[Term, ...]] = {}
+    ids: list[Term] = []  # the first operand's order, each added id inserted by name
     nonempty = []
     added: list[Term] = []
     for lst in lists:
@@ -874,17 +876,18 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
         nonempty.append(lst)
         if not merged:
             merged = dict(index)
+            ids = list(index)
             continue
         for id, entry in index.items():
             kept = merged.get(id)
             if kept is None:
                 merged[id] = entry
                 added += entry
+                insort(ids, id, key=_NAME)
             elif kept is not entry and kept != entry:
                 raise ChrError(f"merge: id {id} bound to {render_term(kept[0])} and {render_term(entry[0])}")
     if len(nonempty) == 1:
         return nonempty[0]  # type: ignore[return-value]
-    ids = sorted(merged, key=_NAME)
     entries = tuple(map(merged.__getitem__, ids))
     out = TList(tuple(chain.from_iterable(entries)))
     object.__setattr__(out, "_ids", dict(zip(ids, entries)))

@@ -162,7 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "name another with --out", file=sys.stderr)
             return 1
     try:
-        text = Path(args.model).read_text(encoding="utf-8")
+        # a byte-order mark some editors write is not part of the model
+        text = Path(args.model).read_text(encoding="utf-8-sig")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -19,6 +19,13 @@ starting with ``c#`` are reserved for fresh chunk identifiers.
 Symbol resolution problems (unknown types, slots, buffers, chunks) are not
 parse errors; they are reported by :func:`actrchr.model.validate`.
 
+The text is lexed in one pass of a single regular expression, each match
+one token plus the blanks and comments after it.  A token is a plain
+``(kind, text, offset)`` tuple; a :class:`Span` is built only for what
+the model keeps (rules, buffer tests, actions) and for a
+:class:`ParseError`, by a binary search of a newline table made once per
+parse, so parsing stays linear in the length of the text.
+
 Pairs follow :meth:`actrchr.core.TypeTable.ordered`, the slot order of
 model text, so ``parse_model(print_model(m)) == m`` for every parsed or
 generated model.
@@ -27,7 +34,7 @@ generated model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .core import FRESH_PREFIX, Chunk, CoreError, NIL, Symbol, TypeTable, Value, Variable
 from .model import (
@@ -53,81 +60,71 @@ KEYWORDS = frozenset(
     ["type", "chunk", "dm", "buffer", "rule", "modify", "request", "pending"]
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:#[0-9]+)?")
-_NUMBER = re.compile(r"[0-9]+")
-_PUNCT = {"{": "lbrace", "}": "rbrace", ":": "colon", ",": "comma"}
+#: A token: its kind, its text and the offset of its first character.
+Token = tuple[str, str, int]
+
+# Blanks, and comments that a newline ends.  A comment that ends the text
+# is left to the ``rest`` alternative, which puts the end of input at its '#'.
+_BLANKS = r"[ \t\r\n]*(?:\#[^\n]*\n[ \t\r\n]*)*"
+_SKIP = re.compile(_BLANKS)
+_NEWLINE = re.compile("\n")
+# a keyword is a whole name: no name character and no '#digits' follows
+_NAME_END = r"(?![A-Za-z0-9_]|\#[0-9])"
+# One token, then the blanks after it; numbers come before identifiers,
+# keywords before other names and '==>' before '='.  ``rest`` takes all
+# from a character no token starts with, so the matches tile the text.
+_TOKEN = re.compile(
+    r"(?:(?P<number>[0-9]+)"
+    rf"|(?P<kw>(?:{'|'.join(sorted(KEYWORDS))}){_NAME_END})"
+    r"|(?P<lident>[a-z_][A-Za-z0-9_]*(?:\#[0-9]+)?)"
+    r"|(?P<uident>[A-Z][A-Za-z0-9_]*(?:\#[0-9]+)?)"
+    r"|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<colon>:)|(?P<comma>,)"
+    r"|(?P<arrow>==>)|(?P<eq>=)"
+    r"|(?P<rest>(?s:.+)))" + _BLANKS
+)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    span: Span
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of the text starts."""
+    return [0] + [m.end() for m in _NEWLINE.finditer(text)]
+
+
+def _span(starts: list[int], offset: int) -> Span:
+    line = bisect_right(starts, offset)
+    return Span(line, offset - starts[line - 1] + 1)
 
 
 def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        span = Span(line, col)
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("==>", i):
-            toks.append(Token("arrow", "==>", span))
-            i += 3
-            col += 3
-            continue
-        if ch == "=":
-            toks.append(Token("eq", "=", span))
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            toks.append(Token("number", m.group(), span))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            if word in KEYWORDS:
-                kind = "kw"
-            elif word[0].isupper():
-                kind = "uident"
-            else:
-                kind = "lident"
-            toks.append(Token(kind, word, span))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"stray character {ch!r}", span)
-    toks.append(Token("eof", "", Span(line, col)))
+    """The tokens of the text, ending with an ``eof`` token; a character
+    that starts no token is a :class:`ParseError`."""
+    toks = [
+        (kind := m.lastgroup, m[kind], m.start(kind))
+        for m in _TOKEN.finditer(text, _SKIP.match(text).end())
+    ]
+    end = len(text)
+    if toks and toks[-1][0] == "rest":
+        _, rest, end = toks.pop()
+        if rest[0] != "#":  # else a last comment, with no newline after it
+            raise ParseError(f"stray character {rest[0]!r}", _span(_line_starts(text), end))
+    toks.append(("eof", "", end))
     return toks
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]) -> None:
-        self.toks = toks
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
+        self.names: dict[str, Symbol] = {}
+        self.starts: list[int] | None = None
+
+    def span(self, offset: int) -> Span:
+        if self.starts is None:
+            self.starts = _line_starts(self.text)
+        return _span(self.starts, offset)
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, self.span(tok[2]))
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -138,47 +135,52 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or kind
-            raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise self.error(f"expected {what or kind}, found {tok[1] or 'end of input'!r}", tok)
+        self.i += 1
+        return tok
 
     def name(self, what: str) -> Symbol:
-        tok = self.peek()
-        if tok.kind not in ("lident", "number"):
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
-        if tok.text.startswith(FRESH_PREFIX):
-            raise ParseError(f"{tok.text!r} is reserved for fresh chunk identifiers", tok.span)
-        self.advance()
-        return Symbol(tok.text)
+        tok = self.toks[self.i]
+        kind, text, _ = tok
+        # a token's kind follows from its text, so a name met before is a name
+        sym = self.names.get(text)
+        if sym is None:
+            if kind != "lident" and kind != "number":
+                raise self.error(f"expected {what}, found {text or 'end of input'!r}", tok)
+            if text.startswith(FRESH_PREFIX):
+                raise self.error(f"{text!r} is reserved for fresh chunk identifiers", tok)
+            sym = self.names[text] = Symbol(text)
+        self.i += 1
+        return sym
 
     def type_name(self) -> Symbol:
         # the builtin type is spelt like the declaration keyword
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "chunk":
-            self.advance()
-            return Symbol(tok.text)
+        if self.toks[self.i][:2] == ("kw", "chunk"):
+            self.i += 1
+            return Symbol("chunk")
         return self.name("a type name")
 
     def value(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "uident":
-            self.advance()
-            return Variable(tok.text)
+        kind, text, _ = self.toks[self.i]
+        if kind == "uident":
+            self.i += 1
+            return Variable(text)
         return self.name("a constant or variable")
 
-    def pair_list(self, variables: bool) -> list[tuple[Symbol, Value, Span]]:
+    def pair_list(self, variables: bool) -> list[tuple[Symbol, Value, int]]:
+        """The pairs in braces, each with the offset of its slot name."""
         self.expect("lbrace", "'{'")
-        out: list[tuple[Symbol, Value, Span]] = []
-        while self.peek().kind != "rbrace":
-            span = self.peek().span
+        out: list[tuple[Symbol, Value, int]] = []
+        while self.toks[self.i][0] != "rbrace":
+            offset = self.toks[self.i][2]
             slot = self.name("a slot name")
             self.expect("colon", "':'")
             v = self.value() if variables else self.name("a constant")
-            out.append((slot, v, span))
-            if self.peek().kind == "comma":
-                self.advance()
+            out.append((slot, v, offset))
+            if self.toks[self.i][0] == "comma":
+                self.i += 1
             else:
                 break
         self.expect("rbrace", "'}'")
@@ -187,18 +189,27 @@ class _Parser:
     def name_list(self) -> list[Symbol]:
         self.expect("lbrace", "'{'")
         out: list[Symbol] = []
-        while self.peek().kind != "rbrace":
+        while self.toks[self.i][0] != "rbrace":
             out.append(self.name("a name"))
-            if self.peek().kind == "comma":
-                self.advance()
+            if self.toks[self.i][0] == "comma":
+                self.i += 1
             else:
                 break
         self.expect("rbrace", "'}'")
         return out
 
+    def single_slots(self, raw: list[tuple[Symbol, Value, int]], where: str) -> dict[Symbol, Value]:
+        """The pairs as a dict; a repeated slot is an error at its second pair."""
+        given: dict[Symbol, Value] = {}
+        for s, v, offset in raw:
+            if s in given:
+                raise ParseError(f"slot {s} given twice in {where}", self.span(offset))
+            given[s] = v
+        return given
+
 
 def parse_model(text: str) -> Model:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     types = TypeTable()
     chunks: list[Chunk] = []
     dm: set[Symbol] = set()
@@ -207,53 +218,49 @@ def parse_model(text: str) -> Model:
     rules: list[Rule] = []
     rule_names: set[str] = set()
 
-    while p.peek().kind != "eof":
-        tok = p.peek()
-        if tok.kind != "kw":
-            raise ParseError(
-                f"expected a declaration, found {tok.text!r}", tok.span
-            )
-        if tok.text == "type":
-            p.advance()
+    while (tok := p.advance())[0] != "eof":
+        kind, word, _ = tok
+        if kind != "kw":
+            raise p.error(f"expected a declaration, found {word!r}", tok)
+        if word == "type":
             name = p.name("a type name")
             slots = p.name_list()
             try:
                 types.declare(name, slots)
             except CoreError as e:
-                raise ParseError(str(e), tok.span) from None
-        elif tok.text == "chunk":
-            p.advance()
+                raise p.error(str(e), tok) from None
+        elif word == "chunk":
             id = p.name("a chunk id")
             p.expect("colon", "':'")
             ctype = p.type_name()
-            raw = p.pair_list(variables=False)
-            chunks.append(_declared_chunk(types, id, ctype, raw))
-        elif tok.text == "dm":
-            p.advance()
+            given = p.single_slots(p.pair_list(variables=False), f"chunk {id}")
+            # Missing slots become nil; surplus slots stay so validate can point at them.
+            if types.has(ctype):
+                for s in types.slots(ctype):
+                    given.setdefault(s, NIL)
+            chunks.append(Chunk(id, ctype, given))
+        elif word == "dm":
             dm.update(p.name_list())
-        elif tok.text == "buffer":
-            p.advance()
+        elif word == "buffer":
             b = p.name("a buffer name")
             if b in buffers:
-                raise ParseError(f"buffer {b} declared twice", tok.span)
+                raise p.error(f"buffer {b} declared twice", tok)
             p.expect("eq", "'='")
             c = p.name("a chunk id")
             delay = 0
-            nxt = p.peek()
-            if nxt.kind == "kw" and nxt.text == "pending":
+            if p.peek()[:2] == ("kw", "pending"):
                 p.advance()
                 delay = 1
             buffers.append(b)
             init.append((b, c, delay))
-        elif tok.text == "rule":
-            p.advance()
+        elif word == "rule":
             rname = p.expect("lident", "a rule name")
-            if rname.text in rule_names:
-                raise ParseError(f"rule {rname.text} declared twice", rname.span)
-            rule_names.add(rname.text)
+            if rname[1] in rule_names:
+                raise p.error(f"rule {rname[1]} declared twice", rname)
+            rule_names.add(rname[1])
             rules.append(_parse_rule(p, types, rname))
         else:
-            raise ParseError(f"unexpected {tok.text!r}", tok.span)
+            raise p.error(f"unexpected {word!r}", tok)
 
     return Model(
         types=types,
@@ -265,61 +272,36 @@ def parse_model(text: str) -> Model:
     )
 
 
-def _single_slots(raw: list[tuple[Symbol, Value, Span]], where: str) -> dict[Symbol, Value]:
-    """The pairs as a dict; a repeated slot is an error at its second pair."""
-    given: dict[Symbol, Value] = {}
-    for s, v, span in raw:
-        if s in given:
-            raise ParseError(f"slot {s} given twice in {where}", span)
-        given[s] = v
-    return given
-
-
-def _declared_chunk(
-    types: TypeTable, id: Symbol, ctype: Symbol, raw: list[tuple[Symbol, Value, Span]]
-) -> Chunk:
-    # Missing slots become nil; surplus slots stay so validate can point at them.
-    given = _single_slots(raw, f"chunk {id}")
-    if types.has(ctype):
-        for s in types.slots(ctype):
-            given.setdefault(s, NIL)
-    return Chunk(id, ctype, given)
-
-
 def _parse_rule(p: _Parser, types: TypeTable, rname: Token) -> Rule:
     p.expect("lbrace", "'{'")
     tests: list[BufferTest] = []
-    while p.peek().kind != "arrow":
-        span = p.peek().span
+    while p.peek()[0] != "arrow":
+        offset = p.peek()[2]
         buffer = p.name("a buffer name")
         p.expect("colon", "':'")
         ttype = p.type_name()
         raw = p.pair_list(variables=True)
         pairs = types.ordered(ttype, ((s, v) for s, v, _ in raw))
-        tests.append(BufferTest(buffer, ttype, pairs, span))
-    p.expect("arrow", "'==>'")
+        tests.append(BufferTest(buffer, ttype, pairs, p.span(offset)))
+    p.advance()
     actions: list[Action] = []
-    while p.peek().kind != "rbrace":
-        tok = p.peek()
-        if tok.kind != "kw" or tok.text not in (MODIFY, REQUEST):
-            raise ParseError(
-                f"expected 'modify' or 'request', found {tok.text or 'end of input'!r}",
-                tok.span,
+    while (tok := p.peek())[0] != "rbrace":
+        kind, word, offset = tok
+        if kind != "kw" or word not in (MODIFY, REQUEST):
+            raise p.error(
+                f"expected 'modify' or 'request', found {word or 'end of input'!r}", tok
             )
         p.advance()
         buffer = p.name("a buffer name")
-        if tok.text == REQUEST:
-            rtype: Symbol | None = p.type_name()
-        else:
-            rtype = None
+        rtype = p.type_name() if word == REQUEST else None
         raw = p.pair_list(variables=True)
-        if tok.text == MODIFY:
+        if word == MODIFY:
             # a request may repeat a slot (a conjunction); a modify may not
-            _single_slots(raw, f"modify {buffer}")
+            p.single_slots(raw, f"modify {buffer}")
         pairs = types.ordered(rtype, ((s, v) for s, v, _ in raw))
-        actions.append(Action(tok.text, buffer, rtype, pairs, tok.span))
-    p.expect("rbrace", "'}'")
-    return Rule(rname.text, tuple(tests), tuple(actions), rname.span)
+        actions.append(Action(word, buffer, rtype, pairs, p.span(offset)))
+    p.advance()
+    return Rule(rname[1], tuple(tests), tuple(actions), p.span(rname[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,26 @@ class TestTermMerge:
         kept = [t for t in out.items if t.args[0] != sym("c#4")]
         assert all(any(t is u for u in parent.items) for t in kept)
 
+    def test_added_ids_are_placed_as_a_full_sort_places_them(self):
+        # overlapping operands whose ids interleave, fresh ids among them
+        rng = random.Random(4)
+        names = [f"k{i}" for i in range(20)] + ["a", "z", "c#1", "c#10", "c#2"]
+        chunks = {n: Chunk(sym(n), sym("t"), {sym("a"): sym(n)}) for n in names}
+        merges = 0
+        for _ in range(300):
+            operands = [rng.sample(names, rng.randint(0, 8)) for _ in range(rng.randint(2, 4))]
+            lists = [encode_store(ChunkStore(chunks[n] for n in ns)) for ns in operands]
+            out = merge_chunk_lists(lists)
+            union = ChunkStore(chunks[n] for n in sorted({n for ns in operands for n in ns}))
+            expected = sorted((t for lst in lists for t in lst.items), key=lambda t: t.args[0].name)
+            assert out.items == tuple(dict.fromkeys(expected))
+            assert out._ordered and list(out._ids) == [t.args[0] for t in out.items]
+            assert out._ids == {t.args[0]: (t,) for t in out.items}
+            if any(operands):  # the empty merge carries no store
+                assert out._store == union
+            merges += sum(1 for ns in operands if ns) > 1
+        assert merges > 200
+
     def test_a_lone_nonempty_operand_is_the_merge_itself(self):
         lone = encode_store(ChunkStore([CHUNK, Chunk(sym("c#3"), sym("t"), {})]))
         for lists in ([lone], [lone, TList(())], [TList(()), lone], [TList(()), lone, TList(())]):

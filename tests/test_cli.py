@@ -76,6 +76,20 @@ class TestParse:
         assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["counting", "type t { s } chunk a t {}\n"])
+    def test_a_leading_byte_order_mark_is_not_part_of_the_model(
+        self, capsys, tmp_path, counting_src, source
+    ):
+        text = counting_src if source == "counting" else source
+        plain, marked = tmp_path / "plain.actr", tmp_path / "marked.actr"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "parse", marked)
+        assert (code, out, err.replace(str(marked), str(plain))) == run_cli(capsys, "parse", plain)
+        if source != "counting":
+            assert (code, out) == (1, "")
+            assert err.startswith(f"{marked}:1:22: expected ':'")
+
     @pytest.mark.parametrize("command", ["parse", "translate"])
     def test_unwritable_out(self, capsys, tmp_path, counting_path, command):
         target = tmp_path / "no" / "such" / "dir" / "x"
