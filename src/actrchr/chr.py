@@ -35,8 +35,13 @@ inputs from registers, build the terms they need from bindings, and store
 a result variable met for the first time directly.  Every term a pattern
 meets is ground (a goal argument, a list item, a built-in's result), so
 :func:`match_into` is one-sided, as CHR head matching is, and binds rule
-variables to ground terms only; :func:`match`, :func:`subst` and
-:func:`solve_builtins` plan their input and run the plan once.
+variables to ground terms only.  :func:`chr_step` is the one way to run
+the theory.  The operands the translation writes out are planned only
+when written out in the rule: the action term and the cognitive-state
+list of ``action`` (each row ``(Buffer, (Chunk, Delay))``, none counts)
+and the operand list of ``merge``.  An unbound variable there is
+:class:`Undecided`; any other term fails with :class:`ChrError` naming it
+when the step reaches it.
 Compounds and lists cache their groundness once asked, and a store
 encoding, a checked chunk list and a merged one are marked ground when
 made.  A list also keeps its first-argument index, which finds the chunk
@@ -123,38 +128,6 @@ class TList:
 def tuple_term(*args: Term) -> Compound:
     """Tuples are compounds under the reserved functor ','."""
     return Compound(",", tuple(args))
-
-
-Env = dict[Variable, Term]
-
-
-def walk(t: Term, env: Env) -> Term:
-    """A variable's value, which is ground (see :func:`match`), or the term."""
-    return env.get(t, t) if isinstance(t, Variable) else t
-
-
-def subst(t: Term, env: Env) -> Term:
-    """Apply the bindings; ground terms come back as they are.  This is a
-    plan's term template (see :meth:`_Planner.template`) filled once."""
-    if not env:
-        return t
-    plan, builds = _Planner(env), []
-    i = plan.template(t, builds)
-    regs = list(plan.init)
-    _build(builds, regs)
-    return regs[i]
-
-
-def match(pattern: Term, term: Term, env: Env) -> Optional[Env]:
-    """The environment extended so that ``pattern`` under it equals the
-    ground ``term``, or None (see :func:`match_into`); ``env`` itself when
-    nothing new is bound."""
-    plan = _Planner(env)
-    compiled = plan.pattern(pattern)
-    regs = list(plan.init)
-    if not match_into(compiled, term, regs):
-        return None
-    return env if len(plan.slots) == len(env) else plan.env_of(regs)
 
 
 def is_ground(t: Term) -> bool:
@@ -286,24 +259,6 @@ def encode_action(action: Action) -> Compound:
     return Compound("+", (action.buffer, action.type, pairs))
 
 
-def _decode_pairs(
-    pairs: TList, error: type[ChrError], what: str
-) -> tuple[tuple[Symbol, Symbol], ...]:
-    """Slot pairs of a ground pair list; anything else raises ``error``."""
-    out = []
-    for p in pairs.items:
-        if not (
-            isinstance(p, Compound)
-            and p.functor == ","
-            and len(p.args) == 2
-            and isinstance(p.args[0], Symbol)
-            and isinstance(p.args[1], Symbol)
-        ):
-            raise error(f"{what}: {render_term(p)}")
-        out.append((p.args[0], p.args[1]))
-    return tuple(out)
-
-
 def _chunk_fields(t: Term) -> tuple[Symbol, Symbol, TList]:
     """Identifier, type and pair list of a ``chunk/3`` term."""
     if not (isinstance(t, Compound) and t.functor == "chunk" and len(t.args) == 3):
@@ -325,28 +280,17 @@ def decode_chunk(t: Term) -> Chunk:
     if chunk is not None:
         return chunk
     id, type, pairs = _chunk_fields(t)
-    decoded = _decode_pairs(pairs, ChrError, "malformed slot pair")
+    decoded = []
+    for p in pairs.items:
+        if not (_is_pair(p) and p.args[0].__class__ is Symbol and p.args[1].__class__ is Symbol):
+            raise ChrError(f"malformed slot pair: {render_term(p)}")
+        decoded.append(p.args)
     names = [s.name for s, _ in decoded]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ChrError(f"slots not in strict name order: {render_term(t)}")
     chunk = Chunk(id, type, decoded)
     object.__setattr__(t, "_chunk", chunk)
     return chunk
-
-
-def _decode_action(t: Term) -> tuple[str, Symbol, Optional[Symbol], tuple[tuple[Symbol, Symbol], ...]]:
-    """Kind, buffer, type and slot pairs of a ground action term."""
-    if not (isinstance(t, Compound) and t.functor in ("=", "+") and len(t.args) == 3):
-        raise ChrError(f"not an action term: {render_term(t)}")
-    buffer, type, pairs = t.args
-    if not (isinstance(buffer, Symbol) and isinstance(pairs, TList)):
-        raise ChrError(f"malformed action term: {render_term(t)}")
-    decoded = _decode_pairs(pairs, Undecided, "action pair not ground")
-    if t.functor == "=":
-        return MODIFY, buffer, None, decoded
-    if not isinstance(type, Symbol):
-        raise ChrError(f"request without a type: {render_term(t)}")
-    return REQUEST, buffer, type, decoded
 
 
 def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
@@ -364,16 +308,12 @@ def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
 # built-in raises Undecided on it or names it in a message.
 
 Facts = tuple[Atom, ...]
-Solution = tuple[Env, tuple[Atom, ...]]
 
-# the built-ins and their arities; anything else is an uninterpreted fact
+# the built-ins and their arities; anything else in a built-in store is an
+# uninterpreted ground fact (e.g. ``dm/1``)
 _ARITY = {"=": 2, ">": 2, "in": 2, "action": 6, "merge": 2, "map": 4}
 # goal arguments ground by their class; a head keys its goal index by one
 _ATOMIC = frozenset([Symbol, int])
-
-#: Built-in predicates with a fixed interpretation; everything else in a
-#: built-in store is an uninterpreted ground fact (e.g. ``dm/1``).
-INTERPRETED = frozenset(_ARITY)
 
 # pattern kinds; a pattern is (kind, register or value or functor, subpatterns)
 _BIND, _SAME, _CONST, _COMPOUND, _LIST = range(5)
@@ -396,23 +336,18 @@ class _Planner:
 
     __slots__ = ("slots", "init", "atoms", "loose", "seen")
 
-    def __init__(self, env: Env) -> None:
+    def __init__(self) -> None:
         self.slots: dict[Variable, int] = {}
         self.init: list = []
         self.atoms: Optional[int] = None
         self.loose = False
         self.seen = 0
-        for v, value in env.items():
-            self.slots[v] = len(self.init)
-            self.init.append(value)
-
-    def env_of(self, regs: list) -> Env:
-        return {v: regs[i] for v, i in self.slots.items()}
 
     def template(self, t: Term, builds: list) -> int:
-        """The register holding ``t`` under the bindings, as :func:`subst`
-        gives it, once ``builds`` (register, functor or None for a list,
-        argument registers) has run in order."""
+        """The register holding ``t`` with its bound variables replaced by
+        their values, once ``builds`` (register, functor or None for a list,
+        argument registers) has run in order; a ground term is held as it
+        is."""
         cls = t.__class__
         if cls is Variable:
             i = self.slots.get(t)
@@ -501,10 +436,9 @@ class _Planner:
             out.append((key, take, tuple(checks)))
         return tuple(out), hnf
 
-    def action(self, t: Term, builds: list) -> Union[int, tuple]:
-        """An action term: when its shape is in the rule, (kind, buffer,
-        type, slots, registers of the slot values); otherwise its register,
-        decoded when reached."""
+    def action(self, t: Term, builds: list) -> Optional[tuple]:
+        """A written-out action term as (kind, buffer, type, slots,
+        registers of the slot values); None for any other term."""
         if t.__class__ is Compound and t.functor in ("=", "+") and len(t.args) == 3:
             buffer, type, pairs = t.args
             modify = t.functor == "="
@@ -517,16 +451,23 @@ class _Planner:
                 slots = tuple([p.args[0] for p in pairs.items])
                 values = tuple([self.template(p.args[1], builds) for p in pairs.items])
                 return (MODIFY if modify else REQUEST, buffer, None if modify else type, slots, values)
-        return self.template(t, builds)
+        return None
 
-    def cogstate(self, t: Term, builds: list) -> Union[int, tuple[int, ...]]:
-        """A cognitive-state term: when its rows' shape is in the rule, the
-        registers of each row's buffer, chunk and delay in turn; otherwise
-        its register, decoded when reached."""
-        rows = t.items if t.__class__ is TList else ()
-        if rows and all(_is_pair(r) and _is_pair(r.args[1]) for r in rows):
-            return tuple([self.template(x, builds) for r in rows for x in (r.args[0], *r.args[1].args)])
-        return self.template(t, builds)
+    def cogstate(self, t: Term, builds: list) -> Optional[tuple[int, ...]]:
+        """A written-out cognitive-state list, each row (buffer, (chunk,
+        delay)), as the registers of each row's buffer, chunk and delay in
+        turn; None for any other term."""
+        if t.__class__ is TList and all(_is_pair(r) and _is_pair(r.args[1]) for r in t.items):
+            return tuple([self.template(x, builds) for r in t.items for x in (r.args[0], *r.args[1].args)])
+        return None
+
+    def refuse(self, t: Term, what: str, unbound: str, c: Optional[Constraint]) -> tuple:
+        """The step of a built-in whose operand ``t`` is not written out in
+        the rule: Undecided (see :func:`_fail`) when ``t`` is an unbound
+        variable, else ChrError naming ``t``."""
+        if t.__class__ is Variable and t not in self.slots:
+            return (), _fail, (Undecided, unbound, c)
+        return (), _fail, (ChrError, f"{what}: {render_term(t)}", None)
 
     def step(self, c: Constraint) -> tuple:
         """A guard or body built-in as (builds, solver, operands)."""
@@ -555,19 +496,28 @@ class _Planner:
                 key = None if self.loose else key
             return tuple(builds), _solve_in, (self.pattern(pattern), items[0], key, c)
         if name == "action":
-            ins = (self.action(args[0], builds), self.template(args[1], builds), self.cogstate(args[2], builds))
+            a, d, g = args[:3]
+            spec = self.action(a, builds)
+            if spec is None:
+                return self.refuse(a, "not an action term", "action over an unbound action term", c)
+            rows = self.cogstate(g, builds)
+            if rows is None:
+                unbound = f"cognitive state not a list: {render_term(g)}"
+                return self.refuse(g, "cognitive state not written out as a list", unbound, None)
+            ins = (spec, self.template(d, builds), rows)
             if self.atoms is None:
                 self.atoms = len(self.init)
                 self.init.append(())
             outs = tuple([self.result(x) for x in args[3:]])
             return tuple(builds), _solve_action, (*ins, outs, self.atoms, c)
         if name == "merge":
-            lst = args[0]  # a list term: its operands, each in a register
-            lists = self.inputs(lst.items if lst.__class__ is TList else (lst,), builds)
+            lst = args[0]  # a written-out list: its operands, each in a register
+            if lst.__class__ is not TList:
+                return self.refuse(lst, "merge operands not written out as a list", "merge over unbound list", c)
+            lists = self.inputs(lst.items, builds)
             if self.loose:
                 return (), _fail, (Undecided, "merge over unbound list", c)
-            operands = lists if lst.__class__ is TList else lists[0]
-            return tuple(builds), _solve_merge, (operands, self.result(args[1]), c)
+            return tuple(builds), _solve_merge, (lists, self.result(args[1]))
         ins = tuple([self.template(x, builds) for x in args[:3]])
         return tuple(builds), _solve_map, (*ins, self.result(args[3]), c)
 
@@ -636,31 +586,6 @@ def _run(steps: tuple, states: list, ctx: tuple) -> list:
     return states
 
 
-def solve_builtins(
-    constraints: Iterable[Constraint],
-    env: Env,
-    facts: Facts,
-    config: ArchitectureConfig,
-    ids: IdGen,
-) -> list[Solution]:
-    """Solve a conjunction left to right, branching where the theory does.
-
-    Every solution is a binding environment plus the facts contributed by
-    ``action`` constraints.  An empty result means the conjunction has no
-    solution.  Inputs a constraint needs must be ground when it is reached
-    (the translation emits constraints in such an order); otherwise
-    :class:`Undecided` is raised.  ``ids`` supplies the fresh identifiers
-    of ``action`` answers and must avoid every identifier in the state.
-    The conjunction is planned with ``env``'s variables bound, as a rule's
-    guard and body are (see :class:`ChrRule`).
-    """
-    plan = _Planner(env)
-    steps = tuple([plan.step(c) for c in constraints])
-    states = _run(steps, [list(plan.init)], (facts, config, ids))
-    atoms = plan.atoms
-    return [(plan.env_of(r), () if atoms is None else r[atoms]) for r in states]
-
-
 def _fail(_regs: list, operands: tuple, _ctx: tuple) -> list:
     """A built-in whose plan already shows it fails once reached."""
     error, text, c = operands
@@ -718,19 +643,30 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     puts in A's buffer and that buffer's delay, and contributing the
     effect's facts.
 
-    Every buffer must name a listed chunk.  A modification is solved over
-    chunk terms (see :func:`_modify`).  A request is the one built-in the
+    A and G are written out in the rule (see :meth:`_Planner.action` and
+    :meth:`_Planner.cogstate`), so only their values are read here.  Every
+    buffer must name a listed chunk.  A modification is solved over chunk
+    terms (see :func:`_modify`).  A request is the one built-in the
     abstract machine shares, since the semantics leaves its handlers as a
     parameter: :func:`~actrchr.engine.interpret_request` reads the store
     the list carries (see :func:`_store_of`).
     """
-    a, d, g, outs, atoms, c = operands
-    kind, buffer, type, pairs = _action_of(a, regs, c)
+    (kind, buffer, type, slots, values), d, g, outs, atoms, c = operands
+    pairs = tuple(zip(slots, map(regs.__getitem__, values)))
+    for slot, value in pairs:
+        if value.__class__ is not Symbol:
+            raise Undecided(f"action pair not ground: {render_term(tuple_term(slot, value))}")
     d = regs[d]
     if d.__class__ is Variable:
         raise Undecided(f"action over an unbound store: {render_constraint(c)}")
     listed = _chunk_index(d)  # nil may be missing; it is in every state store
-    gamma = _cogstate_of(g, regs)
+    flat = map(regs.__getitem__, g)
+    gamma: dict[Symbol, tuple[Symbol, int]] = {}
+    for b, cid, delay in zip(flat, flat, flat):
+        if not (b.__class__ is Symbol and cid.__class__ is Symbol and isinstance(delay, int)):
+            entry = tuple_term(b, tuple_term(cid, delay))
+            raise Undecided(f"cognitive state entry not ground: {render_term(entry)}")
+        gamma[b] = (cid, delay)
     for b, (cid, delay) in gamma.items():
         if cid not in listed and cid is not NIL:
             raise ChrError(f"buffer {b} holds unknown chunk id {cid}")
@@ -759,48 +695,6 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
                 r[atoms] += answer[3]
             out.append(r)
     return out
-
-
-def _action_of(spec: Union[int, tuple], regs: list, c: Constraint) -> tuple:
-    """Kind, buffer, type and slot pairs of a planned action term (see
-    :meth:`_Planner.action`)."""
-    if spec.__class__ is int:
-        t = regs[spec]
-        if t.__class__ is Variable:
-            raise Undecided(f"action over an unbound action term: {render_constraint(c)}")
-        return _decode_action(t)
-    kind, buffer, type, slots, values = spec
-    pairs = tuple(zip(slots, map(regs.__getitem__, values)))
-    for slot, value in pairs:
-        if value.__class__ is not Symbol:
-            raise Undecided(f"action pair not ground: {render_term(tuple_term(slot, value))}")
-    return kind, buffer, type, pairs
-
-
-def _cogstate_of(spec: Union[int, tuple[int, ...]], regs: list) -> dict[Symbol, tuple[Symbol, int]]:
-    """The buffer rows of a planned cognitive-state term (see
-    :meth:`_Planner.cogstate`), each (buffer, (chunk, delay))."""
-    if spec.__class__ is int:
-        t = regs[spec]
-        if not isinstance(t, TList):
-            raise Undecided(f"cognitive state not a list: {render_term(t)}")
-        rows = map(_cogstate_row, t.items)
-    else:
-        flat = map(regs.__getitem__, spec)
-        rows = zip(flat, flat, flat)
-    out: dict[Symbol, tuple[Symbol, int]] = {}
-    for b, cid, delay in rows:
-        if not (b.__class__ is Symbol and cid.__class__ is Symbol and isinstance(delay, int)):
-            entry = tuple_term(b, tuple_term(cid, delay))
-            raise Undecided(f"cognitive state entry not ground: {render_term(entry)}")
-        out[b] = (cid, delay)
-    return out
-
-
-def _cogstate_row(item: Term) -> tuple[Term, Term, Term]:
-    if not (_is_pair(item) and _is_pair(item.args[1])):
-        raise Undecided(f"cognitive state entry not ground: {render_term(item)}")
-    return (item.args[0], *item.args[1].args)
 
 
 _NIL_TERM = encode_chunk(NIL_CHUNK)
@@ -838,14 +732,8 @@ def _modify(
 def _solve_merge(regs: list, operands: tuple, _ctx: tuple) -> tuple:
     """merge(L, D): D is the merge of the chunk lists in L (see
     :func:`merge_chunk_lists`)."""
-    lists, out, c = operands
-    if lists.__class__ is int:
-        lst = regs[lists]
-        if lst.__class__ is not TList:
-            raise Undecided(f"merge over unbound list: {render_constraint(c)}")
-        merged = merge_chunk_lists(lst.items)
-    else:
-        merged = merge_chunk_lists(map(regs.__getitem__, lists))
+    lists, out = operands
+    merged = merge_chunk_lists(map(regs.__getitem__, lists))
     if out.__class__ is int:
         regs[out] = merged
     elif not match_into(out, merged, regs):
@@ -962,7 +850,7 @@ def facts_of(state: ChrState) -> Facts:
     facts = getattr(state, "_facts", None)
     if facts is None:
         for c in state.builtins:
-            if c.name in INTERPRETED:
+            if c.name in _ARITY:
                 raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
             if not all(isinstance(a, Symbol) for a in c.args):
                 raise Undecided(f"fact over a non-symbol: {render_constraint(c)}")
@@ -997,7 +885,7 @@ class _RulePlan:
     __slots__ = ("heads", "tail", "guard", "body", "builds", "adds", "leak", "atoms")
 
     def __init__(self, rule: ChrRule) -> None:
-        plan = _Planner({})
+        plan = _Planner()
         self.heads, hnf = plan.heads(rule.removed)
         head_size = len(plan.init)
         # a non-variable head argument is matched first: pattern = V

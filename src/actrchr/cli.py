@@ -162,8 +162,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "name another with --out", file=sys.stderr)
             return 1
     try:
-        # a byte-order mark some editors write is not part of the model
-        text = Path(args.model).read_text(encoding="utf-8-sig")
+        # a byte-order mark some editors write is not part of the model; it
+        # is dropped after decoding, so an error counts bytes from the file's start
+        text = Path(args.model).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

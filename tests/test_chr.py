@@ -29,6 +29,7 @@ from actrchr.chr import (
     ChrRule,
     ChrState,
     Compound,
+    Constraint,
     TList,
     Undecided,
     builtin,
@@ -44,16 +45,12 @@ from actrchr.chr import (
     fresh_gen_for,
     gamma_c,
     is_ground,
-    match,
     merge_chunk_lists,
     render_constraint,
     render_rule,
     render_state,
-    solve_builtins,
-    subst,
     tuple_term,
     user,
-    walk,
 )
 from actrchr.chr import encode_cogstate
 from actrchr.engine import (
@@ -85,48 +82,59 @@ def decoded(t: TList) -> ChunkStore:
     return ChunkStore(decode_chunk(c) for c in pickle.loads(pickle.dumps(t)).items)
 
 
+def equation(left, right, env=None):
+    """The solutions of ``left = right`` (see :func:`solve`)."""
+    return solve([builtin("=", left, right)], env)
+
+
+def body_term(t):
+    """The term the body ``q(t)`` builds once the head ``p(X)`` matches
+    ``p(b)``."""
+    rule = ChrRule("r", (user("p", var("X")),), (), (user("q", t),), ())
+    ((_, succ),) = chr_step(ChrState((user("p", sym("b")),), ()), [rule])
+    return succ.goal[0].args[0]
+
+
 class TestUnification:
     def test_variable_binds_to_symbol(self):
-        env = match(var("X"), sym("a"), {})
-        assert env == {var("X"): sym("a")}
+        assert equation(var("X"), sym("a")) == [({var("X"): sym("a")}, ())]
 
     def test_bound_variables_compare_by_value(self):
         env = {var("X"): sym("a")}
-        assert walk(var("X"), env) == sym("a") and walk(var("Y"), env) == var("Y")
-        assert match(var("X"), sym("a"), env) is env
-        assert match(var("X"), sym("b"), env) is None
+        assert equation(var("X"), sym("a"), env) == [(env, ())]
+        assert equation(var("X"), sym("b"), env) == []
         pair = tuple_term(sym("a"), sym("b"))
-        assert match(var("P"), pair, {var("P"): pair}) == {var("P"): pair}
+        assert equation(var("P"), pair, {var("P"): pair}) == [({var("P"): pair}, ())]
 
     def test_compounds_match_argumentwise(self):
         x = var("X")
         pattern = Compound("f", (x, sym("b"), TList((x,))))
         term = Compound("f", (sym("a"), sym("b"), TList((sym("a"),))))
-        assert match(pattern, term, {}) == {x: sym("a")}
+        assert equation(pattern, term) == [({x: sym("a")}, ())]
         # one variable, two values
         clash = Compound("f", (sym("a"), sym("b"), TList((sym("c"),))))
-        assert match(pattern, clash, {}) is None
+        assert equation(pattern, clash) == []
         # a variable takes a whole compound; a ground pattern only its equal
         inner = Compound("g", (sym("b"),))
-        assert match(tuple_term(sym("a"), x), tuple_term(sym("a"), inner), {}) == {x: inner}
-        assert match(inner, inner, {}) == {}
-        assert match(inner, Compound("g", (sym("c"),)), {}) is None
-        assert match(sym("a"), inner, {}) is None
+        assert equation(tuple_term(sym("a"), x), tuple_term(sym("a"), inner)) == [({x: inner}, ())]
+        assert equation(inner, inner) == [({}, ())]
+        assert equation(inner, Compound("g", (sym("c"),))) == []
+        assert equation(sym("a"), inner) == []
 
     def test_functor_mismatch_fails(self):
-        assert match(Compound("f", ()), Compound("g", ()), {}) is None
+        assert equation(Compound("f", ()), Compound("g", ())) == []
 
     def test_list_length_mismatch_fails(self):
-        assert match(TList((sym("a"),)), TList(()), {}) is None
+        assert equation(TList((sym("a"),)), TList(())) == []
 
-    def test_subst_is_deep(self):
+    def test_a_body_term_is_built_deeply(self):
         t = Compound("f", (TList((var("X"),)),))
-        assert subst(t, {var("X"): sym("a")}) == Compound("f", (TList((sym("a"),)),))
+        assert body_term(t) == Compound("f", (TList((sym("b"),)),))
 
     def test_groundness_and_variables(self):
         t = tuple_term(sym("a"), var("X"))
         assert not is_ground(t)
-        assert is_ground(subst(t, {var("X"): sym("b")}))
+        assert is_ground(body_term(t))
 
     def test_cached_groundness_matches_the_definition(self):
         def kids(t):
@@ -170,13 +178,12 @@ class TestUnification:
                 assert pickle.loads(pickle.dumps(u)) == u == copy.deepcopy(u)
         assert seen[True] > 20 and seen[False] > 20
 
-    def test_subst_returns_ground_terms_as_they_are(self):
+    def test_a_ground_body_term_comes_back_as_it_is(self):
         t = Compound("f", (TList((sym("a"), 1)), sym("b")))
-        assert subst(t, {var("X"): sym("b")}) is t
-        assert subst(t, {}) is t
-        assert subst(var("X"), {var("X"): t}) is t
-        open_term = Compound("f", (var("X"),))
-        assert subst(open_term, {}) is open_term
+        assert body_term(t) is t
+        # a variable's value too
+        ((env, _),) = solve([builtin("=", var("Y"), var("X"))], {var("X"): t})
+        assert env[var("Y")] is t
 
 
 CHUNK = Chunk(sym("k"), sym("t"), {sym("a"): sym("k"), sym("b"): NIL})
@@ -240,8 +247,56 @@ class TestEncoding:
         assert enc == TList((tuple_term(sym("b"), sym("k")),))
 
 
-def solve(constraints, env=None, facts=()):
-    return solve_builtins(constraints, env or {}, facts, ArchitectureConfig(), IdGen())
+def variables(t):
+    """The variables of a term, in order of first occurrence."""
+    if isinstance(t, Variable):
+        yield t
+    elif isinstance(t, (Compound, TList)):
+        for a in (t.args if isinstance(t, Compound) else t.items):
+            yield from variables(a)
+
+
+def solve(constraints, env=None, facts=(), ids=None):
+    """The solutions of a conjunction with ``env``'s variables bound, as
+    (bindings, facts added) pairs in solution order: the successors of a
+    one-rule program whose head ``probe`` takes ``env``'s values, whose
+    guard is the conjunction, and whose body ``sol`` lists every variable."""
+    env = env or {}
+    names = list(dict.fromkeys([*env, *(v for c in constraints for a in c.args for v in variables(a))]))
+    rule = ChrRule("probe", (user("probe", *env),), tuple(constraints), (user("sol", *names),), ())
+    state = ChrState((user("probe", *env.values()),), tuple(builtin(a.pred, *a.args) for a in facts))
+    out = []
+    for _, succ in chr_step(state, [rule], ArchitectureConfig(), ids or IdGen()):
+        (sol,) = succ.goal
+        added = succ.builtins[len(facts):]
+        out.append((dict(zip(names, sol.args)), tuple(Atom(c.name, c.args) for c in added)))
+    return out
+
+
+def reference_match(pattern, term, env):
+    """One-sided matching by recursion over the pattern: ``env`` extended
+    so that ``pattern`` under it equals the ground ``term``, or None."""
+    if isinstance(pattern, Variable):
+        if pattern in env:
+            return env if env[pattern] == term else None
+        return {**env, pattern: term}
+    if isinstance(pattern, Compound):
+        if not (isinstance(term, Compound) and term.functor == pattern.functor):
+            return None
+        pairs = (pattern.args, term.args)
+    elif isinstance(pattern, TList):
+        if not isinstance(term, TList):
+            return None
+        pairs = (pattern.items, term.items)
+    else:
+        return env if pattern == term else None
+    if len(pairs[0]) != len(pairs[1]):
+        return None
+    for p, t in zip(*pairs):
+        env = reference_match(p, t, env)
+        if env is None:
+            return None
+    return env
 
 
 class TestBuiltinTheory:
@@ -304,7 +359,7 @@ class TestBuiltinTheory:
             (f(sym("c"), x), {}),  # matches nothing
         ]
         for pattern, env in cases:
-            scan = [match(pattern, item, env) for item in lst.items]
+            scan = [reference_match(pattern, item, env) for item in lst.items]
             expected = [e for e in scan if e is not None]
             for _ in range(2):  # the second round reads the built index
                 sols = solve([builtin("in", pattern, lst)], env)
@@ -441,7 +496,7 @@ class TestBuiltinTheory:
             var("Eres"),
         )
         facts = (Atom("dm", (sym("d1"),)), Atom("dm", (sym("d2"),)))
-        ((env, atoms),) = solve_builtins([c], {}, facts, ArchitectureConfig(), IdGen())
+        ((env, atoms),) = solve([c], facts=facts)
         assert atoms == ()
         assert env[var("Eres")] == 1  # the answer lands pending
         (answer,) = decoded(env[var("Dres")]).chunks()
@@ -462,7 +517,7 @@ class TestBuiltinTheory:
             var("Cres"),
             var("Eres"),
         )
-        ((env, _),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen())
+        ((env, _),) = solve([c])
         assert env[var("Eres")] == 0
         (copy,) = decoded(env[var("Dres")]).chunks()
         assert copy.val() == {sym("a"): sym("g0"), sym("b"): sym("g0")}
@@ -501,6 +556,39 @@ class TestBuiltinTheory:
             solve([self.modification_over(None, sym("x"))])
         assert raised.type is ChrError
 
+    def test_operands_not_written_out_in_the_rule_are_refused(self):
+        # a head-bound variable holding a well-formed operand is refused
+        # when the step reaches it; an unbound one stays undecided
+        store = encode_store(ChunkStore([Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0")})]).with_nil())
+        action = encode_action(Action(MODIFY, sym("goal"), None, ()))
+        cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
+        a, g, lst = var("A"), var("G"), var("L")
+        cases = [
+            (builtin("action", a, store, cogstate, var("D"), var("C"), var("E")), a, action,
+             "not an action term: A", "action over an unbound action term: action(A,"),
+            (builtin("action", action, store, g, var("D"), var("C"), var("E")), g, cogstate,
+             "cognitive state not written out as a list: G", "cognitive state not a list: G"),
+            (builtin("merge", lst, var("D")), lst, TList((store,)),
+             "merge operands not written out as a list: L", "merge over unbound list: merge(L,D)"),
+        ]
+        for c, v, value, refused, unbound in cases:
+            with pytest.raises(ChrError) as raised:
+                solve([c], {v: value})
+            assert raised.type is ChrError and str(raised.value) == refused
+            with pytest.raises(Undecided) as raised:
+                solve([c])
+            assert str(raised.value).startswith(unbound)
+            # the same operand written out is solved
+            ((env, _),) = solve([Constraint(c.name, tuple(value if x == v else x for x in c.args), c.kind)])
+            assert is_ground(env[var("D")])
+        # an empty cognitive state is written out too
+        lone = builtin("action", action, store, TList(()), var("D"), var("C"), var("E"))
+        with pytest.raises(ChrError, match="no buffer goal"):
+            solve([lone])
+        for bad in (sym("x"), TList((sym("x"),))):
+            with pytest.raises(ChrError, match=r"cognitive state not written out as a list: (x|\[x\])$"):
+                solve([Constraint("action", (action, store, bad, *lone.args[3:]), lone.kind)])
+
     def test_modification_falls_back_to_nil_and_ignores_unknown_slots(self):
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): sym("g0")})
         store = encode_store(ChunkStore([goal]).with_nil())
@@ -515,7 +603,7 @@ class TestBuiltinTheory:
             var("Cres"),
             var("Eres"),
         )
-        ((env, atoms),) = solve_builtins([c], {}, (), ArchitectureConfig(), IdGen(4))
+        ((env, atoms),) = solve([c], ids=IdGen(4))
         assert atoms == () and env[var("Cres")] == sym("c#4") and env[var("Eres")] == 0
         (copy,) = env[var("Dres")].items
         expected = Chunk(sym("c#4"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})

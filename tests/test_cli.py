@@ -76,6 +76,13 @@ class TestParse:
         assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    def test_an_undecodable_byte_after_a_byte_order_mark_is_placed_in_the_file(self, capsys, tmp_path):
+        p = tmp_path / "marked.actr"
+        p.write_bytes(b"\xef\xbb\xbfab\xff")
+        code, out, err = run_cli(capsys, "parse", p)
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte\n"
+
     @pytest.mark.parametrize("source", ["counting", "type t { s } chunk a t {}\n"])
     def test_a_leading_byte_order_mark_is_not_part_of_the_model(
         self, capsys, tmp_path, counting_src, source

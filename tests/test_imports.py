@@ -1,8 +1,8 @@
 """Every module-level import is used, every package parameter read and
-every package default overridden somewhere, the CHR engine imports no
-effect code of the abstract machine, the package keeps no process-wide
-mutable state, and every name the benchmark traces exists (stdlib-only
-lint)."""
+every package default overridden somewhere, every public function has a
+caller outside the tests, the CHR engine imports no effect code of the
+abstract machine, the package keeps no process-wide mutable state, and
+every name the benchmark traces exists (stdlib-only lint)."""
 
 import ast
 import importlib
@@ -32,6 +32,41 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports (line, name): {unused}"
+
+
+# public helpers kept for the tests: the effect-lemma oracle, and the
+# generators of random stores, states and rule variants
+TEST_ONLY = {"effect_lemma_check", "random_state", "random_store", "clashing_variant",
+             "random_dropped_rule", "chunk_pool"}
+
+
+def _named(node):
+    """Every name a node reads, imports or spells as a string (the names
+    the benchmark wraps); an attribute of a value may be a method or a
+    regex's ``match``, so it names nothing."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            yield from (a.name.split(".")[-1] for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public name only the tests use is code the tool does not run
+    defined, named = {}, set()
+    for path in sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = set(_named(node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # its own definition is no caller
+                if path in SOURCES and not node.name.startswith("_"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            named |= names
+    uncalled = sorted(f"{at} {name}" for name, at in defined.items() if name not in named | TEST_ONLY)
+    assert not uncalled, f"public names no code outside the tests names: {uncalled}"
+    assert TEST_ONLY <= defined.keys() and not TEST_ONLY & named, sorted(TEST_ONLY & named)
 
 
 # modification and the store merge are fixed by the semantics, so the CHR
