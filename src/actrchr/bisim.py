@@ -9,9 +9,10 @@ keyed by :func:`~actrchr.engine.canonical_key`, translated ones by
 abstract state a translated state encodes.  A translated successor
 outside that shape has no key and becomes an ``error`` counterexample
 naming what breaks it.  Only the root is translated, so a faulty state
-translation cannot cancel out on both sides.  Per label
-the successor classes must also correspond one to one, which checks the
-per-rule effect correspondence at every visited pair.
+translation cannot cancel out on both sides.  Per label the successor
+classes must also correspond one to one, which checks the per-rule effect
+correspondence at every visited pair.  Matched pairs are searched by
+:func:`~actrchr.engine.breadth_first`, the search behind ``explore``.
 :func:`effect_lemma_check` states that correspondence for one rule and one
 state, through the same step relation (:func:`~actrchr.chr.chr_step`) and
 the same keys.
@@ -28,7 +29,7 @@ the engine's on chunks and stores, the CHR engine's on chunk terms.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .chr import (
@@ -49,6 +50,7 @@ from .engine import (
     NO_LABEL,
     apply_label,
     apply_transition,
+    breadth_first,
     canonical_key,
     fresh_gen_for,
     interpret_rule,
@@ -175,14 +177,10 @@ def bisim_check(
     c0 = chr_of_state(s0)
     ids, chr_ids = fresh_gen_for(s0), chr_fresh_gen_for(c0)
     report = BisimReport(depth=depth)
-    seen = {canonical_form(c0)}
-    queue = deque([(s0, c0, 0)])
-    while queue and len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-        s, c, d = queue.popleft()
-        report.nodes += 1
-        report.states.append(s)
-        if d >= depth:
-            continue
+
+    def expand(pair: tuple[AbstractState, ChrState], d: int):
+        """Matched successor pairs keyed by form; mismatches are recorded."""
+        s, c = pair
         side = "abstract"
         try:
             eng = [
@@ -201,13 +199,15 @@ def bisim_check(
                 what = f"{side} step raised {type(e).__name__}: {e}"
                 cx = Counterexample(ERROR, d, "", s, c, what)
             report.counterexamples.append(cx)
-            continue
+            return []
         report.transitions += len(eng) + len(chrs)
         eng_count = Counter((label, form) for label, form, _ in eng)
         chr_count = Counter((label, form) for label, form, _ in chrs)
+        # the first translated successor of each class is its mate
+        mates = {(label, form): c2 for label, form, c2 in reversed(chrs)}
 
         for label, form, s2 in eng:
-            if not chr_count[(label, form)]:
+            if (label, form) not in mates:
                 nearest = next(
                     (render_state(c2) for l2, _, c2 in chrs if l2 == label), ""
                 )
@@ -217,10 +217,6 @@ def bisim_check(
                         render_state(chr_of_state(s2)), nearest,
                     )
                 )
-            elif form not in seen:
-                seen.add(form)
-                mate = next(c2 for l2, f2, c2 in chrs if (l2, f2) == (label, form))
-                queue.append((s2, mate, d + 1))
         for label, form, c2 in chrs:
             if not eng_count[(label, form)]:
                 nearest = next(
@@ -246,6 +242,14 @@ def bisim_check(
                         f"{n} abstract vs {m} translated successors in one class",
                     )
                 )
+        return [(label, form, (s2, mates[label, form])) for label, form, s2 in eng
+                if (label, form) in mates]
+
+    for _, (s, _), _ in breadth_first((s0, c0), canonical_form(c0), expand, depth):
+        if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:
+            break
+        report.nodes += 1
+        report.states.append(s)
     return report
 
 

@@ -3,9 +3,9 @@
 States carry a chunk store, buffer contents with a binary delay flag and a
 multiset of ground facts.  Two transition kinds exist: applying a matched
 rule (modifications and requests, combined per effect) and the no-rule
-step that reveals one pending buffer.  :func:`explore` builds the reachable
-labelled transition graph breadth-first, deduplicating states either
-exactly or up to canonical renaming of fresh chunk identifiers.
+step that reveals one pending buffer.  :func:`breadth_first` is the one
+search: :func:`explore` runs it over states, deduplicating them exactly or
+up to renaming of fresh chunk ids, and the bisimulation check over pairs.
 Fresh identifiers (``c#n``) occur only as chunk ids and buffer contents:
 the parser rejects ``c#`` names, slot values are parsed ids, and
 :func:`interpret_request` rejects answers naming one.  On this invariant
@@ -572,17 +572,37 @@ class Graph:
     truncated: bool = False
 
 
+def breadth_first(root, root_key, expand: Callable, depth: int, edges: list | None = None):
+    """The package's one breadth-first search.  It yields ``(index, node,
+    depth)`` in visit order; resumed, it expands a node below the bound:
+    of ``expand(node, depth)``'s ``(label, key, child)`` triples, a new key
+    queues its child, and each ``(index, label, child index)`` edge is put in ``edges``."""
+    if depth < 0:
+        raise ValueError(f"depth bound must be non-negative, not {depth}")
+    nodes = [(root, 0)]
+    index = {root_key: 0}
+    for i, (node, d) in enumerate(nodes):
+        yield i, node, d
+        if d < depth:
+            for label, key, child in expand(node, d):
+                j = index.setdefault(key, len(nodes))
+                if j == len(nodes):
+                    nodes.append((child, d + 1))
+                if edges is not None:
+                    edges.append((i, label, j))
+
+
 def explore(
     model: Model,
     config: ArchitectureConfig | None = None,
     depth: int = 16,
     dedup: str = DEDUP_CANONICAL,
 ) -> Graph:
-    """Breadth-first reachable graph up to the depth bound.
+    """Reachable graph up to the depth bound, by :func:`breadth_first`.
 
     ``dedup="canonical"`` identifies states up to fresh-identifier
     renaming; ``"exact"`` requires literal equality.  ``truncated`` is set
-    when the frontier was still growing at the bound.
+    when a state lies at the bound, even one without successors.
     """
     config = config or ArchitectureConfig()
     start = model.initial_state()
@@ -596,30 +616,12 @@ def explore(
     else:
         raise ValueError(f"unknown dedup mode {dedup!r}")
 
-    states = [start]
-    index = {key(start): 0}
+    def expand(state: AbstractState, _depth: int):
+        return [(label, key(s2), s2) for label, s2 in successors(state, model, config, ids)]
+
     edges: list[tuple[int, str, int]] = []
-    edge_seen: set[tuple[int, str, int]] = set()
-    frontier = [0]
-    for _ in range(depth):
-        if not frontier:
-            break
-        nxt: list[int] = []
-        for si in frontier:
-            for label, s2 in successors(states[si], model, config, ids):
-                k = key(s2)
-                j = index.get(k)
-                if j is None:
-                    j = len(states)
-                    index[k] = j
-                    states.append(s2)
-                    nxt.append(j)
-                e = (si, label, j)
-                if e not in edge_seen:
-                    edge_seen.add(e)
-                    edges.append(e)
-        frontier = nxt
-    return Graph(states=states, edges=edges, truncated=bool(frontier))
+    visits = list(breadth_first(start, key(start), expand, depth, edges))
+    return Graph([s for _, s, _ in visits], list(dict.fromkeys(edges)), visits[-1][2] == depth)
 
 
 def random_walk(

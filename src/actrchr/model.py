@@ -192,12 +192,6 @@ class Model:
             (dm_atom(i) for i in self.dm),
         )
 
-    def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(f"no rule {name}")
-
 
 @dataclass(frozen=True)
 class Diagnostic:

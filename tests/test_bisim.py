@@ -7,6 +7,8 @@ import string
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 import actrchr.bisim
 import actrchr.chr
 import actrchr.engine
@@ -15,6 +17,7 @@ from actrchr.bisim import (
     BIJECTION,
     ERROR,
     FORWARD,
+    MAX_COUNTEREXAMPLES,
     UNDECIDED,
     bisim_check,
     drop_passthrough_gammas,
@@ -28,6 +31,8 @@ from actrchr.engine import (
     FAIL_STUCK,
     ArchitectureConfig,
     Effect,
+    canonical_key,
+    explore,
     match_rule,
     normalize_model,
     successors,
@@ -94,6 +99,10 @@ rule r { goal: t { s: a } ==> modify goal { s: a } }
 # corpus models (random_model(Random(i))) in which a modification that keeps
 # the old slot values is seen by depth 4
 MODIFYING_SEEDS = (15, 23, 43, 81)
+
+# corpus models whose checks must visit explore's states in explore's order
+# (all 200 agree at depths 0, 3 and 4 under both policies; 60 keep it quick)
+VISIT_ORDER_MODELS = 60
 
 TWO_ANSWER_SRC = """
 type q { want }
@@ -181,6 +190,10 @@ class TestEdgeCases:
     def test_depth_zero_checks_nothing_but_the_root(self, counting_model):
         report = bisim_check(counting_model, depth=0)
         assert report.ok and report.nodes == 1 and report.transitions == 0
+
+    def test_rejects_a_negative_depth(self, counting_model):
+        with pytest.raises(ValueError, match="non-negative"):
+            bisim_check(counting_model, depth=-2)
 
 
 class TestFaultInjection:
@@ -345,6 +358,17 @@ class TestFaultMatrix:
         assert errors
         assert all(c.missing.startswith("abstract step raised IdClash: ") for c in errors)
 
+    def test_the_counterexample_cap_stops_the_search(self, fresh_ids_restarting):
+        # the cap is checked before the next pair is counted, so a report
+        # ends at the pair whose expansion reached it
+        capped = []
+        for seed in range(200):
+            report = bisim_check(random_model(random.Random(seed)), depth=4)
+            if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:
+                capped.append(report)
+        assert [r.nodes for r in capped] == [11, 6, 5, 11, 10, 6, 8, 5, 7, 9, 5, 5, 5, 4, 3, 6]
+        assert all(10 <= len(r.counterexamples) <= 13 for r in capped)
+
     def test_engine_errors_are_counterexamples(self, counting_model):
         fresh = (Symbol("c#0"),)
         in_a_pair = Answer(Symbol("succ"), ((Symbol("number"), fresh[0]),))
@@ -442,6 +466,18 @@ class TestRandomCorpus:
                             matching[policy] += 1
                             assert effect_lemma_check(rule, state, norm.types, config)
         assert min(matching.values()) > 300
+
+    def test_the_check_visits_the_states_explore_visits_in_order(self):
+        # both run the one breadth-first search, over pairs and over states
+        for policy in (FAIL_NIL, FAIL_STUCK):
+            config = ArchitectureConfig(fail_request=policy)
+            for i in range(VISIT_ORDER_MODELS):
+                model = random_model(random.Random(i))
+                for depth in (0, 3, 4):
+                    report = bisim_check(model, depth=depth, config=config)
+                    graph = explore(model, config, depth=depth)
+                    keys = [canonical_key(s) for s in graph.states]
+                    assert [canonical_key(s) for s in report.states] == keys, (i, depth)
 
     def test_the_chr_engine_matches_only_against_ground_terms(self, monkeypatch):
         # a plan's patterns match one-sidedly: the term must be ground

@@ -729,6 +729,16 @@ class TestExplore:
         g = explore(counting_norm, depth=0)
         assert len(g.states) == 1 and g.edges == []
 
+    def test_rejects_a_negative_depth(self, counting_norm):
+        with pytest.raises(ValueError, match="non-negative"):
+            explore(counting_norm, depth=-1)
+
+    def test_truncated_means_a_state_lies_at_the_bound(self):
+        # even a state without successors: the bound cut the search there
+        still = parse_model("type t { s }\nchunk a : t { s: a }\nbuffer goal = a\n")
+        assert explore(still, depth=0).truncated
+        assert not explore(still, depth=1).truncated
+
     def test_canonical_dedup_folds_renamed_duplicates(self):
         m = normalize_model(parse_model(BRANCHING_SRC))
         canonical = explore(m, depth=4, dedup="canonical")

@@ -126,12 +126,13 @@ class TestHandExamples:
             "rule r { goal: g { other: V#0 } ==> modify goal { current: V#0 } }\n"
         )
         model = parse_model(src)
-        nf = set_normal_form(model.rule("r"), model.types)
+        (r,) = model.rules
+        nf = set_normal_form(r, model.types)
         (test,) = nf.tests
         assert dict(test.pairs)[sym("other")] == var("V#0")
         assert dict(test.pairs)[sym("current")] == var("V#1")
         state = model.initial_state()
-        assert behaviors_agree(model.rule("r"), nf, state, ArchitectureConfig())
+        assert behaviors_agree(r, nf, state, ArchitectureConfig())
         report = bisim_check(model, depth=2)
         assert report.ok and report.transitions > 0
         # a collapsed slot draws its fresh name from the same supply
