@@ -19,11 +19,14 @@ the same keys.
 
 What the two sides share, and so what the check cannot test: the request
 handlers (:func:`~actrchr.engine.interpret_request`, a parameter of the
-semantics), the canonical key, and the key parts a merged store derives
+semantics), the canonical key, the key parts a merged store derives
 (:meth:`~actrchr.core.ChunkStore.adding`; two ``TestKeyParts`` tests check
-them).  Rule matching, modification, the store merge and the fresh-id
-supply (one generator per side and run) are separate code on each side:
-the engine's on chunks and stores, the CHR engine's on chunk terms.
+them), and the facts: the translated root's built-in store is the
+abstract root's fact tuple object, and both sides hold facts as
+:class:`~actrchr.model.Atom`.  Rule matching, modification, the store
+merge and the fresh-id supply (one generator per side and run) are
+separate code on each side: the engine's on chunks and stores, the CHR
+engine's on chunk terms.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 Just the CHR fragment that translated production models use: ground goals
 of user constraints (``delta/1``, ``gamma/3``), a built-in store of ground
-facts (e.g. ``dm/1``), pure simplification rules with guards, and a fixed
-built-in theory (``=`` matching its left side against its ground right
-side, numeric ``>``, list membership ``in``, plus ``action``, ``merge`` and
-``map`` over encoded chunk stores).  A step solves the guard and body
-built-ins and adds to the store only the facts ``action`` contributes, so
-every successor is again a ground goal over a store of ground facts.
+facts, pure simplification rules with guards, and a fixed built-in theory
+(``=`` matching its left side against its ground right side, numeric
+``>``, list membership ``in``, plus ``action``, ``merge`` and ``map`` over
+encoded chunk stores).  A step solves the guard and body built-ins and
+never stores them, so the built-in store is exactly the abstract state's
+facts (e.g. ``dm(a)``), held as that state's tuple of
+:class:`~actrchr.model.Atom`; it grows only by the facts ``action``
+contributes, and every successor is again a ground goal beside it.
 
 The module owns the chunk-term codec: ``chunk(Id, Type, Pairs)`` terms,
 stores as chunk lists sorted by identifier, and ``=``/``+`` action terms.
@@ -49,7 +51,7 @@ a bound id names for ``in``, ``map`` and ``action`` and serves ``merge``.
 A term carries the value it was built from and is decoded only otherwise:
 a chunk term its chunk, a store encoding its store, a merged list the
 store derived from its first operand's (see
-:meth:`~actrchr.core.ChunkStore.adding`), a successor its parent's facts.
+:meth:`~actrchr.core.ChunkStore.adding`).
 
 The one state equivalence is the one the bisimulation needs.  A state of
 the translated shape (one ``delta`` over chunk terms and at most one
@@ -157,48 +159,31 @@ def is_ground(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # constraints, rules, states
 
-USER = "user"
-BUILTIN = "builtin"
-
-
 @dataclass(frozen=True, slots=True)
 class Constraint:
     name: str
     args: tuple[Term, ...]
-    kind: str = USER
 
 
-def user(name: str, *args: Term) -> Constraint:
-    return Constraint(name, tuple(args), USER)
-
-
-def builtin(name: str, *args: Term) -> Constraint:
-    return Constraint(name, tuple(args), BUILTIN)
+def constraint(name: str, *args: Term) -> Constraint:
+    return Constraint(name, tuple(args))
 
 
 def delta_c(store_term: Term) -> Constraint:
-    return user("delta", store_term)
+    return constraint("delta", store_term)
 
 
 def gamma_c(buffer: Term, chunk: Term, delay: Term) -> Constraint:
-    return user("gamma", buffer, chunk, delay)
-
-
-def fact_constraint(atom: Atom) -> Constraint:
-    return builtin(atom.pred, *atom.args)
+    return constraint("gamma", buffer, chunk, delay)
 
 
 @dataclass(frozen=True)
 class ChrState:
-    """Ground goal multiset and built-in store of ground facts; there are
-    no global variables."""
+    """Ground goal multiset beside the built-in store, the abstract
+    state's ground facts as they are; there are no global variables."""
 
     goal: tuple[Constraint, ...]
-    builtins: tuple[Constraint, ...]
-    _facts: tuple[Atom, ...] = field(init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return ChrState, (self.goal, self.builtins)
+    facts: tuple[Atom, ...]
 
 
 @dataclass(frozen=True)
@@ -307,10 +292,9 @@ def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
 # register; an unbound variable stays in a built-in's input, where the
 # built-in raises Undecided on it or names it in a message.
 
-Facts = tuple[Atom, ...]
-
-# the built-ins and their arities; anything else in a built-in store is an
-# uninterpreted ground fact (e.g. ``dm/1``)
+# the built-ins and their arities, solved in guards and bodies and never
+# stored; a guard or body constraint of any other name (a fact's, such as
+# ``dm/1``) is uninterpreted
 _ARITY = {"=": 2, ">": 2, "in": 2, "action": 6, "merge": 2, "map": 4}
 # goal arguments ground by their class; a head keys its goal index by one
 _ATOMIC = frozenset([Symbol, int])
@@ -843,22 +827,6 @@ def _solve_map(regs: list, operands: tuple, _ctx: tuple) -> tuple:
 # the step relation
 
 
-def facts_of(state: ChrState) -> Facts:
-    """The built-in store as facts, read once and kept in the state: an
-    interpreted built-in or an argument that is no symbol lies outside the
-    fragment and raises :class:`Undecided`."""
-    facts = getattr(state, "_facts", None)
-    if facts is None:
-        for c in state.builtins:
-            if c.name in _ARITY:
-                raise Undecided(f"unevaluated built-in in store: {render_constraint(c)}")
-            if not all(isinstance(a, Symbol) for a in c.args):
-                raise Undecided(f"fact over a non-symbol: {render_constraint(c)}")
-        facts = tuple(Atom(c.name, c.args) for c in state.builtins)  # type: ignore[arg-type]
-        object.__setattr__(state, "_facts", facts)
-    return facts
-
-
 def fresh_gen_for(state: ChrState) -> IdGen:
     """Generator whose identifiers avoid every chunk id in the state's
     ``delta`` lists, and so every fresh id in a state of the translated
@@ -878,8 +846,8 @@ class _RulePlan:
     """What :func:`chr_step` runs for a rule: the head (see
     :meth:`_Planner.heads`), the registers after the head's, the guard and
     body built-ins (see :meth:`_Planner.step`), and the body constraints,
-    each the position of the head constraint it equals or (name, kind,
-    argument registers) after ``builds``, with the position of the first
+    each the position of the head constraint it equals or (name, argument
+    registers) after ``builds``, with the position of the first
     one that keeps an unbound variable, if any."""
 
     __slots__ = ("heads", "tail", "guard", "body", "builds", "adds", "leak", "atoms")
@@ -897,13 +865,13 @@ class _RulePlan:
         adds: list = []
         # a body constraint equal to a head constraint is the goal
         # constraint that head constraint matched
-        at = {(h.name, h.args, h.kind): k for k, h in enumerate(rule.removed)}
+        at = {h: k for k, h in enumerate(rule.removed)}
         for u in rule.body_user:
-            k = at.get((u.name, u.args, u.kind))
+            k = at.get(u)
             if k is not None:
                 adds.append(k)
                 continue
-            adds.append((u.name, u.kind, plan.inputs(u.args, builds)))
+            adds.append((u.name, plan.inputs(u.args, builds)))
             if plan.loose and self.leak is None:
                 self.leak = len(adds) - 1
         self.builds, self.adds = tuple(builds), tuple(adds)
@@ -912,12 +880,13 @@ class _RulePlan:
 
     def successor(self, regs: list, goal: tuple, used: tuple, parent: ChrState) -> ChrState:
         """The state a body solution gives: the goal without the matched
-        positions ``used``, plus the body constraints, beside the facts;
-        with no fact added, it shares the parent's read facts."""
+        positions ``used``, plus the body constraints, beside the parent's
+        facts and then those ``action`` contributed; with none contributed,
+        beside the parent's fact tuple itself."""
         if self.builds:
             _build(self.builds, regs)
         added = tuple([
-            goal[used[a]] if a.__class__ is int else Constraint(a[0], tuple(map(regs.__getitem__, a[2])), a[1])
+            goal[used[a]] if a.__class__ is int else Constraint(a[0], tuple(map(regs.__getitem__, a[1])))
             for a in self.adds
         ])
         if self.leak is not None:
@@ -927,10 +896,8 @@ class _RulePlan:
         else:
             kept = tuple([c for gi, c in enumerate(goal) if gi not in used])
         if self.atoms is not None and regs[self.atoms]:
-            return ChrState(kept + added, parent.builtins + tuple(map(fact_constraint, regs[self.atoms])))
-        out = ChrState(kept + added, parent.builtins)
-        object.__setattr__(out, "_facts", parent._facts)
-        return out
+            return ChrState(kept + added, parent.facts + regs[self.atoms])
+        return ChrState(kept + added, parent.facts)
 
 
 def _match_heads(heads: tuple, goal: tuple[Constraint, ...], index: dict) -> list:
@@ -977,18 +944,17 @@ def chr_step(
     :func:`fresh_gen_for` the state.
     """
     goal = state.goal
-    index: dict = {}  # user constraints by (name, arity[, symbol first argument])
+    index: dict = {}  # goal constraints by (name, arity[, symbol first argument])
     for gi, c in enumerate(goal):
         args = c.args
         for a in args:
             if a.__class__ not in _ATOMIC and not is_ground(a):
                 raise ChrError(f"goal not ground: {render_constraint(c)}")
-        if c.kind == USER:
-            index.setdefault((c.name, len(args)), []).append(gi)
-            if args and args[0].__class__ in _ATOMIC:
-                index.setdefault((c.name, len(args), args[0]), []).append(gi)
+        index.setdefault((c.name, len(args)), []).append(gi)
+        if args and args[0].__class__ in _ATOMIC:
+            index.setdefault((c.name, len(args), args[0]), []).append(gi)
     config = config or ArchitectureConfig()
-    ctx = (facts_of(state), config, ids or fresh_gen_for(state))
+    ctx = (state.facts, config, ids or fresh_gen_for(state))
     matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:
@@ -1017,19 +983,17 @@ def canonical_form(state: ChrState) -> tuple:
     the image of a chunk, see :func:`decode_chunk`) with pairwise distinct
     ids, at most one ``gamma(buffer, chunk, 0|1)`` per buffer naming a
     listed chunk, and no other goal constraint; a state outside it raises
-    :class:`ChrError` naming what breaks it.  The facts are read first, so
-    an interpreted built-in in the store raises :class:`Undecided`.  A
-    fresh id in a slot or a fact raises :class:`~actrchr.engine.EngineError`.
+    :class:`ChrError` naming what breaks it.  A fresh id in a slot or a
+    fact raises :class:`~actrchr.engine.EngineError`.
     """
-    facts = facts_of(state)
     terms = None
     gammas: dict[Term, Constraint] = {}
     for c in state.goal:
-        if c.kind == USER and c.name == "delta" and len(c.args) == 1:
+        if c.name == "delta" and len(c.args) == 1:
             if terms is not None:
                 raise ChrError(f"second delta in the goal: {render_constraint(c)}")
             terms = c.args[0]
-        elif c.kind == USER and c.name == "gamma" and len(c.args) == 3:
+        elif c.name == "gamma" and len(c.args) == 3:
             if c.args[0] in gammas:
                 raise ChrError(f"two gamma rows for buffer {render_term(c.args[0])}")
             gammas[c.args[0]] = c
@@ -1047,7 +1011,7 @@ def canonical_form(state: ChrState) -> tuple:
             raise ChrError(f"gamma row with a delay other than 0 or 1: {render_constraint(c)}")
         rows.append((b, cid, d))
     rows.sort(key=lambda r: r[0].name)
-    return canonical_key(AbstractState(store, tuple(rows), facts))
+    return canonical_key(AbstractState(store, tuple(rows), state.facts))
 
 
 # ---------------------------------------------------------------------------
@@ -1094,5 +1058,5 @@ def render_program(rules: Iterable[ChrRule]) -> str:
 
 def render_state(s: ChrState) -> str:
     goal = ", ".join(render_constraint(c) for c in s.goal) or "true"
-    builtins = ", ".join(render_constraint(c) for c in s.builtins) or "true"
-    return f"<{goal} ; {builtins}>"
+    facts = ", ".join(render_constraint(Constraint(a.pred, a.args)) for a in s.facts) or "true"
+    return f"<{goal} ; {facts}>"

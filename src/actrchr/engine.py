@@ -381,8 +381,9 @@ def interpret_request(
 ) -> list[Effect]:
     """One effect per handler answer, each under a fresh identifier.
 
-    An answer that repeats a slot, or whose pairs or facts name a fresh
-    identifier (breaking the fresh-id invariant), raises :class:`EngineError`.
+    An answer that repeats a slot, whose facts have an argument other than
+    a symbol, or whose pairs or facts name a fresh identifier (breaking the
+    fresh-id invariant), raises :class:`EngineError`.
 
     An empty answer set either parks the nil chunk pending in the buffer
     (fail_request="nil", the default) or yields no effect at all
@@ -399,6 +400,9 @@ def interpret_request(
                 raise EngineError(f"fresh id {v} named by an answer on {action.buffer}")
         if len(dict(ans.val)) != len(ans.val):
             raise EngineError(f"slot repeated by an answer on {action.buffer}")
+        for a in ans.atoms:
+            if not all(isinstance(x, Symbol) for x in a.args):
+                raise EngineError(f"fact over a non-symbol in an answer on {action.buffer}: {a!r}")
         fresh = ids.fresh()
         chunk = Chunk(fresh, ans.type, ans.val)
         delay = 1 if ans.delay > 0 else 0
@@ -632,6 +636,8 @@ def random_walk(
 ) -> list[tuple[str, AbstractState]]:
     """Seeded derivation: pick uniformly among successors until no
     transition is possible or the depth bound is hit."""
+    if depth < 0:
+        raise ValueError(f"depth bound must be non-negative, not {depth}")
     config = config or ArchitectureConfig()
     rng = rng or random.Random(0)
     state = model.initial_state()

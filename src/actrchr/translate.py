@@ -26,13 +26,12 @@ from .chr import (
     ChrState,
     Compound,
     TList,
-    builtin,
+    constraint,
     delta_c,
     encode_action,
     encode_cogstate,
     encode_pairs,
     encode_store,
-    fact_constraint,
     gamma_c,
 )
 from .core import Symbol, TypeTable, Variable
@@ -49,12 +48,12 @@ class NotNormalized(TranslationError):
 
 
 def chr_of_state(state: AbstractState) -> ChrState:
-    """delta(<store>) plus one gamma per buffer, all ground; facts become
-    the built-in store."""
+    """delta(<store>) plus one gamma per buffer, all ground, beside the
+    state's fact tuple itself as the built-in store."""
     goal = [delta_c(encode_store(state.store))]
     for b, c, d in state.gamma:
         goal.append(gamma_c(b, c, d))
-    return ChrState(tuple(goal), tuple(fact_constraint(a) for a in state.upsilon))
+    return ChrState(tuple(goal), state.upsilon)
 
 
 def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> ChrRule:
@@ -98,20 +97,20 @@ def _rule_parts(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> tu
     guard = []
     for t in rule.tests:
         pattern = Compound("chunk", (cvar[t.buffer], t.type, encode_pairs(t.pairs)))
-        guard.append(builtin("in", pattern, store))
-        guard.append(builtin("=", dvar[t.buffer], 0))
+        guard.append(constraint("in", pattern, store))
+        guard.append(constraint("=", dvar[t.buffer], 0))
 
     action_buffers = [a.buffer for a in rule.actions]
     body_builtin = []
     for a in rule.actions:
         b = a.buffer
         body_builtin.append(
-            builtin("action", encode_action(a), store, cogstate, resstore[b], resid[b], resdelay[b])
+            constraint("action", encode_action(a), store, cogstate, resstore[b], resid[b], resdelay[b])
         )
-    body_builtin.append(builtin("merge", TList(tuple(resstore[b] for b in action_buffers)), acts))
-    body_builtin.append(builtin("merge", TList((store, acts)), result))
+    body_builtin.append(constraint("merge", TList(tuple(resstore[b] for b in action_buffers)), acts))
+    body_builtin.append(constraint("merge", TList((store, acts)), result))
     for b in action_buffers:
-        body_builtin.append(builtin("map", store, acts, resid[b], mergeid[b]))
+        body_builtin.append(constraint("map", store, acts, resid[b], mergeid[b]))
 
     body_user = [delta_c(result)]
     for b in buffers:
@@ -129,7 +128,7 @@ def no_rule() -> ChrRule:
     return ChrRule(
         name="no",
         removed=(gamma_c(b, c, d),),
-        guard=(builtin(">", d, 0),),
+        guard=(constraint(">", d, 0),),
         body_user=(gamma_c(b, c, 0),),
         body_builtin=(),
     )

@@ -23,8 +23,8 @@ from actrchr.bisim import (
     drop_passthrough_gammas,
     effect_lemma_check,
 )
-from actrchr.chr import ChrRule, ChrState, builtin, is_ground, render_term
-from actrchr.core import NIL, Chunk, ChunkStore, Symbol
+from actrchr.chr import ChrRule, ChrState, constraint, is_ground, render_term
+from actrchr.core import NIL, Chunk, ChunkStore, Symbol, Variable
 from actrchr.engine import (
     Answer,
     FAIL_NIL,
@@ -273,7 +273,7 @@ class TestFaultInjection:
         confused = ChrRule(
             prog[0].name,
             prog[0].removed,
-            prog[0].guard + (builtin("frob", prog[0].removed[0].args[0]),),
+            prog[0].guard + (constraint("frob", prog[0].removed[0].args[0]),),
             prog[0].body_user,
             prog[0].body_builtin,
         )
@@ -373,6 +373,8 @@ class TestFaultMatrix:
         fresh = (Symbol("c#0"),)
         in_a_pair = Answer(Symbol("succ"), ((Symbol("number"), fresh[0]),))
         in_a_fact = Answer(Symbol("succ"), (), 1, (Atom("seen", fresh),))
+        # the CHR side stores answer facts as they are: only this check sees one
+        over_a_variable = Answer(Symbol("succ"), (), 1, (Atom("seen", (Variable("X"),)),))
         number = Symbol("number")
         repeating = Answer(Symbol("succ"), ((number, Symbol("1")), (number, Symbol("2"))))
         retrieval = Symbol("retrieval")
@@ -381,6 +383,7 @@ class TestFaultMatrix:
             (ArchitectureConfig({retrieval: lambda *_: [in_a_pair]}), "EngineError"),
             (ArchitectureConfig({retrieval: lambda *_: [in_a_fact]}), "EngineError"),
             (ArchitectureConfig({retrieval: lambda *_: [repeating]}), "EngineError"),
+            (ArchitectureConfig(default_handler=lambda *_: [over_a_variable]), "EngineError"),
         ]
         for config, error in cases:
             report = bisim_check(counting_model, depth=3, config=config)

@@ -32,16 +32,15 @@ from actrchr.chr import (
     Constraint,
     TList,
     Undecided,
-    builtin,
     canonical_form,
     chr_step,
+    constraint,
     decode_chunk,
     delta_c,
     encode_action,
     encode_chunk,
     encode_pairs,
     encode_store,
-    facts_of,
     fresh_gen_for,
     gamma_c,
     is_ground,
@@ -50,7 +49,6 @@ from actrchr.chr import (
     render_rule,
     render_state,
     tuple_term,
-    user,
 )
 from actrchr.chr import encode_cogstate
 from actrchr.engine import (
@@ -84,14 +82,14 @@ def decoded(t: TList) -> ChunkStore:
 
 def equation(left, right, env=None):
     """The solutions of ``left = right`` (see :func:`solve`)."""
-    return solve([builtin("=", left, right)], env)
+    return solve([constraint("=", left, right)], env)
 
 
 def body_term(t):
     """The term the body ``q(t)`` builds once the head ``p(X)`` matches
     ``p(b)``."""
-    rule = ChrRule("r", (user("p", var("X")),), (), (user("q", t),), ())
-    ((_, succ),) = chr_step(ChrState((user("p", sym("b")),), ()), [rule])
+    rule = ChrRule("r", (constraint("p", var("X")),), (), (constraint("q", t),), ())
+    ((_, succ),) = chr_step(ChrState((constraint("p", sym("b")),), ()), [rule])
     return succ.goal[0].args[0]
 
 
@@ -182,7 +180,7 @@ class TestUnification:
         t = Compound("f", (TList((sym("a"), 1)), sym("b")))
         assert body_term(t) is t
         # a variable's value too
-        ((env, _),) = solve([builtin("=", var("Y"), var("X"))], {var("X"): t})
+        ((env, _),) = solve([constraint("=", var("Y"), var("X"))], {var("X"): t})
         assert env[var("Y")] is t
 
 
@@ -263,13 +261,12 @@ def solve(constraints, env=None, facts=(), ids=None):
     guard is the conjunction, and whose body ``sol`` lists every variable."""
     env = env or {}
     names = list(dict.fromkeys([*env, *(v for c in constraints for a in c.args for v in variables(a))]))
-    rule = ChrRule("probe", (user("probe", *env),), tuple(constraints), (user("sol", *names),), ())
-    state = ChrState((user("probe", *env.values()),), tuple(builtin(a.pred, *a.args) for a in facts))
+    rule = ChrRule("probe", (constraint("probe", *env),), tuple(constraints), (constraint("sol", *names),), ())
+    state = ChrState((constraint("probe", *env.values()),), tuple(facts))
     out = []
     for _, succ in chr_step(state, [rule], ArchitectureConfig(), ids or IdGen()):
         (sol,) = succ.goal
-        added = succ.builtins[len(facts):]
-        out.append((dict(zip(names, sol.args)), tuple(Atom(c.name, c.args) for c in added)))
+        out.append((dict(zip(names, sol.args)), succ.facts[len(facts):]))
     return out
 
 
@@ -301,39 +298,39 @@ def reference_match(pattern, term, env):
 
 class TestBuiltinTheory:
     def test_equality_unifies(self):
-        sols = solve([builtin("=", var("X"), sym("a"))])
+        sols = solve([constraint("=", var("X"), sym("a"))])
         assert len(sols) == 1
         assert sols[0][0][var("X")] == sym("a")
 
     def test_failed_equality_kills_the_branch(self):
-        assert solve([builtin("=", sym("a"), sym("b"))]) == []
+        assert solve([constraint("=", sym("a"), sym("b"))]) == []
 
     def test_equality_matches_its_left_side_against_its_ground_right_side(self):
         x, y = var("X"), var("Y")
-        assert solve([builtin("=", x, y)], {y: sym("a")}) == [({y: sym("a"), x: sym("a")}, ())]
-        assert len(solve([builtin("=", x, 0)], {x: 0})) == 1
-        assert solve([builtin("=", x, 0)], {x: 1}) == []
-        for unbound in ([builtin("=", x, y)], [builtin("=", sym("a"), x)]):
+        assert solve([constraint("=", x, y)], {y: sym("a")}) == [({y: sym("a"), x: sym("a")}, ())]
+        assert len(solve([constraint("=", x, 0)], {x: 0})) == 1
+        assert solve([constraint("=", x, 0)], {x: 1}) == []
+        for unbound in ([constraint("=", x, y)], [constraint("=", sym("a"), x)]):
             with pytest.raises(Undecided):
                 solve(unbound)
 
     def test_comparison_on_integers(self):
-        assert len(solve([builtin(">", 1, 0)])) == 1
-        assert solve([builtin(">", 0, 1)]) == []
+        assert len(solve([constraint(">", 1, 0)])) == 1
+        assert solve([constraint(">", 0, 1)]) == []
 
     def test_comparison_on_symbols_is_undecided(self):
         with pytest.raises(Undecided):
-            solve([builtin(">", sym("a"), sym("b"))])
+            solve([constraint(">", sym("a"), sym("b"))])
 
     def test_membership_branches(self):
         lst = TList((sym("a"), sym("b"), sym("c")))
-        sols = solve([builtin("in", var("X"), lst)])
+        sols = solve([constraint("in", var("X"), lst)])
         assert [s[0][var("X")] for s in sols] == [sym("a"), sym("b"), sym("c")]
 
     def test_membership_filters_by_pattern(self):
         lst = TList((tuple_term(sym("a"), sym("u")), tuple_term(sym("b"), sym("v"))))
         pat = tuple_term(sym("a"), var("X"))
-        sols = solve([builtin("in", pat, lst)])
+        sols = solve([constraint("in", pat, lst)])
         assert len(sols) == 1 and sols[0][0][var("X")] == sym("u")
 
     def test_membership_answers_as_a_scan_does(self):
@@ -362,9 +359,9 @@ class TestBuiltinTheory:
             scan = [reference_match(pattern, item, env) for item in lst.items]
             expected = [e for e in scan if e is not None]
             for _ in range(2):  # the second round reads the built index
-                sols = solve([builtin("in", pattern, lst)], env)
+                sols = solve([constraint("in", pattern, lst)], env)
                 assert [e for e, _ in sols] == expected
-        assert [e[x] for e, _ in solve([builtin("in", f(sym("a"), x), lst)])] == [
+        assert [e[x] for e, _ in solve([constraint("in", f(sym("a"), x), lst)])] == [
             sym("u"), sym("w"),
         ]
 
@@ -372,16 +369,16 @@ class TestBuiltinTheory:
         a, b, x = var("A"), var("B"), var("X")
         lst = TList((a, tuple_term(b, sym("u"))))
         env = {a: tuple_term(sym("k"), sym("v")), b: sym("k")}
-        sols = solve([builtin("in", tuple_term(sym("k"), x), lst)], env)
+        sols = solve([constraint("in", tuple_term(sym("k"), x), lst)], env)
         assert [e[x] for e, _ in sols] == [sym("v"), sym("u")]
         with pytest.raises(Undecided):
-            solve([builtin("in", tuple_term(sym("k"), x), lst)], {a: sym("k")})
+            solve([constraint("in", tuple_term(sym("k"), x), lst)], {a: sym("k")})
 
     def test_the_list_index_is_no_part_of_the_term(self):
         other = Chunk(sym("j"), sym("t"), {sym("a"): sym("j")})
         asked, unasked = (encode_store(ChunkStore([CHUNK, other])) for _ in range(2))
         pattern = Compound("chunk", (sym("k"), var("T"), var("P")))
-        assert len(solve([builtin("in", pattern, asked)])) == 1
+        assert len(solve([constraint("in", pattern, asked)])) == 1
         merge_chunk_lists([asked])  # marks the list id-ordered
         assert getattr(asked, "_ids") and getattr(asked, "_ordered")
         assert asked == unasked and hash(asked) == hash(unasked)
@@ -394,17 +391,17 @@ class TestBuiltinTheory:
 
     def test_membership_over_unbound_list_is_undecided(self):
         with pytest.raises(Undecided):
-            solve([builtin("in", var("X"), var("L"))])
+            solve([constraint("in", var("X"), var("L"))])
 
     def test_uninterpreted_goal_is_undecided(self):
         with pytest.raises(Undecided):
-            solve([builtin("frob", sym("a"))])
+            solve([constraint("frob", sym("a"))])
 
     def test_conjunction_threads_bindings(self):
         sols = solve(
             [
-                builtin("=", var("X"), sym("a")),
-                builtin("in", var("X"), TList((sym("a"), sym("b")))),
+                constraint("=", var("X"), sym("a")),
+                constraint("in", var("X"), TList((sym("a"), sym("b")))),
             ]
         )
         assert len(sols) == 1
@@ -413,14 +410,14 @@ class TestBuiltinTheory:
         # every branch meets a constraint before any meets the next: the
         # second branch's comparison fails before the first's third goal
         x = var("X")
-        goals = [builtin("in", x, TList((1, sym("a")))), builtin(">", x, 0), builtin("frob", x)]
+        goals = [constraint("in", x, TList((1, sym("a")))), constraint(">", x, 0), constraint("frob", x)]
         with pytest.raises(Undecided, match="non-numeric comparison"):
             solve(goals)
 
     def test_merge_builtin_merges_encodings(self):
         a = ChunkStore([Chunk(sym("x"), sym("t"), {sym("a"): sym("x")})])
         b = ChunkStore([Chunk(sym("y"), sym("t"), {sym("a"): sym("y")})])
-        goal = builtin(
+        goal = constraint(
             "merge",
             TList((encode_store(a), encode_store(b))),
             var("D"),
@@ -432,7 +429,7 @@ class TestBuiltinTheory:
     def test_merge_builtin_propagates_id_clashes(self):
         a = ChunkStore([Chunk(sym("x"), sym("t"), {sym("a"): sym("x")})])
         b = ChunkStore([Chunk(sym("x"), sym("t"), {sym("a"): NIL})])
-        goal = builtin(
+        goal = constraint(
             "merge",
             TList((encode_store(a), encode_store(b))),
             var("D"),
@@ -443,29 +440,29 @@ class TestBuiltinTheory:
     def test_merge_builtin_over_an_unbound_operand_is_undecided(self):
         a = encode_store(ChunkStore([Chunk(sym("x"), sym("t"), {})]))
         for lst in (TList((a, var("B"))), var("L")):
-            goal = builtin("merge", lst, var("D"))
+            goal = constraint("merge", lst, var("D"))
             with pytest.raises(Undecided) as err:
                 solve([goal], {var("A"): a})
             assert str(err.value) == f"merge over unbound list: {render_constraint(goal)}"
-        ((env, _),) = solve([builtin("merge", TList((var("A"), TList(()))), var("D"))], {var("A"): a})
+        ((env, _),) = solve([constraint("merge", TList((var("A"), TList(()))), var("D"))], {var("A"): a})
         assert env[var("D")] is a
 
     def test_map_builtin_keeps_known_ids(self):
         store = ChunkStore([Chunk(sym("x"), sym("t"), {})])
         enc = encode_store(store)
         empty = encode_store(ChunkStore())
-        ((env, _),) = solve([builtin("map", enc, empty, sym("x"), var("M"))])
+        ((env, _),) = solve([constraint("map", enc, empty, sym("x"), var("M"))])
         assert env[var("M")] == sym("x")
 
     def test_map_builtin_sends_unknown_ids_to_nil(self):
         empty = encode_store(ChunkStore())
-        ((env, _),) = solve([builtin("map", empty, empty, sym("zz"), var("M"))])
+        ((env, _),) = solve([constraint("map", empty, empty, sym("zz"), var("M"))])
         assert env[var("M")] == NIL
 
     def test_map_builtin_over_an_unbound_store_is_undecided(self):
         empty = encode_store(ChunkStore())
         for args in ((var("D"), empty), (empty, var("D"))):
-            goal = builtin("map", *args, sym("x"), var("M"))
+            goal = constraint("map", *args, sym("x"), var("M"))
             with pytest.raises(Undecided, match=r"map over an unbound store: map\("):
                 solve([goal])
 
@@ -478,7 +475,7 @@ class TestBuiltinTheory:
         ):
             for args in ((bad, empty), (empty, bad)):
                 with pytest.raises(ChrError):
-                    solve([builtin("map", *args, sym("x"), var("M"))])
+                    solve([constraint("map", *args, sym("x"), var("M"))])
 
     def test_action_builtin_answers_requests_from_the_facts(self):
         hit = Chunk(sym("d1"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})
@@ -486,7 +483,7 @@ class TestBuiltinTheory:
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})
         store = ChunkStore([hit, miss, goal]).with_nil()
         request = Action(REQUEST, sym("goal"), sym("t"), ((sym("a"), sym("g0")),))
-        c = builtin(
+        c = constraint(
             "action",
             encode_action(request),
             encode_store(store),
@@ -508,7 +505,7 @@ class TestBuiltinTheory:
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): NIL})
         store = ChunkStore([goal]).with_nil()
         modify = Action(MODIFY, sym("goal"), None, ((sym("b"), sym("g0")),))
-        c = builtin(
+        c = constraint(
             "action",
             encode_action(modify),
             encode_store(store),
@@ -527,7 +524,7 @@ class TestBuiltinTheory:
         modify = encode_action(Action(MODIFY, sym("goal"), None, ()))
         cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
         for store in (TList((goal, goal)), TList((encode_chunk(NIL_CHUNK), goal))):
-            c = builtin("action", modify, store, cogstate, var("D"), var("C"), var("E"))
+            c = constraint("action", modify, store, cogstate, var("D"), var("C"), var("E"))
             with pytest.raises(ChrError, match="strict id order"):
                 solve([c])
 
@@ -538,7 +535,7 @@ class TestBuiltinTheory:
         if action_term is None:
             action_term = encode_action(Action(MODIFY, sym("goal"), None, ()))
         cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
-        return builtin("action", action_term, store, cogstate, var("D"), var("C"), var("E"))
+        return constraint("action", action_term, store, cogstate, var("D"), var("C"), var("E"))
 
     def test_action_builtin_over_an_unbound_action_is_undecided(self):
         with pytest.raises(Undecided, match="action over an unbound action term: action"):
@@ -564,11 +561,11 @@ class TestBuiltinTheory:
         cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
         a, g, lst = var("A"), var("G"), var("L")
         cases = [
-            (builtin("action", a, store, cogstate, var("D"), var("C"), var("E")), a, action,
+            (constraint("action", a, store, cogstate, var("D"), var("C"), var("E")), a, action,
              "not an action term: A", "action over an unbound action term: action(A,"),
-            (builtin("action", action, store, g, var("D"), var("C"), var("E")), g, cogstate,
+            (constraint("action", action, store, g, var("D"), var("C"), var("E")), g, cogstate,
              "cognitive state not written out as a list: G", "cognitive state not a list: G"),
-            (builtin("merge", lst, var("D")), lst, TList((store,)),
+            (constraint("merge", lst, var("D")), lst, TList((store,)),
              "merge operands not written out as a list: L", "merge over unbound list: merge(L,D)"),
         ]
         for c, v, value, refused, unbound in cases:
@@ -579,22 +576,22 @@ class TestBuiltinTheory:
                 solve([c])
             assert str(raised.value).startswith(unbound)
             # the same operand written out is solved
-            ((env, _),) = solve([Constraint(c.name, tuple(value if x == v else x for x in c.args), c.kind)])
+            ((env, _),) = solve([Constraint(c.name, tuple(value if x == v else x for x in c.args))])
             assert is_ground(env[var("D")])
         # an empty cognitive state is written out too
-        lone = builtin("action", action, store, TList(()), var("D"), var("C"), var("E"))
+        lone = constraint("action", action, store, TList(()), var("D"), var("C"), var("E"))
         with pytest.raises(ChrError, match="no buffer goal"):
             solve([lone])
         for bad in (sym("x"), TList((sym("x"),))):
             with pytest.raises(ChrError, match=r"cognitive state not written out as a list: (x|\[x\])$"):
-                solve([Constraint("action", (action, store, bad, *lone.args[3:]), lone.kind)])
+                solve([Constraint("action", (action, store, bad, *lone.args[3:]))])
 
     def test_modification_falls_back_to_nil_and_ignores_unknown_slots(self):
         goal = Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0"), sym("b"): sym("g0")})
         store = encode_store(ChunkStore([goal]).with_nil())
         # zz names no listed chunk; q is no slot of the incumbent
         updates = ((sym("b"), sym("zz")), (sym("q"), sym("g0")))
-        c = builtin(
+        c = constraint(
             "action",
             encode_action(Action(MODIFY, sym("goal"), None, updates)),
             store,
@@ -672,11 +669,11 @@ class TestTermMerge:
                 a, b, c = (rng.choice(stores) for _ in range(3))
                 known = {t.args[0] for t in a.items + b.items}
                 for t in c.items:  # map: a scan of both stores for the id
-                    ((env, _),) = solve([builtin("map", a, b, t.args[0], var("M"))])
+                    ((env, _),) = solve([constraint("map", a, b, t.args[0], var("M"))])
                     assert env[var("M")] == (t.args[0] if t.args[0] in known else NIL)
                 # merge: the operands read in place, through variables
                 env = {var("A"): a, var("B"): b}
-                goal = builtin("merge", TList((var("A"), var("B"), c)), out)
+                goal = constraint("merge", TList((var("A"), var("B"), c)), out)
                 expected = self.merged(a, b, c)
                 if expected is None:
                     with pytest.raises(ChrError, match="merge: id .* bound to"):
@@ -687,7 +684,7 @@ class TestTermMerge:
                 # in: a chunk pattern with its id bound finds the one term
                 for t in c.items:
                     pattern = Compound("chunk", (t.args[0], var("T"), var("P")))
-                    sols = solve([builtin("in", pattern, a)])
+                    sols = solve([constraint("in", pattern, a)])
                     assert [e[var("P")] for e, _ in sols] == [
                         u.args[2] for u in a.items if u.args[0] == t.args[0]
                     ]
@@ -751,7 +748,7 @@ class TestTermMerge:
 REVEAL = ChrRule(
     name="no",
     removed=(gamma_c(var("B"), var("C"), var("D")),),
-    guard=(builtin(">", var("D"), 0),),
+    guard=(constraint(">", var("D"), 0),),
     body_user=(gamma_c(var("B"), var("C"), 0),),
     body_builtin=(),
 )
@@ -760,9 +757,9 @@ REVEAL = ChrRule(
 def pair_rule():
     return ChrRule(
         name="pair",
-        removed=(user("p", var("X")), user("p", var("Y"))),
+        removed=(constraint("p", var("X")), constraint("p", var("Y"))),
         guard=(),
-        body_user=(user("q", var("X"), var("Y")),),
+        body_user=(constraint("q", var("X"), var("Y")),),
         body_builtin=(),
     )
 
@@ -795,9 +792,9 @@ class TestStepRelation:
 
     def test_head_matching_is_injective(self):
         # a two-headed rule cannot consume one constraint twice
-        single = ChrState((user("p", sym("a")),), ())
+        single = ChrState((constraint("p", sym("a")),), ())
         assert chr_step(single, [pair_rule()]) == []
-        double = ChrState((user("p", sym("a")), user("p", sym("b"))), ())
+        double = ChrState((constraint("p", sym("a")), constraint("p", sym("b"))), ())
         succ = chr_step(double, [pair_rule()])
         assert len(succ) == 2  # both orders of the two constraints
         results = {s.goal[0].args for _, s in succ}
@@ -806,12 +803,12 @@ class TestStepRelation:
     def test_body_must_come_out_ground(self):
         leaky = ChrRule(
             name="leak",
-            removed=(user("p", var("X")),),
+            removed=(constraint("p", var("X")),),
             guard=(),
-            body_user=(user("q", var("Z")),),  # Z never bound
+            body_user=(constraint("q", var("Z")),),  # Z never bound
             body_builtin=(),
         )
-        state = ChrState((user("p", sym("a")),), ())
+        state = ChrState((constraint("p", sym("a")),), ())
         with pytest.raises(Undecided):
             chr_step(state, [leaky])
 
@@ -820,7 +817,7 @@ class TestStepRelation:
         other = ChrRule(
             name="alt",
             removed=(gamma_c(var("B"), var("C"), var("D")),),
-            guard=(builtin(">", var("D"), 0),),
+            guard=(constraint(">", var("D"), 0),),
             body_user=(gamma_c(var("B"), var("C"), 0),),
             body_builtin=(),
         )
@@ -831,14 +828,14 @@ class TestStepRelation:
         # stored facts reach a rule only through the action built-in
         fires_on_fact = ChrRule(
             name="f",
-            removed=(user("p", var("X")),),
-            guard=(builtin("dm", var("X")),),
-            body_user=(user("q", var("X")),),
+            removed=(constraint("p", var("X")),),
+            guard=(constraint("dm", var("X")),),
+            body_user=(constraint("q", var("X")),),
             body_builtin=(),
         )
         state = ChrState(
-            (user("p", sym("a")),),
-            (builtin("dm", sym("a")),),
+            (constraint("p", sym("a")),),
+            (Atom("dm", (sym("a"),)),),
         )
         with pytest.raises(Undecided):
             chr_step(state, [fires_on_fact])
@@ -855,7 +852,7 @@ class TestStepRelation:
             for c in state.goal
         )
         with pytest.raises(ChrError, match="ctx holds unknown chunk id zz"):
-            chr_step(ChrState(goal, state.builtins), chr_of_model(m))
+            chr_step(ChrState(goal, state.facts), chr_of_model(m))
 
     def test_every_buffer_must_name_a_listed_chunk(self):
         # goal is modified and ctx is not, yet ctx's chunk is checked too
@@ -868,49 +865,49 @@ class TestStepRelation:
             bad = gamma_c(sym("ctx"), sym("zz") if delay == 0 else sym("a"), delay)
             goal = tuple(bad if c.args[0] == sym("ctx") else c for c in state.goal)
             with pytest.raises(ChrError, match=message):
-                chr_step(ChrState(goal, state.builtins), chr_of_model(m)[:1])
+                chr_step(ChrState(goal, state.facts), chr_of_model(m)[:1])
 
     def test_goal_with_variables_is_rejected(self):
         # rules are used as they are, so a goal variable could meet one
         # of theirs: only ground goals step
-        state = ChrState((user("p", sym("a")), user("p", var("X"))), ())
+        state = ChrState((constraint("p", sym("a")), constraint("p", var("X"))), ())
         with pytest.raises(ChrError, match=r"goal not ground: p\(X\)"):
             chr_step(state, [pair_rule()])
 
     def test_a_non_variable_head_argument_is_matched_as_a_pattern(self):
         x = var("X")
-        rule = ChrRule("f", (user("p", Compound("f", (x,))),), (), (user("q", x),), ())
-        fa = ChrState((user("p", Compound("f", (sym("a"),))),), ())
-        assert chr_step(fa, [rule]) == [("f", ChrState((user("q", sym("a")),), ()))]
-        ga = ChrState((user("p", Compound("g", (sym("a"),))),), ())
+        rule = ChrRule("f", (constraint("p", Compound("f", (x,))),), (), (constraint("q", x),), ())
+        fa = ChrState((constraint("p", Compound("f", (sym("a"),))),), ())
+        assert chr_step(fa, [rule]) == [("f", ChrState((constraint("q", sym("a")),), ()))]
+        ga = ChrState((constraint("p", Compound("g", (sym("a"),))),), ())
         assert chr_step(ga, [rule]) == []
         # the pattern's variable is bound by a later head constraint too
-        both = ChrRule("fq", (user("p", Compound("f", (x,))), user("q", x)), (), (), ())
-        goal = (user("q", sym("b")), user("p", Compound("f", (sym("a"),))), user("q", sym("a")))
+        both = ChrRule("fq", (constraint("p", Compound("f", (x,))), constraint("q", x)), (), (), ())
+        goal = (constraint("q", sym("b")), constraint("p", Compound("f", (sym("a"),))), constraint("q", sym("a")))
         assert chr_step(ChrState(goal, ()), [both]) == [("fq", ChrState(goal[:1], ()))]
 
     def test_a_repeated_head_variable_matches_equal_arguments(self):
         x = var("X")
-        rule = ChrRule("same", (user("p", x, x),), (), (user("q", x),), ())
-        aa = ChrState((user("p", sym("a"), sym("a")),), ())
-        assert chr_step(aa, [rule]) == [("same", ChrState((user("q", sym("a")),), ()))]
-        ab = ChrState((user("p", sym("a"), sym("b")),), ())
+        rule = ChrRule("same", (constraint("p", x, x),), (), (constraint("q", x),), ())
+        aa = ChrState((constraint("p", sym("a"), sym("a")),), ())
+        assert chr_step(aa, [rule]) == [("same", ChrState((constraint("q", sym("a")),), ()))]
+        ab = ChrState((constraint("p", sym("a"), sym("b")),), ())
         assert chr_step(ab, [rule]) == []
 
     def test_a_ground_head_argument_matches_only_its_equal(self):
         x, fa = var("X"), Compound("f", (sym("a"),))
-        goal = (user("p", sym("b"), sym("a")), user("p", fa, sym("c")), user("p", sym("a"), sym("d")))
+        goal = (constraint("p", sym("b"), sym("a")), constraint("p", fa, sym("c")), constraint("p", sym("a"), sym("d")))
         heads = [
-            (user("p", sym("a"), x), 2, sym("d")),  # a first argument
-            (user("p", x, sym("a")), 0, sym("b")),  # a later one
-            (user("p", fa, x), 1, sym("c")),  # a compound
+            (constraint("p", sym("a"), x), 2, sym("d")),  # a first argument
+            (constraint("p", x, sym("a")), 0, sym("b")),  # a later one
+            (constraint("p", fa, x), 1, sym("c")),  # a compound
         ]
         for head, matched, value in heads:
-            rule = ChrRule("g", (head,), (), (user("q", x),), ())
+            rule = ChrRule("g", (head,), (), (constraint("q", x),), ())
             kept = tuple(c for i, c in enumerate(goal) if i != matched)
-            succ = ChrState(kept + (user("q", value),), ())
+            succ = ChrState(kept + (constraint("q", value),), ())
             assert chr_step(ChrState(goal, ()), [rule]) == [("g", succ)]
-        miss = ChrRule("g", (user("p", sym("e"), x),), (), (user("q", x),), ())
+        miss = ChrRule("g", (constraint("p", sym("e"), x),), (), (constraint("q", x),), ())
         assert chr_step(ChrState(goal, ()), [miss]) == []
 
     # sha256 over every successor, in order, of a breadth-first walk of CHR
@@ -943,15 +940,6 @@ class TestStepRelation:
 
 
 class TestFacts:
-    def test_facts_of_reads_ground_atoms(self):
-        state = ChrState((), (builtin("dm", sym("a")),))
-        assert facts_of(state) == (Atom("dm", (sym("a"),)),)
-
-    def test_facts_of_rejects_pending_equations(self):
-        state = ChrState((), (builtin("=", var("X"), sym("a")),))
-        with pytest.raises(Undecided):
-            facts_of(state)
-
     def test_fresh_gen_skips_ids_inside_terms(self):
         state = ChrState(
             (delta_c(TList((Compound("chunk", (sym("c#3"), sym("t"), TList(()))),))),),
@@ -962,33 +950,16 @@ class TestFacts:
 
 class TestStateEquivalence:
     @staticmethod
-    def translated(name: str, facts=()) -> ChrState:
+    def translated(name: str) -> ChrState:
         c = Chunk(sym(name), sym("t"), {sym("a"): NIL, sym("b"): NIL})
         store = encode_store(ChunkStore([c]))
-        return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), facts)
+        return ChrState((delta_c(store), gamma_c(sym("goal"), sym(name), 0)), ())
 
     def test_renamed_fresh_ids_are_equivalent(self):
         assert canonical_form(self.translated("c#0")) == canonical_form(self.translated("c#9"))
 
     def test_parsed_ids_are_not_renamed(self):
         assert canonical_form(self.translated("x")) != canonical_form(self.translated("y"))
-
-    def test_interpreted_builtins_in_the_store_are_undecided(self):
-        # the store holds facts only; equations and comparisons are not
-        # solved away as in the general state equivalence
-        dm = builtin("dm", sym("x"))
-        canonical_form(self.translated("x", (dm,)))
-        for c, message in (
-            (builtin("=", var("X"), sym("a")), "unevaluated built-in"),
-            (builtin(">", 1, 0), "unevaluated built-in"),
-            (builtin("dm", 3), "fact over a non-symbol"),
-        ):
-            with pytest.raises(Undecided, match=message):
-                canonical_form(self.translated("x", (dm, c)))
-        # facts are read first: an ill-shaped goal does not hide them
-        bad = ChrState((user("p", sym("a")),), (builtin(">", 1, 0),))
-        with pytest.raises(Undecided):
-            canonical_form(bad)
 
     def test_goal_is_a_multiset(self):
         a = Chunk(sym("x"), sym("t"), {sym("a"): NIL})
@@ -1141,7 +1112,7 @@ class TestStateEquivalence:
         b = Chunk(sym("c#1"), sym("t"), {sym("a"): sym("x"), sym("b"): NIL})
         delta = delta_c(encode_store(ChunkStore([a, b]).with_nil()))
         goal_g = gamma_c(sym("goal"), sym("c#1"), 0)
-        facts = (builtin("dm", sym("x")),)
+        facts = (Atom("dm", (sym("x"),)),)
         original = ChrState((delta, goal_g), facts)
         b_term, _, a_term = delta.args[0].items
         swapped = Compound("chunk", (*a_term.args[:2], TList(a_term.args[2].items[::-1])))
@@ -1152,9 +1123,8 @@ class TestStateEquivalence:
             ((delta, delta, goal_g), "second delta"),
             ((delta_c(sym("x")), goal_g), "no delta over a chunk list"),
             # a goal constraint other than delta/1 and gamma/3
-            ((delta, goal_g, user("p", sym("x"))), r"not delta/1 or gamma/3: p\(x\)"),
-            ((delta, user("gamma", sym("goal"), sym("x"))), "not delta/1 or gamma/3"),
-            ((delta, builtin("gamma", sym("ctx"), sym("x"), 0)), "not delta/1 or gamma/3"),
+            ((delta, goal_g, constraint("p", sym("x"))), r"not delta/1 or gamma/3: p\(x\)"),
+            ((delta, constraint("gamma", sym("goal"), sym("x"))), "not delta/1 or gamma/3"),
             # the same gamma twice, and two gammas for one buffer
             ((delta, goal_g, goal_g), "two gamma rows for buffer goal"),
             ((delta, goal_g, gamma_c(sym("goal"), sym("x"), 0)), "two gamma rows"),
@@ -1223,8 +1193,8 @@ class TestKeyParts:
                     assert form == canonical_form(copied)
                     assert carried == self.store(copied)
                     assert carried.key_parts() == ChunkStore(carried.chunks()).key_parts()
-                    shared_facts += c2._facts is c._facts
-                    assert facts_of(c2) == facts_of(copied)
+                    shared_facts += c2.facts is c.facts
+                    assert copied == c2
                     added += len(carried) > len(self.store(c))
                     keyed += 1
                     if form not in seen:
@@ -1246,6 +1216,6 @@ class TestRendering:
         assert text == "no @ gamma(B,C,D) <=> D > 0 | gamma(B,C,0)."
 
     def test_state_rendering_mentions_goal_and_builtins(self):
-        state = ChrState((user("p", sym("a")),), (builtin("dm", sym("a")),))
+        state = ChrState((constraint("p", sym("a")),), (Atom("dm", (sym("a"),)),))
         text = render_state(state)
         assert text == "<p(a) ; dm(a)>"

@@ -796,3 +796,7 @@ class TestRandomWalk:
     def test_walk_stops_at_final_states(self, counting_norm):
         walk = random_walk(counting_norm, depth=50, rng=random.Random(0))
         assert len(walk) == 5  # the counting chain has five steps
+
+    def test_rejects_a_negative_depth(self, counting_norm):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_walk(counting_norm, depth=-1)

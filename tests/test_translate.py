@@ -80,8 +80,9 @@ class TestStateTranslation:
     def test_facts_become_the_builtin_store(self, counting_norm):
         state = counting_norm.initial_state()
         cs = chr_of_state(state)
-        assert {c.name for c in cs.builtins} == {"dm"}
-        assert len(cs.builtins) == 5
+        assert cs.facts is state.upsilon
+        assert {a.pred for a in cs.facts} == {"dm"}
+        assert len(cs.facts) == 5
 
     def test_translated_states_are_ground(self, counting_norm):
         cs = chr_of_state(counting_norm.initial_state())
