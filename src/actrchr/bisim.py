@@ -26,7 +26,10 @@ abstract root's fact tuple object, and both sides hold facts as
 :class:`~actrchr.model.Atom`.  Rule matching, modification, the store
 merge and the fresh-id supply (one generator per side and run) are
 separate code on each side: the engine's on chunks and stores, the CHR
-engine's on chunk terms.
+engine's on chunk terms.  The engine's memo of rule effects
+(:func:`~actrchr.engine.interpret_rule`) is abstract-side only and the CHR
+side never reads it, so it adds nothing shared: a wrong memo key shows as
+a counterexample.
 """
 
 from __future__ import annotations

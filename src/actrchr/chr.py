@@ -82,7 +82,7 @@ from .core import (
     fresh_gen_avoiding,
 )
 from .engine import ArchitectureConfig, canonical_key, interpret_request
-from .model import AbstractState, Action, Atom, MODIFY, REQUEST
+from .model import AbstractState, Action, Atom, MODIFY, REQUEST, sort_atoms
 
 
 class ChrError(Exception):
@@ -661,7 +661,12 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
         answers = [_modify(buffer, pairs, listed, gamma, ids)]
     else:
         action = Action(kind, buffer, type, pairs)
-        state = AbstractState.make(_store_of(d), gamma, facts)
+        rows = tuple((b, cid, delay) for b, (cid, delay) in gamma.items())  # checked above
+        if any(x[0].name > y[0].name for x, y in zip(rows, rows[1:])):
+            rows = tuple(sorted(rows, key=lambda r: r[0].name))
+        if any(x.content()[0] > y.content()[0] for x, y in zip(facts, facts[1:])):
+            facts = sort_atoms(facts)  # a step appends the facts it adds
+        state = AbstractState(_store_of(d).with_nil(), rows, facts)
         answers = []
         for eff in interpret_request(action, state, config, ids):
             cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[buffer]

@@ -155,10 +155,18 @@ class TypeTable:
         self, type: Symbol | None, pairs: Iterable[tuple[Symbol, Value]]
     ) -> tuple[tuple[Symbol, Value], ...]:
         """The pairs sorted stably by (slot position in ``type``, slot name);
-        an unknown or ``None`` type and undeclared slots sort by name."""
+        an unknown or ``None`` type and undeclared slots sort by name.
+        Pairs already in that order, as printed models list them, are
+        returned as they are."""
+        pairs = tuple(pairs)
+        if len(pairs) < 2:
+            return pairs
         index = self._index.get(type, {})
         last = len(index)
-        return tuple(sorted(pairs, key=lambda p: (index.get(p[0], last), p[0].name)))
+        keys = [(index.get(s, last), s.name) for s, _ in pairs]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            return tuple(p for *_, p in sorted(zip(keys, range(len(pairs)), pairs)))
+        return pairs
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TypeTable) and self._slots == other._slots
@@ -188,6 +196,12 @@ class Chunk:
         names = (type.name, tuple((s.name, v.name) for s, v in pairs))
         fresh = next((v for _, v in pairs if is_fresh_id(v)), None)
         self._content = (names, fresh, is_fresh_id(id))
+
+    def renamed(self, id: Symbol) -> Chunk:
+        """This chunk under an id of the same freshness, sharing pairs and content."""
+        out = object.__new__(Chunk)
+        out.id, out.type, out.pairs, out._content = id, self.type, self.pairs, self._content
+        return out
 
     def value(self, slot: Symbol) -> Symbol | None:
         for s, v in self.pairs:

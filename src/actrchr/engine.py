@@ -15,6 +15,10 @@ name order and stale fresh chunks as a sorted multiset of contents; it
 raises :class:`EngineError` on a state that breaks the invariant.  A key
 reads the parts a successor's store derives from its parent's, so its
 store part costs what the step adds; its few facts are keyed on each call.
+
+So a rule's effects are fixed, up to the fresh ids they draw, by its
+binding, the chunks its modifications copy and its requests' answers:
+:func:`interpret_rule` memoizes them for a run (see :class:`AbstractState`).
 """
 
 from __future__ import annotations
@@ -381,9 +385,9 @@ def interpret_request(
 ) -> list[Effect]:
     """One effect per handler answer, each under a fresh identifier.
 
-    An answer that repeats a slot, whose facts have an argument other than
-    a symbol, or whose pairs or facts name a fresh identifier (breaking the
-    fresh-id invariant), raises :class:`EngineError`.
+    An answer that repeats a slot, whose pairs or facts have a value other
+    than a symbol, or whose pairs or facts name a fresh identifier
+    (breaking the fresh-id invariant), raises :class:`EngineError`.
 
     An empty answer set either parks the nil chunk pending in the buffer
     (fail_request="nil", the default) or yields no effect at all
@@ -395,6 +399,8 @@ def interpret_request(
     pairs = _ground_pairs(action)
     effects = []
     for ans in handler(action.type, pairs, state):
+        if not all(isinstance(v, Symbol) for _, v in ans.val):
+            raise EngineError(f"slot value not a symbol in an answer on {action.buffer}: {ans.val!r}")
         for v in [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]:
             if is_fresh_id(v):
                 raise EngineError(f"fresh id {v} named by an answer on {action.buffer}")
@@ -435,6 +441,19 @@ def combine_effects(left: Effect, right: Effect) -> Effect:
     return Effect(merge(left.store, right.store), gamma, left.atoms + right.atoms)
 
 
+def _memo_key(rule: Rule, theta: dict[Variable, Symbol], state: AbstractState, config: ArchitectureConfig):
+    """The key of the rule's effects in the state's memo, or None if a
+    request goes to a handler other than :func:`declarative_retrieval`."""
+    copied = []
+    for action in rule.actions:
+        if action.kind == MODIFY:  # with no incumbent the step raises, and is not recorded
+            chunk = state.store.get(next((c for b, c, _ in state.gamma if b is action.buffer), None))
+            copied.append(chunk and chunk.content()[0])
+        elif config.handler_for(action.buffer) is not declarative_retrieval:
+            return None
+    return (id(rule), config.fail_request, tuple(theta.items()), tuple(copied))
+
+
 def interpret_rule(
     rule: Rule,
     theta: dict[Variable, Symbol],
@@ -450,7 +469,28 @@ def interpret_rule(
     partial stores disjoint.  An action whose pairs hold no variable is
     used as it is.  The result is non-empty unless a request comes back
     empty under fail_request="stuck".
+
+    When every request goes to :func:`declarative_retrieval`, the effects
+    are memoized in the state's run memo, keyed by the rule (by identity),
+    ``fail_request``, the binding and the content of each chunk a
+    modification copies.  That is exact: update values and answers name
+    only parsed chunks and facts, fixed until a step adds a fact and so
+    starts a new memo.  A miss records the effects with the ids it drew; a
+    hit draws as many from ``ids``, in order, and renames the recorded
+    chunks and rows to them.  A step that raises records nothing.
     """
+    key = _memo_key(rule, theta, state, config)
+    if key is not None:
+        if state._memo is None:
+            object.__setattr__(state, "_memo", {})
+        hit = state._memo.get(key)
+        if hit is not None:
+            if not hit[1]:
+                return list(hit[2])
+            ren = {old: ids.fresh() for old in hit[1]}
+            return [Effect(ChunkStore([c.renamed(ren.get(c.id, c.id)) for c in e.store]),
+                           tuple((b, ren.get(c, c), d) for b, c, d in e.gamma), e.atoms) for e in hit[2]]
+    start = ids.count
     combos = None
     for action in rule.actions:
         ground = action
@@ -459,8 +499,12 @@ def interpret_rule(
         parts = interpret_action(ground, state, config, ids)
         combos = parts if combos is None else [combine_effects(a, p) for a in combos for p in parts]
         if not combos:
-            return []
-    return [EMPTY_EFFECT] if combos is None else combos
+            break
+    effects = [EMPTY_EFFECT] if combos is None else combos
+    if key is not None:
+        drawn = [Symbol(f"{FRESH_PREFIX}{n}") for n in range(start, ids.count)]
+        state._memo[key] = (rule, drawn, tuple(effects))  # the rule kept alive keeps its id
+    return effects
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +514,8 @@ def interpret_rule(
 def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     """Successor state: merged store, updated buffers, grown fact set.  It
     keeps the parent's checked rows and facts (see :meth:`AbstractState.make`)
-    and checks only the rows the effect sets."""
+    and checks only the rows the effect sets; it keeps the parent's memo
+    unless the effect adds facts."""
     store = merge(state.store, effect.store)
     check_rows(store, effect.gamma)
     rows = {r[0]: r for r in effect.gamma}
@@ -478,18 +523,18 @@ def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     if rows:
         gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
     if effect.atoms:
-        return AbstractState(store, gamma, sort_atoms(state.upsilon + effect.atoms))
-    return AbstractState(store, gamma, state.upsilon)
+        return AbstractState(store, gamma, sort_atoms(state.upsilon + effect.atoms))  # new facts, new memo
+    return AbstractState(store, gamma, state.upsilon, state._memo)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
     """One successor per pending buffer, revealing exactly that buffer; it
-    shares the parent's store and facts."""
+    shares the parent's store, facts and memo."""
     out = []
     for i, (b, c, d) in enumerate(state.gamma):
         if d > 0:
             gamma = state.gamma[:i] + ((b, c, 0),) + state.gamma[i + 1:]
-            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon)))
+            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon, state._memo)))
     return out
 
 

@@ -124,11 +124,20 @@ class AbstractState:
     ``gamma`` is total on the model's buffers and maps each to a chunk
     identifier of ``store`` plus a delay flag (0 visible, 1 pending).
     Stored sorted by buffer name so equal states compare equal.
+
+    ``_memo`` holds the run's rule effects (see
+    :func:`~actrchr.engine.interpret_rule`); made on first use, it passes to
+    a step's successors until a step adds facts.  Equality, hashing, repr,
+    pickling and copying ignore it, as :class:`ChunkStore` its key parts.
     """
 
     store: ChunkStore
     gamma: tuple[tuple[Symbol, Symbol, int], ...]
     upsilon: tuple[Atom, ...]
+    _memo: dict | None = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):  # copy the value only, not the memo
+        return AbstractState, (self.store, self.gamma, self.upsilon)
 
     @staticmethod
     def make(

@@ -31,6 +31,7 @@ from actrchr.engine import (
     FAIL_STUCK,
     ArchitectureConfig,
     Effect,
+    EngineError,
     canonical_key,
     explore,
     match_rule,
@@ -99,6 +100,10 @@ rule r { goal: t { s: a } ==> modify goal { s: a } }
 # corpus models (random_model(Random(i))) in which a modification that keeps
 # the old slot values is seen by depth 4
 MODIFYING_SEEDS = (15, 23, 43, 81)
+
+# corpus models in which a rule meets two different chunks in a buffer it
+# modifies but does not test, under one binding, by depth 4 (12 of 200 do)
+UNTESTED_COPY_SEEDS = (7, 18, 59, 79, 81)
 
 # corpus models whose checks must visit explore's states in explore's order
 # (all 200 agree at depths 0, 3 and 4 under both policies; 60 keep it quick)
@@ -390,6 +395,30 @@ class TestFaultMatrix:
             (cx,) = report.counterexamples
             assert (cx.direction, cx.depth) == (ERROR, 1)
             assert cx.missing.startswith(f"abstract step raised {error}: ")
+
+    def test_an_answer_slot_over_a_variable_is_an_error(self, counting_model):
+        # the CHR side would store the chunk as it is: only the engine sees it
+        answer = Answer(Symbol("succ"), ((Symbol("number"), Variable("X")),))
+        config = ArchitectureConfig(default_handler=lambda *_: [answer])
+        with pytest.raises(EngineError, match="not a symbol"):
+            explore(counting_model, config, depth=3)
+        (cx,) = bisim_check(counting_model, depth=3, config=config).counterexamples
+        assert (cx.direction, cx.depth) == (ERROR, 1)
+        assert cx.missing.startswith("abstract step raised EngineError: slot value not a symbol")
+
+    def test_a_memo_keyed_without_the_copied_contents_is_caught(self, monkeypatch):
+        memo_key = actrchr.engine._memo_key
+
+        def without_contents(*args):
+            key = memo_key(*args)
+            return key and key[:-1]
+
+        models = [random_model(random.Random(seed)) for seed in UNTESTED_COPY_SEEDS]
+        assert all(bisim_check(m, depth=4).ok for m in models)
+        monkeypatch.setattr(actrchr.engine, "_memo_key", without_contents)
+        for m in models:
+            report = bisim_check(m, depth=4)
+            assert {FORWARD, BACKWARD} <= {c.direction for c in report.counterexamples}
 
 
 class TestEffectCorrespondence:

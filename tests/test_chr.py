@@ -867,6 +867,27 @@ class TestStepRelation:
             with pytest.raises(ChrError, match=message):
                 chr_step(ChrState(goal, state.facts), chr_of_model(m)[:1])
 
+    def test_a_request_is_asked_in_a_checked_state(self, counting_model):
+        # built from the CHR state without re-checking it: nil is in the
+        # store, and the facts a step appended out of order come sorted
+        asked = []
+
+        def adding(type, pairs, state):
+            asked.append(state)
+            return [replace(a, atoms=(Atom("added", (type,)),)) for a in declarative_retrieval(type, pairs, state)]
+
+        config = ArchitectureConfig(default_handler=adding)
+        prog = chr_of_model(counting_model)
+        c = chr_of_state(normalize_model(counting_model).initial_state())
+        ids = fresh_gen_for(c)
+        for _ in range(4):
+            ((_, c),) = chr_step(c, prog, config, ids)
+        assert [f.pred for f in c.facts][-1] == "added"  # appended after the dm facts
+        assert len(asked) == 2 and asked[-1].upsilon[0].pred == "added"
+        for state in asked:
+            assert NIL in state.store
+            assert state == AbstractState.make(state.store, state.gamma, state.upsilon)
+
     def test_goal_with_variables_is_rejected(self):
         # rules are used as they are, so a goal variable could meet one
         # of theirs: only ground goals step

@@ -254,6 +254,13 @@ class TestTypeTable:
         got = t.ordered(None if type is None else sym(type), pairs)
         assert " ".join(f"{s.name}:{v.name}" for s, v in got) == expected
 
+    def test_pairs_in_order_are_returned_as_they_are(self):
+        t = TypeTable()
+        t.declare(sym("t"), (sym("b"), sym("a")))
+        for given in ("b:1 a:2", "b:1 b:2 a:3 z:4", "a:1", ""):
+            pairs = tuple(tuple(map(sym, p.split(":"))) for p in given.split())
+            assert t.ordered(sym("t"), pairs) is pairs
+
 
 class TestIdGen:
     def test_fresh_sequence(self):
