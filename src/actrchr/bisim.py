@@ -170,7 +170,10 @@ def bisim_check(
     """Check mutual transition matching to the given depth.
 
     The model runs normalized on both sides; ``program`` overrides the
-    translation, which is how fault-injection tests feed a broken one.
+    translation, which is how fault-injection tests feed a broken one.  A
+    rule outside the fragment the CHR engine plans raises
+    :class:`~actrchr.chr.ChrError` when it is made, before any check, as
+    a :class:`~actrchr.translate.TranslationError` does for a model.
     An Undecided equivalence judgement, and any other chunk-store, engine
     or CHR error raised by either side's step (a missing handler, an answer
     naming a fresh id), is reported as a failure rather than raised.  The

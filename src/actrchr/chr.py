@@ -31,19 +31,20 @@ implementation.
 Each rule is planned once, when it is made (see :class:`ChrRule`): its
 variables become registers of a flat list, numbered in the order the rule
 binds them, so the plan knows whether a built-in's input is bound when
-the built-in is reached.  The head is put in head normal form and matched
-from a per-step goal index; the guard and body built-ins read their
-inputs from registers, build the terms they need from bindings, and store
-a result variable met for the first time directly.  Every term a pattern
-meets is ground (a goal argument, a list item, a built-in's result), so
-:func:`match_into` is one-sided, as CHR head matching is, and binds rule
-variables to ground terms only.  :func:`chr_step` is the one way to run
-the theory.  The operands the translation writes out are planned only
-when written out in the rule: the action term and the cognitive-state
-list of ``action`` (each row ``(Buffer, (Chunk, Delay))``, none counts)
-and the operand list of ``merge``.  An unbound variable there is
-:class:`Undecided`; any other term fails with :class:`ChrError` naming it
-when the step reaches it.
+the built-in is reached.  A plan covers only the shapes the translation
+writes; any other rule raises :class:`ChrError` naming the constraint or
+term when it is made.  A head is not empty, and the arguments of each
+head constraint are a symbol or integer first one, if any, which keys
+the per-step goal index, then variables met there first.  Every input is a
+bound variable or a ground term, so no term is built at run time, and
+every result of ``action``, ``merge`` and ``map`` is a new variable.
+The left side of ``=`` and the pattern of ``in`` are matched by
+:func:`match_into`, one-sidedly against ground terms, as CHR head
+matching is.  The action term and cognitive-state list of ``action``
+(each row ``(Buffer, (Chunk, Delay))``) and the operand list of
+``merge`` are written out in the rule.  An unbound input, and a
+constraint outside the theory, is :class:`Undecided` when the step
+reaches it.  :func:`chr_step` is the one way to run the theory.
 Compounds and lists cache their groundness once asked, and a store
 encoding, a checked chunk list and a merged one are marked ground when
 made.  A list also keeps its first-argument index, which finds the chunk
@@ -68,7 +69,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .core import (
@@ -86,11 +87,13 @@ from .model import AbstractState, Action, Atom, MODIFY, REQUEST, sort_atoms
 
 
 class ChrError(Exception):
-    """Malformed constraint or misuse of the built-in theory."""
+    """A rule outside the planned fragment, refused when it is made, or a
+    malformed term met by the built-in theory."""
 
 
 class Undecided(ChrError):
-    """A built-in left the decidable fragment (unbound inputs)."""
+    """A built-in left the decidable fragment: an unbound input or a
+    constraint outside the theory, met when the step reaches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,8 @@ class ChrState:
 @dataclass(frozen=True)
 class ChrRule:
     """Simplification rule ``name @ removed <=> guard | body``: a step
-    removes every head constraint."""
+    removes every head constraint.  A rule outside the fragment its plan
+    covers raises :class:`ChrError` here (see :class:`_RulePlan`)."""
 
     name: str
     removed: tuple[Constraint, ...]
@@ -290,7 +294,8 @@ def encode_cogstate(gamma: Iterable[tuple[Symbol, Term, Term]]) -> TList:
 # Head variables get the first registers, then each guard and body
 # built-in's results.  Constants have registers too, so every input is one
 # register; an unbound variable stays in a built-in's input, where the
-# built-in raises Undecided on it or names it in a message.
+# built-in raises Undecided on it or names it in a message.  A rule outside
+# the fragment the translation writes raises ChrError when it is made.
 
 # the built-ins and their arities, solved in guards and bodies and never
 # stored; a guard or body constraint of any other name (a fact's, such as
@@ -303,35 +308,28 @@ _ATOMIC = frozenset([Symbol, int])
 _BIND, _SAME, _CONST, _COMPOUND, _LIST = range(5)
 
 
-def _kids(t: Union[Compound, TList]) -> tuple[Term, ...]:
-    return t.args if t.__class__ is Compound else t.items
-
-
 class _Planner:
     """The registers of a plan while it is made.
 
     ``slots`` maps each variable bound so far to its register and ``init``
     holds each register's starting value: None for a variable, the value
     for a constant.  ``loose`` is set when a template meets an unbound
-    variable, and ``seen`` counts the variables patterns meet.  Register
-    ``atoms``, made with the first ``action``, collects the facts the
-    ``action`` constraints contribute.
+    variable.  Register ``atoms``, made with the first ``action``, collects
+    the facts the ``action`` constraints contribute.
     """
 
-    __slots__ = ("slots", "init", "atoms", "loose", "seen")
+    __slots__ = ("slots", "init", "atoms", "loose")
 
     def __init__(self) -> None:
         self.slots: dict[Variable, int] = {}
         self.init: list = []
         self.atoms: Optional[int] = None
         self.loose = False
-        self.seen = 0
 
-    def template(self, t: Term, builds: list) -> int:
-        """The register holding ``t`` with its bound variables replaced by
-        their values, once ``builds`` (register, functor or None for a list,
-        argument registers) has run in order; a ground term is held as it
-        is."""
+    def template(self, t: Term, c: Constraint) -> int:
+        """The register holding ``t``: a bound variable's, else a new one
+        holding a ground term or an unbound variable.  A term that would
+        be built from bindings at run time is refused, naming ``c``."""
         cls = t.__class__
         if cls is Variable:
             i = self.slots.get(t)
@@ -339,88 +337,59 @@ class _Planner:
                 return i
             self.loose = True
         elif (cls is Compound or cls is TList) and not is_ground(t):
-            kids = tuple([self.template(a, builds) for a in _kids(t)])
-            builds.append((len(self.init), t.functor if cls is Compound else None, kids))
-            t = None
+            raise ChrError(f"term built at run time: {render_term(t)} in {render_constraint(c)}")
         self.init.append(t)
         return len(self.init) - 1
 
-    def inputs(self, terms: Iterable[Term], builds: list) -> tuple[int, ...]:
+    def inputs(self, terms: Iterable[Term], c: Constraint) -> tuple[int, ...]:
         """The terms' registers; ``loose`` tells whether one holds an
         unbound variable."""
         self.loose = False
-        return tuple([self.template(t, builds) for t in terms])
+        return tuple([self.template(t, c) for t in terms])
 
     def pattern(self, t: Term) -> tuple:
         """``t`` as a pattern for :func:`match_into`; its variables are
         bound from here on."""
         cls = t.__class__
         if cls is Variable:
-            self.seen += 1
             i = self.slots.get(t)
             if i is not None:
                 return (_SAME, i, ())
             self.slots[t] = i = len(self.init)
             self.init.append(None)
             return (_BIND, i, ())
-        if cls is Compound or cls is TList:
-            seen = self.seen
-            subs = tuple([self.pattern(a) for a in _kids(t)])
-            if self.seen != seen:  # not ground
-                return (_COMPOUND, t.functor, subs) if cls is Compound else (_LIST, None, subs)
+        if (cls is Compound or cls is TList) and not is_ground(t):
+            subs = tuple([self.pattern(a) for a in (t.args if cls is Compound else t.items)])
+            return (_COMPOUND, t.functor, subs) if cls is Compound else (_LIST, None, subs)
         return (_CONST, t, ())
 
-    def result(self, t: Term) -> Union[int, tuple]:
-        """A built-in's result: a variable met here first is stored
-        directly in the register returned; anything else is a pattern."""
-        if t.__class__ is Variable and t not in self.slots:
-            self.slots[t] = i = len(self.init)
-            self.init.append(None)
-            return i
-        return self.pattern(t)
+    def result(self, t: Term, c: Constraint) -> int:
+        """The register a built-in stores its result in: ``t`` must be a
+        variable met here first."""
+        if t.__class__ is not Variable or t in self.slots:
+            raise ChrError(f"result not a new variable: {render_term(t)} in {render_constraint(c)}")
+        self.slots[t] = i = len(self.init)
+        self.init.append(None)
+        return i
 
-    def heads(self, removed: tuple[Constraint, ...]) -> tuple[tuple, list]:
-        """The head in head normal form, each argument a ground term or a
-        variable.  Per head constraint: its goal index key (name, arity and
-        a symbol or integer first argument), a function taking the values of
-        the variables it binds first, and (position, source, x) checks of
-        the other arguments against a head register (source 0), an earlier
-        argument (1) or a constant (2).  A non-variable, non-ground argument
-        gets a register and comes back with it, to be matched by the guard."""
-        out, hnf = [], []
-        slots, init = self.slots, self.init
+    def heads(self, removed: tuple[Constraint, ...]) -> tuple[tuple, ...]:
+        """Per head constraint: its goal index key (name, arity and a
+        symbol or integer first argument, if it has one) and the position
+        where its variables start.  Every argument from there on must be a
+        variable met there first; it takes the next register."""
+        out = []
         for c in removed:
             args = c.args
             keyed = 1 if args and args[0].__class__ in _ATOMIC else 0
-            base = len(init)
-            taken: list[int] = []
-            checks = []
-            for pos in range(keyed, len(args)):
-                a = args[pos]
-                cls = a.__class__
-                if cls is Variable:
-                    i = slots.get(a)
-                    if i is None:
-                        slots[a] = len(init)
-                    else:
-                        checks.append((pos, 1, taken[i - base]) if i >= base else (pos, 0, i))
-                        continue
-                elif (cls is Compound or cls is TList) and not is_ground(a):
-                    hnf.append((a, len(init)))
-                else:
-                    checks.append((pos, 2, a))
-                    continue
-                taken.append(pos)
-                init.append(None)
-            if len(taken) > 1:
-                take = itemgetter(*taken)
-            else:  # a slice, so that the values come as a tuple
-                take = itemgetter(slice(taken[0], taken[0] + 1) if taken else slice(0))
-            key = (c.name, len(args), args[0]) if keyed else (c.name, len(args))
-            out.append((key, take, tuple(checks)))
-        return tuple(out), hnf
+            for a in args[keyed:]:
+                if a.__class__ is not Variable or a in self.slots:
+                    raise ChrError(f"head argument not a new variable: {render_term(a)} in {render_constraint(c)}")
+                self.slots[a] = len(self.init)
+                self.init.append(None)
+            out.append(((c.name, len(args), args[0]) if keyed else (c.name, len(args)), keyed))
+        return tuple(out)
 
-    def action(self, t: Term, builds: list) -> Optional[tuple]:
+    def action(self, t: Term, c: Constraint) -> Optional[tuple]:
         """A written-out action term as (kind, buffer, type, slots,
         registers of the slot values); None for any other term."""
         if t.__class__ is Compound and t.functor in ("=", "+") and len(t.args) == 3:
@@ -433,87 +402,83 @@ class _Planner:
                 and all(_is_pair(p) and p.args[0].__class__ is Symbol for p in pairs.items)
             ):
                 slots = tuple([p.args[0] for p in pairs.items])
-                values = tuple([self.template(p.args[1], builds) for p in pairs.items])
+                values = tuple([self.template(p.args[1], c) for p in pairs.items])
                 return (MODIFY if modify else REQUEST, buffer, None if modify else type, slots, values)
         return None
 
-    def cogstate(self, t: Term, builds: list) -> Optional[tuple[int, ...]]:
+    def cogstate(self, t: Term, c: Constraint) -> Optional[tuple[int, ...]]:
         """A written-out cognitive-state list, each row (buffer, (chunk,
         delay)), as the registers of each row's buffer, chunk and delay in
         turn; None for any other term."""
         if t.__class__ is TList and all(_is_pair(r) and _is_pair(r.args[1]) for r in t.items):
-            return tuple([self.template(x, builds) for r in t.items for x in (r.args[0], *r.args[1].args)])
+            return tuple([self.template(x, c) for r in t.items for x in (r.args[0], *r.args[1].args)])
         return None
 
     def refuse(self, t: Term, what: str, unbound: str, c: Optional[Constraint]) -> tuple:
         """The step of a built-in whose operand ``t`` is not written out in
-        the rule: Undecided (see :func:`_fail`) when ``t`` is an unbound
-        variable, else ChrError naming ``t``."""
+        the rule: Undecided once reached (see :func:`_fail`) when ``t`` is
+        an unbound variable; anything else raises ChrError naming ``t``."""
         if t.__class__ is Variable and t not in self.slots:
-            return (), _fail, (Undecided, unbound, c)
-        return (), _fail, (ChrError, f"{what}: {render_term(t)}", None)
+            return _fail, (unbound, c)
+        raise ChrError(f"{what}: {render_term(t)}")
 
     def step(self, c: Constraint) -> tuple:
-        """A guard or body built-in as (builds, solver, operands)."""
+        """A guard or body built-in as (solver, operands)."""
         arity = _ARITY.get(c.name)
         if arity is None:
-            return (), _fail, (Undecided, "uninterpreted constraint used as a goal", c)
+            return _fail, ("uninterpreted constraint used as a goal", c)
         if len(c.args) != arity:
-            return (), _fail, (ChrError, f"{c.name}/{arity} expected", None)
-        builds: list = []
+            raise ChrError(f"{c.name}/{arity} expected: {render_constraint(c)}")
         name, args = c.name, c.args
         if name == "=":
-            right = self.inputs(args[1:], builds)
+            right = self.inputs(args[1:], c)
             if self.loose:
-                return (), _fail, (Undecided, "equation with an unbound right side", c)
-            return tuple(builds), _solve_eq, (self.pattern(args[0]), right[0])
+                return _fail, ("equation with an unbound right side", c)
+            return _solve_eq, (self.pattern(args[0]), right[0])
         if name == ">":
-            return tuple(builds), _solve_gt, (*(self.template(x, builds) for x in args), c)
+            return _solve_gt, (*self.inputs(args, c), c)
         if name == "in":
             pattern, lst = args
-            items = self.inputs((lst,), builds)
+            items = self.inputs((lst,), c)
             if self.loose:
-                return (), _fail, (Undecided, "membership over unbound list", c)
-            key = None  # a bound first argument: read the list's index
+                return _fail, ("membership over unbound list", c)
+            key = None  # a bound or ground first argument: read the list's index
             if pattern.__class__ is Compound and pattern.args:
-                key = self.inputs(pattern.args[:1], builds)[0]
-                key = None if self.loose else key
-            return tuple(builds), _solve_in, (self.pattern(pattern), items[0], key, c)
+                first = pattern.args[0]
+                if first.__class__ is Variable:
+                    key = self.slots.get(first)
+                elif is_ground(first):
+                    key = self.template(first, c)
+            return _solve_in, (self.pattern(pattern), items[0], key, c)
         if name == "action":
             a, d, g = args[:3]
-            spec = self.action(a, builds)
+            spec = self.action(a, c)
             if spec is None:
                 return self.refuse(a, "not an action term", "action over an unbound action term", c)
-            rows = self.cogstate(g, builds)
+            rows = self.cogstate(g, c)
             if rows is None:
                 unbound = f"cognitive state not a list: {render_term(g)}"
                 return self.refuse(g, "cognitive state not written out as a list", unbound, None)
-            ins = (spec, self.template(d, builds), rows)
+            ins = (spec, self.template(d, c), rows)
             if self.atoms is None:
                 self.atoms = len(self.init)
                 self.init.append(())
-            outs = tuple([self.result(x) for x in args[3:]])
-            return tuple(builds), _solve_action, (*ins, outs, self.atoms, c)
+            outs = tuple([self.result(x, c) for x in args[3:]])
+            return _solve_action, (*ins, outs, self.atoms, c)
         if name == "merge":
             lst = args[0]  # a written-out list: its operands, each in a register
             if lst.__class__ is not TList:
                 return self.refuse(lst, "merge operands not written out as a list", "merge over unbound list", c)
-            lists = self.inputs(lst.items, builds)
+            lists = self.inputs(lst.items, c)
             if self.loose:
-                return (), _fail, (Undecided, "merge over unbound list", c)
-            return tuple(builds), _solve_merge, (lists, self.result(args[1]))
-        ins = tuple([self.template(x, builds) for x in args[:3]])
-        return tuple(builds), _solve_map, (*ins, self.result(args[3]), c)
+                return _fail, ("merge over unbound list", c)
+            return _solve_merge, (lists, self.result(args[1], c))
+        ins = self.inputs(args[:3], c)
+        return _solve_map, (*ins, self.result(args[3], c), c)
 
 
 def _is_pair(t: Term) -> bool:
     return t.__class__ is Compound and t.functor == "," and len(t.args) == 2
-
-
-def _build(builds: tuple, regs: list) -> None:
-    for i, functor, kids in builds:
-        args = tuple(map(regs.__getitem__, kids))
-        regs[i] = TList(args) if functor is None else Compound(functor, args)
 
 
 def match_into(pattern: tuple, term: Term, regs: list) -> bool:
@@ -558,11 +523,9 @@ def _run(steps: tuple, states: list, ctx: tuple) -> list:
     """Solve a conjunction left to right, branching where the theory does:
     every state solves one built-in before any state solves the next, so
     the first error raised is the one a breadth-first solver meets."""
-    for builds, solve, operands in steps:
+    for solve, operands in steps:
         nxt: list = []
         for regs in states:
-            if builds:
-                _build(builds, regs)
             nxt += solve(regs, operands, ctx)
         if not nxt:
             return nxt
@@ -571,9 +534,10 @@ def _run(steps: tuple, states: list, ctx: tuple) -> list:
 
 
 def _fail(_regs: list, operands: tuple, _ctx: tuple) -> list:
-    """A built-in whose plan already shows it fails once reached."""
-    error, text, c = operands
-    raise error(text if c is None else f"{text}: {render_constraint(c)}")
+    """A built-in whose plan already shows it undecided once reached: an
+    unbound input or an uninterpreted constraint."""
+    text, c = operands
+    raise Undecided(text if c is None else f"{text}: {render_constraint(c)}")
 
 
 def _solve_eq(regs: list, operands: tuple, _ctx: tuple) -> tuple:
@@ -635,7 +599,7 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     parameter: :func:`~actrchr.engine.interpret_request` reads the store
     the list carries (see :func:`_store_of`).
     """
-    (kind, buffer, type, slots, values), d, g, outs, atoms, c = operands
+    (kind, buffer, type, slots, values), d, g, (dres, cres, eres), atoms, c = operands
     pairs = tuple(zip(slots, map(regs.__getitem__, values)))
     for slot, value in pairs:
         if value.__class__ is not Symbol:
@@ -674,15 +638,10 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     out = []
     for answer in answers:
         r = regs if len(answers) == 1 else regs.copy()
-        for result, value in zip(outs, answer):
-            if result.__class__ is int:
-                r[result] = value
-            elif not match_into(result, value, r):
-                break
-        else:
-            if answer[3]:
-                r[atoms] += answer[3]
-            out.append(r)
+        r[dres], r[cres], r[eres], added = answer
+        if added:
+            r[atoms] += added
+        out.append(r)
     return out
 
 
@@ -722,11 +681,7 @@ def _solve_merge(regs: list, operands: tuple, _ctx: tuple) -> tuple:
     """merge(L, D): D is the merge of the chunk lists in L (see
     :func:`merge_chunk_lists`)."""
     lists, out = operands
-    merged = merge_chunk_lists(map(regs.__getitem__, lists))
-    if out.__class__ is int:
-        regs[out] = merged
-    elif not match_into(out, merged, regs):
-        return ()
+    regs[out] = merge_chunk_lists(map(regs.__getitem__, lists))
     return (regs,)
 
 
@@ -820,11 +775,7 @@ def _solve_map(regs: list, operands: tuple, _ctx: tuple) -> tuple:
         if store.__class__ is Variable:
             raise Undecided(f"map over an unbound store: {render_constraint(c)}")
         known = cid in _chunk_index(store) or known
-    target = cid if known else NIL
-    if out.__class__ is int:
-        regs[out] = target
-    elif not match_into(out, target, regs):
-        return ()
+    regs[out] = cid if known else NIL
     return (regs,)
 
 
@@ -852,20 +803,20 @@ class _RulePlan:
     :meth:`_Planner.heads`), the registers after the head's, the guard and
     body built-ins (see :meth:`_Planner.step`), and the body constraints,
     each the position of the head constraint it equals or (name, argument
-    registers) after ``builds``, with the position of the first
-    one that keeps an unbound variable, if any."""
+    registers), with the position of the first one that keeps an unbound
+    variable, if any.  A rule with an empty head is refused: a
+    simplification rule removes at least one constraint."""
 
-    __slots__ = ("heads", "tail", "guard", "body", "builds", "adds", "leak", "atoms")
+    __slots__ = ("heads", "tail", "guard", "body", "adds", "leak", "atoms")
 
     def __init__(self, rule: ChrRule) -> None:
+        if not rule.removed:
+            raise ChrError(f"rule {rule.name} removes no constraint")
         plan = _Planner()
-        self.heads, hnf = plan.heads(rule.removed)
+        self.heads = plan.heads(rule.removed)
         head_size = len(plan.init)
-        # a non-variable head argument is matched first: pattern = V
-        guard = [((), _solve_eq, (plan.pattern(t), i)) for t, i in hnf]
-        self.guard = tuple(guard + [plan.step(c) for c in rule.guard])
+        self.guard = tuple([plan.step(c) for c in rule.guard])
         self.body = tuple([plan.step(c) for c in rule.body_builtin])
-        builds: list = []
         self.leak = None
         adds: list = []
         # a body constraint equal to a head constraint is the goal
@@ -876,10 +827,10 @@ class _RulePlan:
             if k is not None:
                 adds.append(k)
                 continue
-            adds.append((u.name, plan.inputs(u.args, builds)))
+            adds.append((u.name, plan.inputs(u.args, u)))
             if plan.loose and self.leak is None:
                 self.leak = len(adds) - 1
-        self.builds, self.adds = tuple(builds), tuple(adds)
+        self.adds = tuple(adds)
         self.atoms = plan.atoms
         self.tail = tuple(plan.init[head_size:])
 
@@ -888,8 +839,6 @@ class _RulePlan:
         positions ``used``, plus the body constraints, beside the parent's
         facts and then those ``action`` contributed; with none contributed,
         beside the parent's fact tuple itself."""
-        if self.builds:
-            _build(self.builds, regs)
         added = tuple([
             goal[used[a]] if a.__class__ is int else Constraint(a[0], tuple(map(regs.__getitem__, a[1])))
             for a in self.adds
@@ -907,25 +856,20 @@ class _RulePlan:
 
 def _match_heads(heads: tuple, goal: tuple[Constraint, ...], index: dict) -> list:
     """Injective matchings of a planned head against the goal, in goal
-    order, as (head register values, matched goal positions)."""
+    order, as (head register values, matched goal positions): each goal
+    constraint under a head constraint's key gives the values of its
+    arguments from where that head constraint's variables start."""
     found: list = [((), ())]
-    for key, take, checks in heads:
+    for key, keyed in heads:
         candidates = index.get(key)
         if candidates is None:
             return []
-        nxt = []
-        for vals, used in found:
-            for gi in candidates:
-                if gi in used:
-                    continue
-                args = goal[gi].args
-                for pos, source, x in checks:
-                    v = vals[x] if source == 0 else args[x] if source == 1 else x
-                    if v != args[pos]:
-                        break
-                else:
-                    nxt.append((vals + take(args), used + (gi,)))
-        found = nxt
+        found = [
+            (vals + goal[gi].args[keyed:], used + (gi,))
+            for vals, used in found
+            for gi in candidates
+            if gi not in used
+        ]
     return found
 
 

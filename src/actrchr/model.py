@@ -233,6 +233,10 @@ def validate(model: Model) -> list[Diagnostic]:
                 Diagnostic("unknown-slot", f"chunk {c.id}: slot {s} not in {c.type}")
             )
     ids.add(NIL)
+    for c in model.chunks:  # a slot may name a chunk declared after its own
+        for s, v in c.pairs:
+            if v not in ids:
+                out.append(Diagnostic("unknown-chunk", f"chunk {c.id}: slot {s} names unknown chunk {v}"))
 
     for i in model.dm:
         if i not in ids:

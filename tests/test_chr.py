@@ -125,14 +125,9 @@ class TestUnification:
     def test_list_length_mismatch_fails(self):
         assert equation(TList((sym("a"),)), TList(())) == []
 
-    def test_a_body_term_is_built_deeply(self):
-        t = Compound("f", (TList((var("X"),)),))
-        assert body_term(t) == Compound("f", (TList((sym("b"),)),))
-
     def test_groundness_and_variables(self):
         t = tuple_term(sym("a"), var("X"))
         assert not is_ground(t)
-        assert is_ground(body_term(t))
 
     def test_cached_groundness_matches_the_definition(self):
         def kids(t):
@@ -365,15 +360,6 @@ class TestBuiltinTheory:
             sym("u"), sym("w"),
         ]
 
-    def test_membership_over_a_list_of_bound_variables(self):
-        a, b, x = var("A"), var("B"), var("X")
-        lst = TList((a, tuple_term(b, sym("u"))))
-        env = {a: tuple_term(sym("k"), sym("v")), b: sym("k")}
-        sols = solve([constraint("in", tuple_term(sym("k"), x), lst)], env)
-        assert [e[x] for e, _ in sols] == [sym("v"), sym("u")]
-        with pytest.raises(Undecided):
-            solve([constraint("in", tuple_term(sym("k"), x), lst)], {a: sym("k")})
-
     def test_the_list_index_is_no_part_of_the_term(self):
         other = Chunk(sym("j"), sym("t"), {sym("a"): sym("j")})
         asked, unasked = (encode_store(ChunkStore([CHUNK, other])) for _ in range(2))
@@ -555,7 +541,7 @@ class TestBuiltinTheory:
 
     def test_operands_not_written_out_in_the_rule_are_refused(self):
         # a head-bound variable holding a well-formed operand is refused
-        # when the step reaches it; an unbound one stays undecided
+        # when the rule is made; an unbound one stays undecided
         store = encode_store(ChunkStore([Chunk(sym("g0"), sym("t"), {sym("a"): sym("g0")})]).with_nil())
         action = encode_action(Action(MODIFY, sym("goal"), None, ()))
         cogstate = encode_cogstate([(sym("goal"), sym("g0"), 0)])
@@ -895,41 +881,51 @@ class TestStepRelation:
         with pytest.raises(ChrError, match=r"goal not ground: p\(X\)"):
             chr_step(state, [pair_rule()])
 
-    def test_a_non_variable_head_argument_is_matched_as_a_pattern(self):
-        x = var("X")
-        rule = ChrRule("f", (constraint("p", Compound("f", (x,))),), (), (constraint("q", x),), ())
-        fa = ChrState((constraint("p", Compound("f", (sym("a"),))),), ())
-        assert chr_step(fa, [rule]) == [("f", ChrState((constraint("q", sym("a")),), ()))]
-        ga = ChrState((constraint("p", Compound("g", (sym("a"),))),), ())
-        assert chr_step(ga, [rule]) == []
-        # the pattern's variable is bound by a later head constraint too
-        both = ChrRule("fq", (constraint("p", Compound("f", (x,))), constraint("q", x)), (), (), ())
-        goal = (constraint("q", sym("b")), constraint("p", Compound("f", (sym("a"),))), constraint("q", sym("a")))
-        assert chr_step(ChrState(goal, ()), [both]) == [("fq", ChrState(goal[:1], ()))]
-
-    def test_a_repeated_head_variable_matches_equal_arguments(self):
-        x = var("X")
-        rule = ChrRule("same", (constraint("p", x, x),), (), (constraint("q", x),), ())
-        aa = ChrState((constraint("p", sym("a"), sym("a")),), ())
-        assert chr_step(aa, [rule]) == [("same", ChrState((constraint("q", sym("a")),), ()))]
-        ab = ChrState((constraint("p", sym("a"), sym("b")),), ())
-        assert chr_step(ab, [rule]) == []
-
     def test_a_ground_head_argument_matches_only_its_equal(self):
         x, fa = var("X"), Compound("f", (sym("a"),))
         goal = (constraint("p", sym("b"), sym("a")), constraint("p", fa, sym("c")), constraint("p", sym("a"), sym("d")))
-        heads = [
-            (constraint("p", sym("a"), x), 2, sym("d")),  # a first argument
-            (constraint("p", x, sym("a")), 0, sym("b")),  # a later one
-            (constraint("p", fa, x), 1, sym("c")),  # a compound
-        ]
-        for head, matched, value in heads:
-            rule = ChrRule("g", (head,), (), (constraint("q", x),), ())
-            kept = tuple(c for i, c in enumerate(goal) if i != matched)
-            succ = ChrState(kept + (constraint("q", value),), ())
-            assert chr_step(ChrState(goal, ()), [rule]) == [("g", succ)]
+        # a symbol first argument keys the head; the rest are new variables
+        rule = ChrRule("g", (constraint("p", sym("a"), x),), (), (constraint("q", x),), ())
+        assert chr_step(ChrState(goal, ()), [rule]) == [("g", ChrState(goal[:2] + (constraint("q", sym("d")),), ()))]
         miss = ChrRule("g", (constraint("p", sym("e"), x),), (), (constraint("q", x),), ())
         assert chr_step(ChrState(goal, ()), [miss]) == []
+
+    X, Y, L = var("X"), var("Y"), var("L")
+
+    @pytest.mark.parametrize("head, guard, body_user, body_builtin, message", [
+        pytest.param((constraint("p", X, X),), (), (), (),
+                     "head argument not a new variable: X in p(X,X)", id="repeated-head-variable"),
+        pytest.param((constraint("p", X, sym("a")),), (), (), (),
+                     "head argument not a new variable: a in p(X,a)", id="constant-after-key"),
+        pytest.param((constraint("p", Compound("f", (X,))),), (), (), (),
+                     "head argument not a new variable: f(X) in p(f(X))", id="compound-head-argument"),
+        pytest.param((constraint("p", X), constraint("q", X)), (), (), (),
+                     "head argument not a new variable: X in q(X)", id="head-variable-reused"),
+        pytest.param((constraint("p", Y),), (constraint("=", X, Compound("f", (Y,))),), (), (),
+                     "term built at run time: f(Y) in X = f(Y)", id="built-equation-side"),
+        pytest.param((constraint("p", Y),), (constraint("in", X, TList((Y,))),), (), (),
+                     "term built at run time: [Y] in X in [Y]", id="built-membership-list"),
+        pytest.param((constraint("p", X),), (), (constraint("q", Compound("f", (X,))),), (),
+                     "term built at run time: f(X) in q(f(X))", id="built-body-argument"),
+        pytest.param((constraint("p", L, X),), (), (), (constraint("merge", TList((L,)), X),),
+                     "result not a new variable: X in merge([L],X)", id="bound-result"),
+    ])
+    def test_shapes_outside_the_fragment_are_refused_when_the_rule_is_made(
+        self, head, guard, body_user, body_builtin, message
+    ):
+        # every head argument after a symbol key is a variable met there
+        # first, every input a bound variable or a ground term, and every
+        # built-in result a new variable: nothing is built or checked at
+        # run time
+        with pytest.raises(ChrError) as raised:
+            ChrRule("r", head, guard, body_user, body_builtin)
+        assert raised.type is ChrError and str(raised.value) == message
+
+    def test_an_empty_head_is_refused(self):
+        # a simplification rule removes at least one constraint, so an
+        # empty head would fire in every state, the empty goal included
+        with pytest.raises(ChrError, match="rule r removes no constraint"):
+            ChrRule("r", (), (), (constraint("q", sym("a")),), ())
 
     # sha256 over every successor, in order, of a breadth-first walk of CHR
     # states alone: corpus models 0-29, depth 3, deduplicated by form

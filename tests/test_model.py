@@ -84,6 +84,15 @@ class TestValidate:
         src = "type t { s }\nchunk a : t { bogus: a }\nbuffer goal = a\n"
         assert "unknown-slot" in diagnose(src)
 
+    def test_chunk_slot_names_unknown_chunk(self):
+        # b is declared after a, so only zz is unknown; left in, an
+        # identity modification would send it to nil
+        src = "type t { s }\nchunk a : t { s: b }\nchunk b : t { s: zz }\nbuffer goal = a\n"
+        problems = validate(parse_model(src))
+        assert [(d.code, d.message) for d in problems] == [
+            ("unknown-chunk", "chunk b: slot s names unknown chunk zz")
+        ]
+
     def test_dm_lists_unknown_chunk(self):
         assert "unknown-chunk" in diagnose(GOOD_PREFIX + "dm { ghost }\n")
 
