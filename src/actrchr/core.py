@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Union
-from weakref import WeakValueDictionary
 
 
 class CoreError(Exception):
@@ -27,12 +26,14 @@ class IdClash(CoreError):
 
 
 class _Name:
-    """An interned name: one object per (class, name), kept in a weak table
-    only while in use, so names compare and hash by identity.  Copies and
-    unpickled names are the interned object; attributes cannot be set."""
+    """An interned name: one object per (class, name), so names compare and
+    hash by identity.  The intern table is a plain dict, so a name lives for
+    the process: a run makes a few thousand, bounded by its model's names and
+    the largest fresh id it draws.  Copies and unpickled names are the
+    interned object; attributes cannot be set."""
 
-    __slots__ = ("name", "__weakref__")
-    _interned: WeakValueDictionary
+    __slots__ = ("name",)
+    _interned: dict
 
     def __new__(cls, name: str):
         obj = cls._interned.get(name)
@@ -54,7 +55,7 @@ class Symbol(_Name):
     """An interned constant: chunk id, type, slot or buffer name."""
 
     __slots__ = ()
-    _interned = WeakValueDictionary()
+    _interned: dict = {}
 
     def __repr__(self) -> str:
         return self.name
@@ -64,7 +65,7 @@ class Variable(_Name):
     """An interned rule variable; never equal to a Symbol of its name."""
 
     __slots__ = ()
-    _interned = WeakValueDictionary()
+    _interned: dict = {}
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -108,7 +109,7 @@ def fresh_gen_avoiding(symbols: Iterable[Symbol]) -> IdGen:
     for s in symbols:
         if is_fresh_id(s):
             tail = s.name[len(FRESH_PREFIX):]
-            if tail.isdigit():
+            if tail.isascii() and tail.isdigit():
                 high = max(high, int(tail) + 1)
     return IdGen(high)
 
@@ -302,6 +303,14 @@ class ChunkStore:
         out._parts = self._parts and _add_key_parts(self._parts, chunks)
         return out
 
+    def renamed(self, ren: Mapping[Symbol, Symbol]) -> ChunkStore:
+        """This store with each chunk under its id's image in ``ren``, an
+        injective renaming of fresh ids to fresh ids, so no check is needed."""
+        out = object.__new__(ChunkStore)
+        out._by_id = {ren[i]: c.renamed(ren[i]) for i, c in self._by_id.items()}
+        out._parts = None
+        return out
+
     def key_parts(self) -> tuple:
         """The parts :func:`~actrchr.engine.canonical_key` reads: the sorted
         entries ``(id name, type, pairs)`` of the chunks with a parsed id,
@@ -348,7 +357,7 @@ def merge(left: ChunkStore, right: ChunkStore) -> ChunkStore:
     the result's are derived from them and the added chunks.
     """
     added = []
-    for c in right:
+    for c in right._by_id.values():
         mine = left._by_id.get(c.id)
         if mine is None:
             added.append(c)

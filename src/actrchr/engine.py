@@ -14,7 +14,8 @@ keys parsed chunks as they are, buffer-held fresh ids renamed in buffer
 name order and stale fresh chunks as a sorted multiset of contents; it
 raises :class:`EngineError` on a state that breaks the invariant.  A key
 reads the parts a successor's store derives from its parent's, so its
-store part costs what the step adds; its few facts are keyed on each call.
+store part costs what the step adds and, with no buffer-held fresh chunk,
+nothing; its few facts are keyed on each call.
 
 So a rule's effects are fixed, up to the fresh ids they draw, by its
 binding, the chunks its modifications copy and its requests' answers:
@@ -487,9 +488,9 @@ def interpret_rule(
         if hit is not None:
             if not hit[1]:
                 return list(hit[2])
-            ren = {old: ids.fresh() for old in hit[1]}
-            return [Effect(ChunkStore([c.renamed(ren.get(c.id, c.id)) for c in e.store]),
-                           tuple((b, ren.get(c, c), d) for b, c, d in e.gamma), e.atoms) for e in hit[2]]
+            ren = {old: ids.fresh() for old in hit[1]}  # injective: one counter drew them
+            return [Effect(e.store.renamed(ren), tuple([(b, ren.get(c, c), d) for b, c, d in e.gamma]),
+                           e.atoms) for e in hit[2]]
     start = ids.count
     combos = None
     for action in rule.actions:
@@ -519,7 +520,7 @@ def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     store = merge(state.store, effect.store)
     check_rows(store, effect.gamma)
     rows = {r[0]: r for r in effect.gamma}
-    gamma = tuple(rows.pop(r[0], r) for r in state.gamma)
+    gamma = tuple([rows.pop(r[0], r) for r in state.gamma])
     if rows:
         gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
     if effect.atoms:
@@ -575,32 +576,35 @@ def canonical_key(state: AbstractState):
     parsed, stale, bad = state.store.key_parts()
     if bad is not None:
         raise EngineError(f"fresh id {bad[0]} named by a slot of chunk {bad[1]}")
+    by_id = state.store._by_id
     ren: dict[Symbol, str] = {}
     gamma = []
     held = []
     for b, c, d in state.gamma:
-        if is_fresh_id(c):
+        name = c.name
+        if name.startswith(FRESH_PREFIX):
             name = ren.get(c)
             if name is None:
                 ren[c] = name = f"{FRESH_PREFIX}{len(ren)}"
-                chunk = state.store.get(c)
+                chunk = by_id.get(c)
                 if chunk is not None:
-                    held.append((name, *chunk.content()[0]))
-            gamma.append((b.name, name, d))
-        else:
-            gamma.append((b.name, c.name, d))
-    for entry in held:
-        i = bisect_left(stale, entry[1:])
-        stale = stale[:i] + stale[i + 1:]
-    at = bisect_left(parsed, (FRESH_PREFIX,))
-    chunks = parsed[:at] + tuple(sorted(held)) + parsed[at:]
+                    names = chunk._content[0]
+                    i = bisect_left(stale, names)
+                    stale = stale[:i] + stale[i + 1:]
+                    held.append((name, *names))
+        gamma.append((b.name, name, d))
+    if held:
+        held.sort()
+        at = bisect_left(parsed, (FRESH_PREFIX,))
+        parsed = parsed[:at] + tuple(held) + parsed[at:]
     atoms = []
     for a in state.upsilon:
-        names, fresh = a.content()
+        names, fresh = a._content
         if fresh is not None:
             raise EngineError(f"fresh id {fresh} named by a fact")
         atoms.append(names)
-    return (chunks, stale, tuple(gamma), tuple(sorted(atoms)))
+    atoms.sort()
+    return (parsed, stale, tuple(gamma), tuple(atoms))
 
 
 def state_fingerprint(state: AbstractState) -> str:

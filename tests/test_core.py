@@ -1,6 +1,7 @@
 """Chunk store basics and the merge operation's algebraic laws."""
 
 import copy
+import gc
 import pickle
 import random
 
@@ -17,6 +18,7 @@ from actrchr.core import (
     Symbol,
     TypeTable,
     Variable,
+    fresh_gen_avoiding,
     is_fresh_id,
     merge,
 )
@@ -57,6 +59,19 @@ class TestInternedNames:
             assert copy.deepcopy([name, (name,)])[1][0] is name
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(name, protocol)) is name
+
+    def test_names_live_for_the_process(self):
+        for cls in (Symbol, Variable):
+            name = "unreferenced-" + cls.__name__
+            cls(name)
+            gc.collect()
+            assert name in cls._interned
+            kept = cls._interned[name]
+            assert type(kept) is cls and kept.name == name
+            assert cls(name) is kept
+            assert copy.copy(kept) is kept and copy.deepcopy(kept) is kept
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(kept, protocol)) is kept
 
     def test_names_are_immutable(self):
         for name in (Symbol("a"), Variable("a")):
@@ -270,6 +285,11 @@ class TestIdGen:
     def test_fresh_ids_are_recognised(self):
         assert is_fresh_id(IdGen().fresh())
         assert not is_fresh_id(sym("a"))
+
+    def test_generator_avoiding_skips_fresh_ids_without_an_ascii_number(self):
+        names = ["a", "c#2", "c#", "c#x", "c#²", "c#٣", "c#1"]
+        assert fresh_gen_avoiding([sym(n) for n in names]).count == 3
+        assert fresh_gen_avoiding([sym("c#²")]).count == 0
 
 
 class TestMergeHandExamples:

@@ -5,12 +5,16 @@ import hashlib
 import itertools
 import pickle
 import random
+from bisect import bisect_left
 
 import pytest
 
+import actrchr.chr
 import actrchr.engine
+from actrchr.chr import canonical_form, chr_step
 from actrchr.chr import fresh_gen_for as chr_fresh_gen_for
 from actrchr.core import (
+    FRESH_PREFIX,
     Chunk,
     ChunkStore,
     IdGen,
@@ -64,7 +68,7 @@ from actrchr.model import (
 )
 from actrchr.modelgen import random_model, random_state
 from actrchr.parser import parse_model
-from actrchr.translate import chr_of_state
+from actrchr.translate import chr_of_model, chr_of_state
 
 
 def sym(name: str) -> Symbol:
@@ -660,6 +664,81 @@ def reference_canonical_key(state):
 def rebuilt(state):
     """The state over a new store of the same chunks, with no key parts."""
     return AbstractState(ChunkStore(state.store.chunks()), state.gamma, state.upsilon)
+
+
+def reference_key(state):
+    """The canonical key in its plain form: freshness tested per row and
+    contents read through ``content()``, stale entries removed after the
+    row loop, the held entries always spliced into a new parsed tuple."""
+    parsed, stale, bad = state.store.key_parts()
+    if bad is not None:
+        raise EngineError(f"fresh id {bad[0]} named by a slot of chunk {bad[1]}")
+    ren = {}
+    gamma = []
+    held = []
+    for b, c, d in state.gamma:
+        if is_fresh_id(c):
+            name = ren.get(c)
+            if name is None:
+                ren[c] = name = f"{FRESH_PREFIX}{len(ren)}"
+                chunk = state.store.get(c)
+                if chunk is not None:
+                    held.append((name, *chunk.content()[0]))
+            gamma.append((b.name, name, d))
+        else:
+            gamma.append((b.name, c.name, d))
+    for entry in held:
+        i = bisect_left(stale, entry[1:])
+        stale = stale[:i] + stale[i + 1:]
+    at = bisect_left(parsed, (FRESH_PREFIX,))
+    chunks = parsed[:at] + tuple(sorted(held)) + parsed[at:]
+    atoms = []
+    for a in state.upsilon:
+        names, fresh = a.content()
+        if fresh is not None:
+            raise EngineError(f"fresh id {fresh} named by a fact")
+        atoms.append(names)
+    return (chunks, stale, tuple(gamma), tuple(sorted(atoms)))
+
+
+class TestKeyAgainstReference:
+    """canonical_key returns the plain form's tuple on every state a run
+    reaches, abstract or decoded from a CHR successor."""
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_every_explored_state(self, policy):
+        config = ArchitectureConfig(fail_request=policy)
+        keyed = held = 0
+        for i in range(200):
+            for state in explore(random_model(random.Random(i)), config, depth=5).states:
+                assert canonical_key(state) == reference_key(state)
+                keyed += 1
+                held += any(is_fresh_id(c) for _, c, _ in state.gamma)
+        assert keyed > 1000 and held > 800  # nil: 3567 and 2688, stuck: 1578 and 1204
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_every_chr_successor(self, policy, monkeypatch):
+        config = ArchitectureConfig(fail_request=policy)
+        forms = []
+        for i in range(30):
+            m = random_model(random.Random(i))
+            prog = chr_of_model(m)
+            c0 = chr_of_state(normalize_model(m).initial_state())
+            ids = chr_fresh_gen_for(c0)
+            seen = {canonical_form(c0)}
+            queue = [(c0, 0)]
+            for c, d in queue:
+                if d == 4:
+                    continue
+                for _, c2 in chr_step(c, prog, config, ids):
+                    form = canonical_form(c2)
+                    forms.append((c2, form))
+                    if form not in seen:
+                        seen.add(form)
+                        queue.append((c2, d + 1))
+        monkeypatch.setattr(actrchr.chr, "canonical_key", reference_key)
+        assert all(canonical_form(c2) == form for c2, form in forms)
+        assert len(forms) > 200  # nil: 430, stuck: 230
 
 
 class TestKeyParts:
