@@ -26,10 +26,10 @@ abstract root's fact tuple object, and both sides hold facts as
 :class:`~actrchr.model.Atom`.  Rule matching, modification, the store
 merge and the fresh-id supply (one generator per side and run) are
 separate code on each side: the engine's on chunks and stores, the CHR
-engine's on chunk terms.  The engine's memo of rule effects
-(:func:`~actrchr.engine.interpret_rule`) is abstract-side only and the CHR
-side never reads it, so it adds nothing shared: a wrong memo key shows as
-a counterexample.
+engine's on chunk terms.  Each side has its own :class:`~actrchr.engine.Run`;
+only the abstract side's memoizes rule effects, and the CHR side's leaves
+its memo unread until that side has a memo of its own.  So the memo adds
+nothing shared: a wrong memo key shows as a counterexample.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .engine import (
     ArchitectureConfig,
     EngineError,
     NO_LABEL,
+    Run,
     apply_label,
     apply_transition,
     breadth_first,
@@ -184,7 +185,7 @@ def bisim_check(
     prog = tuple(program) if program is not None else chr_of_model(model)
     s0 = norm.initial_state()
     c0 = chr_of_state(s0)
-    ids, chr_ids = fresh_gen_for(s0), chr_fresh_gen_for(c0)
+    run, chr_run = Run(config, fresh_gen_for(s0)), Run(config, chr_fresh_gen_for(c0))
     report = BisimReport(depth=depth)
 
     def expand(pair: tuple[AbstractState, ChrState], d: int):
@@ -194,12 +195,12 @@ def bisim_check(
         try:
             eng = [
                 (label, canonical_key(s2), s2)
-                for label, s2 in successors(s, norm, config, ids)
+                for label, s2 in successors(s, norm, run)
             ]
             side = "translated"
             chrs = [
                 (_engine_label(name), canonical_form(c2), c2)
-                for name, c2 in chr_step(c, prog, config, chr_ids)
+                for name, c2 in chr_step(c, prog, chr_run)
             ]
         except (ChrError, CoreError, EngineError) as e:
             if isinstance(e, Undecided):
@@ -302,5 +303,6 @@ def effect_lemma_check(
     )
     eng_records = Counter(canonical_key(apply_transition(state, e)) for e in effects)
     program = (chr_of_rule(nf, state.buffers(), types),)
-    steps = chr_step(chr_of_state(state), program, config)
+    c = chr_of_state(state)
+    steps = chr_step(c, program, Run(config, chr_fresh_gen_for(c)))
     return eng_records == Counter(canonical_form(c2) for _, c2 in steps)

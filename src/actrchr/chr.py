@@ -82,7 +82,7 @@ from .core import (
     Variable,
     fresh_gen_avoiding,
 )
-from .engine import ArchitectureConfig, canonical_key, interpret_request
+from .engine import ArchitectureConfig, Run, canonical_key, interpret_request
 from .model import AbstractState, Action, Atom, MODIFY, REQUEST, sort_atoms
 
 
@@ -873,12 +873,7 @@ def _match_heads(heads: tuple, goal: tuple[Constraint, ...], index: dict) -> lis
     return found
 
 
-def chr_step(
-    state: ChrState,
-    program: Iterable[ChrRule],
-    config: ArchitectureConfig | None = None,
-    ids: IdGen | None = None,
-) -> list[tuple[str, ChrState]]:
+def chr_step(state: ChrState, program: Iterable[ChrRule], run: Run | None = None) -> list[tuple[str, ChrState]]:
     """All successor states, labelled by the rule that produced them.
 
     The goal must be ground, so it shares no variable with a rule: rules
@@ -889,8 +884,8 @@ def chr_step(
     constraints are added ground, and the built-in store grows only by the
     facts contributed by ``action``.  Rules that share one head tuple
     (as :func:`~actrchr.translate.chr_of_model` makes them) share its
-    matchings.  ``ids`` supplies fresh identifiers, by default
-    :func:`fresh_gen_for` the state.
+    matchings.  ``run`` supplies the configuration and fresh identifiers,
+    by default the default configuration and :func:`fresh_gen_for` the state.
     """
     goal = state.goal
     index: dict = {}  # goal constraints by (name, arity[, symbol first argument])
@@ -902,8 +897,9 @@ def chr_step(
         index.setdefault((c.name, len(args)), []).append(gi)
         if args and args[0].__class__ in _ATOMIC:
             index.setdefault((c.name, len(args), args[0]), []).append(gi)
-    config = config or ArchitectureConfig()
-    ctx = (state.facts, config, ids or fresh_gen_for(state))
+    if run is None:
+        run = Run(ArchitectureConfig(), fresh_gen_for(state))
+    ctx = (state.facts, run.config, run.ids)
     matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:

@@ -18,8 +18,8 @@ store part costs what the step adds and, with no buffer-held fresh chunk,
 nothing; its few facts are keyed on each call.
 
 So a rule's effects are fixed, up to the fresh ids they draw, by its
-binding, the chunks its modifications copy and its requests' answers:
-:func:`interpret_rule` memoizes them for a run (see :class:`AbstractState`).
+binding, the chunks its modifications copy and its requests' answers: a
+:class:`Run` memoizes them, not a state, which is a plain value.
 """
 
 from __future__ import annotations
@@ -342,6 +342,10 @@ class ArchitectureConfig:
     default_handler: Optional[Handler] = declarative_retrieval
     fail_request: str = FAIL_NIL
 
+    def __post_init__(self) -> None:
+        if self.fail_request not in (FAIL_NIL, FAIL_STUCK):
+            raise ValueError(f"unknown fail_request policy {self.fail_request!r}")
+
     def handler_for(self, buffer: Symbol) -> Optional[Handler]:
         return self.handlers.get(buffer, self.default_handler)
 
@@ -386,9 +390,10 @@ def interpret_request(
 ) -> list[Effect]:
     """One effect per handler answer, each under a fresh identifier.
 
-    An answer that repeats a slot, whose pairs or facts have a value other
-    than a symbol, or whose pairs or facts name a fresh identifier
-    (breaking the fresh-id invariant), raises :class:`EngineError`.
+    An answer whose type, slots, slot values or fact arguments are not
+    symbols, whose delay is not an integer, that repeats a slot, or whose
+    pairs or facts name a fresh identifier (breaking the fresh-id
+    invariant), raises :class:`EngineError`.
 
     An empty answer set either parks the nil chunk pending in the buffer
     (fail_request="nil", the default) or yields no effect at all
@@ -400,6 +405,10 @@ def interpret_request(
     pairs = _ground_pairs(action)
     effects = []
     for ans in handler(action.type, pairs, state):
+        if not (isinstance(ans.type, Symbol) and all(isinstance(s, Symbol) for s, _ in ans.val)):
+            raise EngineError(f"type or slot not a symbol in an answer on {action.buffer}: {ans!r}")
+        if not isinstance(ans.delay, int):
+            raise EngineError(f"delay not an integer in an answer on {action.buffer}: {ans.delay!r}")
         if not all(isinstance(v, Symbol) for _, v in ans.val):
             raise EngineError(f"slot value not a symbol in an answer on {action.buffer}: {ans.val!r}")
         for v in [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]:
@@ -442,19 +451,6 @@ def combine_effects(left: Effect, right: Effect) -> Effect:
     return Effect(merge(left.store, right.store), gamma, left.atoms + right.atoms)
 
 
-def _memo_key(rule: Rule, theta: dict[Variable, Symbol], state: AbstractState, config: ArchitectureConfig):
-    """The key of the rule's effects in the state's memo, or None if a
-    request goes to a handler other than :func:`declarative_retrieval`."""
-    copied = []
-    for action in rule.actions:
-        if action.kind == MODIFY:  # with no incumbent the step raises, and is not recorded
-            chunk = state.store.get(next((c for b, c, _ in state.gamma if b is action.buffer), None))
-            copied.append(chunk and chunk.content()[0])
-        elif config.handler_for(action.buffer) is not declarative_retrieval:
-            return None
-    return (id(rule), config.fail_request, tuple(theta.items()), tuple(copied))
-
-
 def interpret_rule(
     rule: Rule,
     theta: dict[Variable, Symbol],
@@ -470,28 +466,7 @@ def interpret_rule(
     partial stores disjoint.  An action whose pairs hold no variable is
     used as it is.  The result is non-empty unless a request comes back
     empty under fail_request="stuck".
-
-    When every request goes to :func:`declarative_retrieval`, the effects
-    are memoized in the state's run memo, keyed by the rule (by identity),
-    ``fail_request``, the binding and the content of each chunk a
-    modification copies.  That is exact: update values and answers name
-    only parsed chunks and facts, fixed until a step adds a fact and so
-    starts a new memo.  A miss records the effects with the ids it drew; a
-    hit draws as many from ``ids``, in order, and renames the recorded
-    chunks and rows to them.  A step that raises records nothing.
     """
-    key = _memo_key(rule, theta, state, config)
-    if key is not None:
-        if state._memo is None:
-            object.__setattr__(state, "_memo", {})
-        hit = state._memo.get(key)
-        if hit is not None:
-            if not hit[1]:
-                return list(hit[2])
-            ren = {old: ids.fresh() for old in hit[1]}  # injective: one counter drew them
-            return [Effect(e.store.renamed(ren), tuple([(b, ren.get(c, c), d) for b, c, d in e.gamma]),
-                           e.atoms) for e in hit[2]]
-    start = ids.count
     combos = None
     for action in rule.actions:
         ground = action
@@ -501,11 +476,64 @@ def interpret_rule(
         combos = parts if combos is None else [combine_effects(a, p) for a in combos for p in parts]
         if not combos:
             break
-    effects = [EMPTY_EFFECT] if combos is None else combos
-    if key is not None:
-        drawn = [Symbol(f"{FRESH_PREFIX}{n}") for n in range(start, ids.count)]
-        state._memo[key] = (rule, drawn, tuple(effects))  # the rule kept alive keeps its id
-    return effects
+    return [EMPTY_EFFECT] if combos is None else combos
+
+
+def _memo_key(theta: dict[Variable, Symbol], state: AbstractState, copied: tuple[Symbol, ...]):
+    """A step's key in its rule's memo table (see :class:`Run`): the fact
+    tuple by identity, the binding and the content of the chunk each
+    buffer of ``copied`` holds."""
+    contents = []
+    for buffer in copied:
+        chunk = None  # with no incumbent the step raises, and is not recorded
+        for b, c, _ in state.gamma:
+            if b is buffer:
+                chunk = state.store.get(c)
+                break
+        contents.append(chunk and chunk._content[0])
+    return (id(state.upsilon), tuple(theta.items()), tuple(contents))
+
+
+@dataclass(slots=True)
+class Run:
+    """One side of a run: its configuration, fresh-id supply and memo.
+
+    :meth:`effects` memoizes a rule whose requests all go to
+    :func:`declarative_retrieval`: ``memo`` maps its id to the rule, the
+    buffers its modifications copy (None if not memoized) and its table,
+    keyed by :func:`_memo_key`, exact as answers and update values name
+    only parsed chunks and facts.  An entry keeps its rule and fact tuple
+    alive, so their ids stay unique.  A hit draws as many ids as its miss
+    did, in order, and renames the recorded chunks and rows; a step that
+    raises records nothing."""
+
+    config: ArchitectureConfig
+    ids: IdGen
+    memo: dict = field(default_factory=dict)
+
+    def effects(self, rule: Rule, theta: dict[Variable, Symbol], state: AbstractState) -> list[Effect]:
+        """The rule's effects under the binding, as :func:`interpret_rule`."""
+        entry = self.memo.get(id(rule))
+        if entry is None:
+            handlers = [self.config.handler_for(a.buffer) for a in rule.actions if a.kind != MODIFY]
+            copied = tuple([a.buffer for a in rule.actions if a.kind == MODIFY])
+            memoized = all(h is declarative_retrieval for h in handlers)
+            entry = self.memo[id(rule)] = (rule, copied if memoized else None, {})
+        key = None if entry[1] is None else _memo_key(theta, state, entry[1])
+        if key is None:
+            return interpret_rule(rule, theta, state, self.config, self.ids)
+        hit = entry[2].get(key)
+        if hit is not None:
+            if not hit[1]:
+                return list(hit[2])
+            ren = {old: self.ids.fresh() for old in hit[1]}  # injective: one counter drew them
+            return [Effect(e.store.renamed(ren), tuple([(b, ren.get(c, c), d) for b, c, d in e.gamma]),
+                           e.atoms) for e in hit[2]]
+        start = self.ids.count
+        effects = interpret_rule(rule, theta, state, self.config, self.ids)
+        drawn = [Symbol(f"{FRESH_PREFIX}{n}") for n in range(start, self.ids.count)]
+        entry[2][key] = (state.upsilon, drawn, tuple(effects))
+        return effects
 
 
 # ---------------------------------------------------------------------------
@@ -515,27 +543,25 @@ def interpret_rule(
 def apply_transition(state: AbstractState, effect: Effect) -> AbstractState:
     """Successor state: merged store, updated buffers, grown fact set.  It
     keeps the parent's checked rows and facts (see :meth:`AbstractState.make`)
-    and checks only the rows the effect sets; it keeps the parent's memo
-    unless the effect adds facts."""
+    and checks only the rows the effect sets."""
     store = merge(state.store, effect.store)
     check_rows(store, effect.gamma)
     rows = {r[0]: r for r in effect.gamma}
     gamma = tuple([rows.pop(r[0], r) for r in state.gamma])
     if rows:
         gamma = tuple(sorted(gamma + tuple(rows.values()), key=lambda r: r[0].name))
-    if effect.atoms:
-        return AbstractState(store, gamma, sort_atoms(state.upsilon + effect.atoms))  # new facts, new memo
-    return AbstractState(store, gamma, state.upsilon, state._memo)
+    upsilon = sort_atoms(state.upsilon + effect.atoms) if effect.atoms else state.upsilon
+    return AbstractState(store, gamma, upsilon)
 
 
 def no_rule_successors(state: AbstractState) -> list[tuple[str, AbstractState]]:
     """One successor per pending buffer, revealing exactly that buffer; it
-    shares the parent's store, facts and memo."""
+    shares the parent's store and facts."""
     out = []
     for i, (b, c, d) in enumerate(state.gamma):
         if d > 0:
             gamma = state.gamma[:i] + ((b, c, 0),) + state.gamma[i + 1:]
-            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon, state._memo)))
+            out.append((NO_LABEL, AbstractState(state.store, gamma, state.upsilon)))
     return out
 
 
@@ -545,18 +571,13 @@ def fresh_gen_for(state: AbstractState) -> IdGen:
     return fresh_gen_avoiding(state.store.ids())
 
 
-def successors(
-    state: AbstractState,
-    model: Model,
-    config: ArchitectureConfig | None = None,
-    ids: IdGen | None = None,
-) -> list[tuple[str, AbstractState]]:
-    """Labelled successor set: apply(<rule>) edges, then no edges."""
-    config = config or ArchitectureConfig()
-    ids = ids or fresh_gen_for(state)
+def successors(state: AbstractState, model: Model, run: Run | None = None) -> list[tuple[str, AbstractState]]:
+    """Labelled successor set: apply(<rule>) edges, then no edges; by default in a run of its own."""
+    if run is None:
+        run = Run(ArchitectureConfig(), fresh_gen_for(state))
     out = []
     for rule, theta in select(state, model.rules):
-        for effect in interpret_rule(rule, theta, state, config, ids):
+        for effect in run.effects(rule, theta, state):
             out.append((apply_label(rule.name), apply_transition(state, effect)))
     out.extend(no_rule_successors(state))
     return out
@@ -657,9 +678,8 @@ def explore(
     renaming; ``"exact"`` requires literal equality.  ``truncated`` is set
     when a state lies at the bound, even one without successors.
     """
-    config = config or ArchitectureConfig()
     start = model.initial_state()
-    ids = fresh_gen_for(start)
+    run = Run(config or ArchitectureConfig(), fresh_gen_for(start))
 
     if dedup == DEDUP_CANONICAL:
         key = canonical_key
@@ -670,7 +690,7 @@ def explore(
         raise ValueError(f"unknown dedup mode {dedup!r}")
 
     def expand(state: AbstractState, _depth: int):
-        return [(label, key(s2), s2) for label, s2 in successors(state, model, config, ids)]
+        return [(label, key(s2), s2) for label, s2 in successors(state, model, run)]
 
     edges: list[tuple[int, str, int]] = []
     visits = list(breadth_first(start, key(start), expand, depth, edges))
@@ -687,13 +707,12 @@ def random_walk(
     transition is possible or the depth bound is hit."""
     if depth < 0:
         raise ValueError(f"depth bound must be non-negative, not {depth}")
-    config = config or ArchitectureConfig()
     rng = rng or random.Random(0)
     state = model.initial_state()
-    ids = fresh_gen_for(state)
+    run = Run(config or ArchitectureConfig(), fresh_gen_for(state))
     steps = []
     for _ in range(depth):
-        succ = successors(state, model, config, ids)
+        succ = successors(state, model, run)
         if not succ:
             break
         label, state = rng.choice(succ)

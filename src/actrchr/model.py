@@ -3,7 +3,8 @@
 A model declares chunk types, an initial chunk store, the declarative
 memory subset, the buffer set with its initial contents, and production
 rules.  :func:`validate` returns diagnostics instead of raising so a
-front end can report every problem at once.
+front end can report every problem at once.  A state is a plain value;
+a run's memo lives in its :class:`~actrchr.engine.Run`.
 """
 
 from __future__ import annotations
@@ -124,20 +125,11 @@ class AbstractState:
     ``gamma`` is total on the model's buffers and maps each to a chunk
     identifier of ``store`` plus a delay flag (0 visible, 1 pending).
     Stored sorted by buffer name so equal states compare equal.
-
-    ``_memo`` holds the run's rule effects (see
-    :func:`~actrchr.engine.interpret_rule`); made on first use, it passes to
-    a step's successors until a step adds facts.  Equality, hashing, repr,
-    pickling and copying ignore it, as :class:`ChunkStore` its key parts.
     """
 
     store: ChunkStore
     gamma: tuple[tuple[Symbol, Symbol, int], ...]
     upsilon: tuple[Atom, ...]
-    _memo: dict | None = field(default=None, compare=False, repr=False)
-
-    def __reduce__(self):  # copy the value only, not the memo
-        return AbstractState, (self.store, self.gamma, self.upsilon)
 
     @staticmethod
     def make(

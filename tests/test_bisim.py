@@ -32,8 +32,10 @@ from actrchr.engine import (
     ArchitectureConfig,
     Effect,
     EngineError,
+    Run,
     canonical_key,
     explore,
+    fresh_gen_for,
     match_rule,
     normalize_model,
     successors,
@@ -190,7 +192,7 @@ class TestEdgeCases:
             assert report.ok, report.text()
         s0 = normalize_model(model).initial_state()
         assert [label for label, _ in successors(s0, model)] == ["apply(ask)"]
-        assert successors(s0, model, stuck) == []
+        assert successors(s0, model, Run(stuck, fresh_gen_for(s0))) == []
 
     def test_depth_zero_checks_nothing_but_the_root(self, counting_model):
         report = bisim_check(counting_model, depth=0)
@@ -383,14 +385,24 @@ class TestFaultMatrix:
         number = Symbol("number")
         repeating = Answer(Symbol("succ"), ((number, Symbol("1")), (number, Symbol("2"))))
         retrieval = Symbol("retrieval")
+        # the CHR side would fail on these in the shared request code, or not at all
+        ill_formed = [
+            Answer("succ", ((number, Symbol("1")),)),
+            Answer(Variable("T"), ((number, Symbol("1")),)),
+            Answer(Symbol("succ"), (("number", Symbol("1")),)),
+            Answer(Symbol("succ"), ((Variable("S"), Symbol("1")),)),
+            Answer(Symbol("succ"), ((number, Symbol("1")),), "1"),
+        ]
         cases = [
             (ArchitectureConfig(default_handler=None), "NoHandler"),
             (ArchitectureConfig({retrieval: lambda *_: [in_a_pair]}), "EngineError"),
             (ArchitectureConfig({retrieval: lambda *_: [in_a_fact]}), "EngineError"),
             (ArchitectureConfig({retrieval: lambda *_: [repeating]}), "EngineError"),
             (ArchitectureConfig(default_handler=lambda *_: [over_a_variable]), "EngineError"),
-        ]
+        ] + [(ArchitectureConfig({retrieval: lambda *_, a=a: [a]}), "EngineError") for a in ill_formed]
         for config, error in cases:
+            with pytest.raises(EngineError):
+                explore(counting_model, config, depth=3)
             report = bisim_check(counting_model, depth=3, config=config)
             (cx,) = report.counterexamples
             assert (cx.direction, cx.depth) == (ERROR, 1)
@@ -419,6 +431,31 @@ class TestFaultMatrix:
         for m in models:
             report = bisim_check(m, depth=4)
             assert {FORWARD, BACKWARD} <= {c.direction for c in report.counterexamples}
+
+
+    def test_a_memo_keyed_without_the_facts_is_caught(self, monkeypatch):
+        # note's handler adds dm(b), after which ask has a second answer
+        src = (
+            "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: b }\nchunk g : t { s: a }\n"
+            "dm { a }\nbuffer goal = g\nbuffer retrieval = a\nbuffer imaginal = a\n"
+            "rule ask { goal: t { s: X } ==> request retrieval t {} }\n"
+            "rule note { goal: t { s: a } ==> request imaginal t {} }\n"
+        )
+        t, s, a, b = (Symbol(n) for n in "tsab")
+        answer = Answer(t, ((s, a),), 1, (Atom("dm", (b,)),))
+        config = ArchitectureConfig({Symbol("imaginal"): lambda *_: [answer]})
+        model = parse_model(src)
+        report = bisim_check(model, depth=6, config=config)
+        assert report.ok and report.nodes == 193
+        memo_key = actrchr.engine._memo_key
+
+        def without_facts(*args):
+            key = memo_key(*args)
+            return key and key[1:]
+
+        monkeypatch.setattr(actrchr.engine, "_memo_key", without_facts)
+        cx = bisim_check(model, depth=6, config=config).counterexamples[0]
+        assert (cx.direction, cx.depth, cx.label) == (BACKWARD, 1, "apply(ask)")
 
 
 class TestEffectCorrespondence:

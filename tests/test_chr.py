@@ -55,6 +55,7 @@ from actrchr.engine import (
     FAIL_NIL,
     FAIL_STUCK,
     ArchitectureConfig,
+    Run,
     canonical_key,
     declarative_retrieval,
     explore,
@@ -259,7 +260,7 @@ def solve(constraints, env=None, facts=(), ids=None):
     rule = ChrRule("probe", (constraint("probe", *env),), tuple(constraints), (constraint("sol", *names),), ())
     state = ChrState((constraint("probe", *env.values()),), tuple(facts))
     out = []
-    for _, succ in chr_step(state, [rule], ArchitectureConfig(), ids or IdGen()):
+    for _, succ in chr_step(state, [rule], Run(ArchitectureConfig(), ids or IdGen())):
         (sol,) = succ.goal
         out.append((dict(zip(names, sol.args)), succ.facts[len(facts):]))
     return out
@@ -865,9 +866,9 @@ class TestStepRelation:
         config = ArchitectureConfig(default_handler=adding)
         prog = chr_of_model(counting_model)
         c = chr_of_state(normalize_model(counting_model).initial_state())
-        ids = fresh_gen_for(c)
+        run = Run(config, fresh_gen_for(c))
         for _ in range(4):
-            ((_, c),) = chr_step(c, prog, config, ids)
+            ((_, c),) = chr_step(c, prog, run)
         assert [f.pred for f in c.facts][-1] == "added"  # appended after the dm facts
         assert len(asked) == 2 and asked[-1].upsilon[0].pred == "added"
         for state in asked:
@@ -946,7 +947,7 @@ class TestStepRelation:
             for _ in range(3):
                 deeper = []
                 for state in frontier:
-                    for label, succ in chr_step(state, program, config):
+                    for label, succ in chr_step(state, program, Run(config, fresh_gen_for(state))):
                         digest.update(f"{label} {render_state(succ)}\n".encode())
                         form = canonical_form(succ)
                         if form not in seen:
@@ -1196,13 +1197,13 @@ class TestKeyParts:
             m = random_model(random.Random(i))
             prog = chr_of_model(m)
             c0 = chr_of_state(normalize_model(m).initial_state())
-            ids = fresh_gen_for(c0)  # run-wide, as bisim_check draws them
+            run = Run(config, fresh_gen_for(c0))  # run-wide, as bisim_check draws them
             seen = {canonical_form(c0)}
             queue = [(c0, 0)]
             for c, d in queue:
                 if d == 5:
                     continue
-                for _, c2 in chr_step(c, prog, config, ids):
+                for _, c2 in chr_step(c, prog, run):
                     carried = self.store(c2)
                     assert carried._parts is not None  # derived, not computed
                     copied = pickle.loads(pickle.dumps(c2))  # drops every cache

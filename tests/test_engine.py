@@ -37,6 +37,7 @@ from actrchr.engine import (
     MissingIncumbent,
     NO_LABEL,
     NoHandler,
+    Run,
     apply_transition,
     canonical_key,
     combine_effects,
@@ -343,6 +344,11 @@ class TestRequest:
         config = ArchitectureConfig(fail_request=FAIL_STUCK)
         assert interpret_request(act, state, config, IdGen()) == []
 
+    @pytest.mark.parametrize("policy", ["Nil", "", None])
+    def test_an_unknown_policy_is_refused(self, policy):
+        with pytest.raises(ValueError, match="unknown fail_request policy"):
+            ArchitectureConfig(fail_request=policy)
+
     @pytest.mark.parametrize(
         "answer",
         [
@@ -504,12 +510,12 @@ class TestSuccessors:
         answer = Answer(sym("t"), ((sym("s"), sym("g0")),), 1, tuple(late))
         config = ArchitectureConfig(handlers={GOAL: lambda *_: [answer]})
         s0 = m.initial_state()
-        (_, applied), (_, revealed) = successors(s0, m, config)
+        (_, applied), (_, revealed) = successors(s0, m, Run(config, fresh_gen_for(s0)))
         assert [a.pred for a in applied.upsilon] == ["a", "dm", "dm", "z"]
         assert applied.upsilon == sort_atoms(applied.upsilon)
         assert revealed.upsilon is s0.upsilon
         assert apply_transition(s0, EMPTY_EFFECT).upsilon is s0.upsilon
-        for _, s in successors(applied, m, config):
+        for _, s in successors(applied, m, Run(config, fresh_gen_for(applied))):
             assert s.upsilon == sort_atoms(s.upsilon)
             assert s.upsilon is applied.upsilon  # a reveal adds no facts
 
@@ -724,13 +730,13 @@ class TestKeyAgainstReference:
             m = random_model(random.Random(i))
             prog = chr_of_model(m)
             c0 = chr_of_state(normalize_model(m).initial_state())
-            ids = chr_fresh_gen_for(c0)
+            run = Run(config, chr_fresh_gen_for(c0))
             seen = {canonical_form(c0)}
             queue = [(c0, 0)]
             for c, d in queue:
                 if d == 4:
                     continue
-                for _, c2 in chr_step(c, prog, config, ids):
+                for _, c2 in chr_step(c, prog, run):
                     form = canonical_form(c2)
                     forms.append((c2, form))
                     if form not in seen:
@@ -752,7 +758,7 @@ class TestKeyParts:
         for i in range(30):
             m = normalize_model(random_model(random.Random(i)))
             for state in explore(m, config, depth=6).states:
-                for _, nxt in successors(state, m, config):
+                for _, nxt in successors(state, m, Run(config, fresh_gen_for(state))):
                     assert nxt.store._parts is not None  # derived, not computed
                     key = canonical_key(nxt)
                     assert key == reference_canonical_key(nxt) == canonical_key(rebuilt(nxt))
@@ -794,13 +800,10 @@ class TestKeyParts:
         assert key[2] == (("goal", "c#0", 0), ("retrieval", "c#1", 1))
 
     def test_keying_is_no_part_of_the_state_value(self, counting_norm):
-        # after the first reveal the inc rule matches, so a step memoizes
         ((_, asked),) = no_rule_successors(counting_norm.initial_state())
         ((_, unasked),) = no_rule_successors(counting_norm.initial_state())
         key = canonical_key(asked)
-        successors(asked, counting_norm)
         assert asked.store._parts is not None and unasked.store._parts is None
-        assert asked._memo and unasked._memo is None
         assert asked == unasked and hash(asked) == hash(unasked)
         assert repr(asked) == repr(unasked)
         assert pickle.dumps(asked) == pickle.dumps(unasked)
@@ -808,12 +811,11 @@ class TestKeyParts:
             for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
                 assert v == u and hash(v) == hash(u) and repr(v) == repr(u)
                 assert canonical_key(v) == key
-                assert v._memo is None
 
 
 class TestMemo:
-    """A rule's effects are memoized along a run up to the fresh ids they
-    draw; nothing of the memo shows in a result."""
+    """A run memoizes a rule's effects up to the fresh ids they draw;
+    nothing of the memo shows in a result."""
 
     def test_exact_graphs_are_pinned_with_their_fresh_ids(self):
         # exact dedup keeps literal fresh ids, so this pins the ids each step draws
@@ -829,23 +831,25 @@ class TestMemo:
     def test_successors_equal_those_computed_afresh(self, policy, monkeypatch):
         config = ArchitectureConfig(fail_request=policy)
         cases = []
+        entries = 0
         for i in range(30):
             m = random_model(random.Random(i))
+            memo = {}  # one run's memo, each step from ids of its own
             for state in explore(m, config, depth=6).states:
-                start = fresh_gen_for(state).count + i  # not the run's own ids
-                ids = IdGen(start)
-                cases.append((m, state, start, successors(state, m, config, ids), ids.count))
-        memos = {id(s._memo): s._memo for _, s, *_ in cases if s._memo}
+                start = fresh_gen_for(state).count + i
+                run = Run(config, IdGen(start), memo)
+                cases.append((m, state, start, successors(state, m, run), run.ids.count))
+            entries += sum(len(table) for _, _, table in memo.values())
         applied = sum(l != NO_LABEL for *_, succ, _ in cases for l, _ in succ)
         monkeypatch.setattr(actrchr.engine, "_memo_key", lambda *_: None)
         for m, state, start, memoized, end in cases:
-            ids = IdGen(start)
-            afresh = successors(state, m, config, ids)
-            assert afresh == memoized and ids.count == end
+            run = Run(config, IdGen(start))
+            afresh = successors(state, m, run)
+            assert afresh == memoized and run.ids.count == end
             for (_, nxt), (_, again) in zip(memoized, afresh):
                 assert [c.content() for c in nxt.store] == [c.content() for c in again.store]
-        # most steps were served by the memo: nil 794 over 60 entries, stuck 356 over 57
-        assert applied > 300 and sum(map(len, memos.values())) * 5 < applied
+        # most steps were served by the memo
+        assert applied > 300 and entries * 5 < applied
 
     def test_a_memo_lives_for_one_run(self, monkeypatch):
         m = random_model(random.Random(15))  # a modification is seen by depth 4
@@ -865,8 +869,8 @@ class TestMemo:
         ((_, state),) = no_rule_successors(counting_norm.initial_state())
         ((_, other),) = no_rule_successors(counting_norm.initial_state())
         (rule, theta), = select(state, counting_norm.rules)
-        config = ArchitectureConfig()
-        expected = interpret_rule(rule, theta, other, config, IdGen())
+        run = Run(ArchitectureConfig(), IdGen())
+        expected = interpret_rule(rule, theta, other, run.config, IdGen())
         calls = []
 
         def fails_once(action, state, ids):
@@ -877,22 +881,14 @@ class TestMemo:
 
         monkeypatch.setattr(actrchr.engine, "interpret_modification", fails_once)
         with pytest.raises(EngineError, match="injected"):
-            interpret_rule(rule, theta, state, config, IdGen())
-        assert not state._memo
-        assert interpret_rule(rule, theta, state, config, IdGen()) == expected
-        assert len(state._memo) == 1
-
-    def test_a_step_adding_facts_starts_a_new_memo(self, counting_norm):
-        fact = Atom("seen", (sym("1"),))
-        answer = Answer(sym("succ"), ((sym("number"), sym("2")), (sym("successor"), sym("3"))), 1, (fact,))
-        config = ArchitectureConfig({RETR: lambda *_: [answer]})
-        ((_, state),) = no_rule_successors(counting_norm.initial_state())
-        object.__setattr__(state, "_memo", {})
-        ((_, nxt),) = successors(state, counting_norm, config)
-        assert nxt.upsilon != state.upsilon and nxt._memo is None
-        ((_, revealed),) = no_rule_successors(nxt)
-        ((_, applied),) = successors(state, counting_norm)
-        assert revealed._memo is None and applied._memo is state._memo
+            run.effects(rule, theta, state)
+        ((_, _, table),) = run.memo.values()
+        assert not table
+        run.ids = IdGen()
+        assert run.effects(rule, theta, state) == expected
+        assert len(table) == 1
+        run.ids = IdGen()
+        assert run.effects(rule, theta, state) == expected and len(calls) == 2  # a hit
 
 
 class TestExplore:
