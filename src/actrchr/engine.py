@@ -405,12 +405,11 @@ def interpret_request(
     pairs = _ground_pairs(action)
     effects = []
     for ans in handler(action.type, pairs, state):
-        if not (isinstance(ans.type, Symbol) and all(isinstance(s, Symbol) for s, _ in ans.val)):
-            raise EngineError(f"type or slot not a symbol in an answer on {action.buffer}: {ans!r}")
+        if not (isinstance(ans.type, Symbol)
+                and all(isinstance(s, Symbol) and isinstance(v, Symbol) for s, v in ans.val)):
+            raise EngineError(f"type, slot or slot value not a symbol in an answer on {action.buffer}: {ans!r}")
         if not isinstance(ans.delay, int):
             raise EngineError(f"delay not an integer in an answer on {action.buffer}: {ans.delay!r}")
-        if not all(isinstance(v, Symbol) for _, v in ans.val):
-            raise EngineError(f"slot value not a symbol in an answer on {action.buffer}: {ans.val!r}")
         for v in [v for _, v in ans.val] + [x for a in ans.atoms for x in a.args]:
             if is_fresh_id(v):
                 raise EngineError(f"fresh id {v} named by an answer on {action.buffer}")
@@ -509,7 +508,7 @@ class Run:
 
     config: ArchitectureConfig
     ids: IdGen
-    memo: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, init=False)
 
     def effects(self, rule: Rule, theta: dict[Variable, Symbol], state: AbstractState) -> list[Effect]:
         """The rule's effects under the binding, as :func:`interpret_rule`."""

@@ -416,7 +416,7 @@ class TestFaultMatrix:
             explore(counting_model, config, depth=3)
         (cx,) = bisim_check(counting_model, depth=3, config=config).counterexamples
         assert (cx.direction, cx.depth) == (ERROR, 1)
-        assert cx.missing.startswith("abstract step raised EngineError: slot value not a symbol")
+        assert cx.missing.startswith("abstract step raised EngineError: type, slot or slot value not a symbol")
 
     def test_a_memo_keyed_without_the_copied_contents_is_caught(self, monkeypatch):
         memo_key = actrchr.engine._memo_key

@@ -369,7 +369,7 @@ class TestRequest:
         act = Action(REQUEST, GOAL, sym("t"), ())
         answer = Answer(sym("t"), ((sym("s"), var("X")),))
         config = ArchitectureConfig(handlers={GOAL: lambda *_: [answer]})
-        with pytest.raises(EngineError, match=r"slot value not a symbol in an answer on goal: \(\(s, \?X\),\)"):
+        with pytest.raises(EngineError, match=r"slot or slot value not a symbol in an answer on goal: Answer\(type=t, val=\(\(s, \?X\),\)"):
             interpret_request(act, state, config, IdGen())
 
     def test_no_handler_raises(self):
@@ -834,12 +834,12 @@ class TestMemo:
         entries = 0
         for i in range(30):
             m = random_model(random.Random(i))
-            memo = {}  # one run's memo, each step from ids of its own
+            run = Run(config, IdGen())  # one run's memo, each step from ids of its own
             for state in explore(m, config, depth=6).states:
                 start = fresh_gen_for(state).count + i
-                run = Run(config, IdGen(start), memo)
+                run.ids = IdGen(start)
                 cases.append((m, state, start, successors(state, m, run), run.ids.count))
-            entries += sum(len(table) for _, _, table in memo.values())
+            entries += sum(len(table) for _, _, table in run.memo.values())
         applied = sum(l != NO_LABEL for *_, succ, _ in cases for l, _ in succ)
         monkeypatch.setattr(actrchr.engine, "_memo_key", lambda *_: None)
         for m, state, start, memoized, end in cases:
