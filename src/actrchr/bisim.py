@@ -26,15 +26,19 @@ abstract root's fact tuple object, and both sides hold facts as
 :class:`~actrchr.model.Atom`.  Rule matching, modification, the store
 merge and the fresh-id supply (one generator per side and run) are
 separate code on each side: the engine's on chunks and stores, the CHR
-engine's on chunk terms.  Each side has its own :class:`~actrchr.engine.Run`;
-only the abstract side's memoizes rule effects, and the CHR side's leaves
-its memo unread until that side has a memo of its own.  So the memo adds
-nothing shared: a wrong memo key shows as a counterexample.
+engine's on chunk terms.  Each side has its own :class:`~actrchr.engine.Run`
+and memo: the abstract side's memoizes rule effects, keyed over chunks,
+and the CHR side's the ``action`` built-in, keyed over chunk terms by code
+of its own.  So the memos add nothing shared: a wrong key on either side
+shows as a counterexample.
+
+Per pair, each successor's (label, form) class is hashed once: the
+classes are numbered in the order the abstract side meets them, and the
+matching counts, mates and reports on those numbers.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -133,6 +137,8 @@ class BisimReport:
         return "\n".join(lines)
 
     def records(self) -> list[str]:
+        import json  # here, so that importing the package does not load it
+
         head = {
             "record": "summary",
             "verdict": self.verdict,
@@ -211,13 +217,27 @@ def bisim_check(
             report.counterexamples.append(cx)
             return []
         report.transitions += len(eng) + len(chrs)
-        eng_count = Counter((label, form) for label, form, _ in eng)
-        chr_count = Counter((label, form) for label, form, _ in chrs)
-        # the first translated successor of each class is its mate
-        mates = {(label, form): c2 for label, form, c2 in reversed(chrs)}
+        # number each (label, form) class once, in the order the abstract
+        # side first meets it, and match the two sides on those numbers
+        classes: dict = {}
+        eng_class = [classes.setdefault((label, form), len(classes)) for label, form, _ in eng]
+        eng_count = [0] * len(classes)
+        for k in eng_class:
+            eng_count[k] += 1
+        chr_count = [0] * len(classes)
+        mates: list = [None] * len(classes)  # the first translated successor of each class
+        unmatched = []
+        for label, form, c2 in chrs:
+            k = classes.get((label, form))
+            if k is None:
+                unmatched.append((label, c2))
+                continue
+            if not chr_count[k]:
+                mates[k] = c2
+            chr_count[k] += 1
 
-        for label, form, s2 in eng:
-            if (label, form) not in mates:
+        for (label, _, s2), k in zip(eng, eng_class):
+            if not chr_count[k]:
                 nearest = next(
                     (render_state(c2) for l2, _, c2 in chrs if l2 == label), ""
                 )
@@ -227,24 +247,22 @@ def bisim_check(
                         render_state(chr_of_state(s2)), nearest,
                     )
                 )
-        for label, form, c2 in chrs:
-            if not eng_count[(label, form)]:
-                nearest = next(
-                    (
-                        render_state(chr_of_state(s2))
-                        for l2, _, s2 in eng
-                        if l2 == label
-                    ),
-                    "",
+        for label, c2 in unmatched:
+            nearest = next(
+                (
+                    render_state(chr_of_state(s2))
+                    for l2, _, s2 in eng
+                    if l2 == label
+                ),
+                "",
+            )
+            report.counterexamples.append(
+                Counterexample(
+                    BACKWARD, d, label, s, c, render_state(c2), nearest
                 )
-                report.counterexamples.append(
-                    Counterexample(
-                        BACKWARD, d, label, s, c, render_state(c2), nearest
-                    )
-                )
+            )
 
-        for (label, form), n in eng_count.items():
-            m = chr_count[(label, form)]
+        for (label, _), n, m in zip(classes, eng_count, chr_count):
             if m and n != m:
                 report.counterexamples.append(
                     Counterexample(
@@ -252,8 +270,8 @@ def bisim_check(
                         f"{n} abstract vs {m} translated successors in one class",
                     )
                 )
-        return [(label, form, (s2, mates[label, form])) for label, form, s2 in eng
-                if (label, form) in mates]
+        return [(label, form, (s2, mates[k])) for (label, form, s2), k in zip(eng, eng_class)
+                if chr_count[k]]
 
     for _, (s, _), _ in breadth_first((s0, c0), canonical_form(c0), expand, depth):
         if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:

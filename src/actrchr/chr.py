@@ -28,6 +28,15 @@ semantics leaves request handling, the modules, as a parameter.  So the
 bisimulation check tests modification and merge against an independent
 implementation.
 
+A run memoizes ``action`` in its :class:`~actrchr.engine.Run`'s memo, the
+CHR form of tabling: an answer is reused up to the fresh ids it draws.
+The key is computed here from chunk terms, and the abstract machine's
+memo shares no key code with it, so a wrong key on one side cannot cancel
+out in the bisimulation check.  A modification is keyed by all it reads
+(see :func:`_modify_key`), a request to the default retrieval by its
+buffer, type, pairs and the fact tuple's identity (see
+:func:`_request_key`); a request to any other handler is not memoized.
+
 Each rule is planned once, when it is made (see :class:`ChrRule`): its
 variables become registers of a flat list, numbered in the order the rule
 binds them, so the plan knows whether a built-in's input is bound when
@@ -82,7 +91,7 @@ from .core import (
     Variable,
     fresh_gen_avoiding,
 )
-from .engine import ArchitectureConfig, Run, canonical_key, interpret_request
+from .engine import ArchitectureConfig, Run, canonical_key, declarative_retrieval, interpret_request
 from .model import AbstractState, Action, Atom, MODIFY, REQUEST, sort_atoms
 
 
@@ -598,6 +607,13 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     abstract machine shares, since the semantics leaves its handlers as a
     parameter: :func:`~actrchr.engine.interpret_request` reads the store
     the list carries (see :func:`_store_of`).
+
+    Both kinds are memoized in the run's memo once every operand is
+    checked: a modification keyed by :func:`_modify_key`, a request to
+    :func:`~actrchr.engine.declarative_retrieval` by :func:`_request_key`.
+    A hit draws as many fresh ids as its miss did, in the same order, and
+    rebuilds the recorded chunk terms under them; a call that raises
+    records nothing.
     """
     (kind, buffer, type, slots, values), d, g, (dres, cres, eres), atoms, c = operands
     pairs = tuple(zip(slots, map(regs.__getitem__, values)))
@@ -620,21 +636,26 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
             raise ChrError(f"buffer {b} holds unknown chunk id {cid}")
         if delay not in (0, 1):
             raise ChrError(f"buffer {b} has non-binary delay {delay}")
-    facts, config, ids = ctx
+    facts, config, ids, memo = ctx
     if kind == MODIFY:
-        answers = [_modify(buffer, pairs, listed, gamma, ids)]
+        if buffer not in gamma:
+            raise ChrError(f"no buffer {buffer}")
+        (incumbent,) = listed.get(gamma[buffer][0], (_NIL_TERM,))
+        key = _modify_key(buffer, pairs, incumbent, listed)
+    elif config.handler_for(buffer) is declarative_retrieval:
+        key = _request_key(buffer, type, pairs, facts)
     else:
-        action = Action(kind, buffer, type, pairs)
-        rows = tuple((b, cid, delay) for b, (cid, delay) in gamma.items())  # checked above
-        if any(x[0].name > y[0].name for x, y in zip(rows, rows[1:])):
-            rows = tuple(sorted(rows, key=lambda r: r[0].name))
-        if any(x.content()[0] > y.content()[0] for x, y in zip(facts, facts[1:])):
-            facts = sort_atoms(facts)  # a step appends the facts it adds
-        state = AbstractState(_store_of(d).with_nil(), rows, facts)
-        answers = []
-        for eff in interpret_request(action, state, config, ids):
-            cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[buffer]
-            answers.append((encode_store(eff.store), cid, delay, eff.atoms))
+        key = None
+    recorded = memo.get(key)  # nothing is recorded under None
+    if recorded is not None:
+        answers = [_redrawn(answer, ids) for answer in recorded[1]]
+    else:
+        if kind == MODIFY:
+            answers = [_modify(pairs, incumbent, listed, ids)]
+        else:
+            answers = _request(Action(kind, buffer, type, pairs), d, gamma, facts, config, ids)
+        if key is not None:
+            memo[key] = (facts, answers)  # keeps the fact tuple alive, so its id stays unique
     out = []
     for answer in answers:
         r = regs if len(answers) == 1 else regs.copy()
@@ -645,23 +666,88 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     return out
 
 
+def _modify_key(
+    buffer: Symbol,
+    pairs: tuple[tuple[Symbol, Symbol], ...],
+    incumbent: Compound,
+    listed: dict[Term, tuple[Term, ...]],
+) -> tuple:
+    """A modification's memo key: all that :func:`_modify` reads, the
+    buffer, the update pairs, the incumbent term's type and pair list, and
+    which update values name a listed chunk."""
+    _, type, old = _chunk_fields(incumbent)
+    return (MODIFY, buffer, pairs, type, old, tuple([v in listed for _, v in pairs]))
+
+
+def _request_key(
+    buffer: Symbol, type: Symbol, pairs: tuple[tuple[Symbol, Symbol], ...], facts: tuple[Atom, ...]
+) -> tuple:
+    """A memo key for a request to declarative retrieval: the buffer, the
+    type, the pairs and the fact tuple by identity.  The retrieval also
+    reads the chunks the ``dm`` facts name, which are parsed chunks, and
+    so the same in every store of a run."""
+    return (REQUEST, buffer, type, pairs, id(facts))
+
+
+def _redrawn(answer: tuple, ids: IdGen) -> tuple:
+    """A recorded answer anew: its chunk, if it has one, under the next
+    fresh id; a nil answer draws none."""
+    lst, cid, delay, added = answer
+    if not lst.items:
+        return answer
+    (term,) = lst.items
+    _, type, pairs = term.args
+    fresh = ids.fresh()
+    copy = Compound("chunk", (fresh, type, pairs))
+    object.__setattr__(copy, "_chunk", term._chunk.renamed(fresh))
+    return _one_chunk_list(copy), fresh, delay, added
+
+
+def _one_chunk_list(term: Compound) -> TList:
+    """The list of one chunk term, with its index and its ordered and
+    ground marks set."""
+    out = TList((term,))
+    for name, value in (("_ids", {term.args[0]: (term,)}), ("_ordered", True), ("_ground", True)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+def _request(
+    action: Action,
+    d: TList,
+    gamma: dict[Symbol, tuple[Symbol, int]],
+    facts: tuple[Atom, ...],
+    config: ArchitectureConfig,
+    ids: IdGen,
+) -> list[tuple[TList, Symbol, int, tuple[Atom, ...]]]:
+    """One answer per effect of :func:`~actrchr.engine.interpret_request`
+    in the abstract state that ``d``, ``gamma`` and ``facts`` encode."""
+    rows = tuple((b, cid, delay) for b, (cid, delay) in gamma.items())  # checked by the caller
+    if any(x[0].name > y[0].name for x, y in zip(rows, rows[1:])):
+        rows = tuple(sorted(rows, key=lambda r: r[0].name))
+    if any(x.content()[0] > y.content()[0] for x, y in zip(facts, facts[1:])):
+        facts = sort_atoms(facts)  # a step appends the facts it adds
+    state = AbstractState(_store_of(d).with_nil(), rows, facts)
+    answers = []
+    for eff in interpret_request(action, state, config, ids):
+        cid, delay = {b: (cc, dd) for b, cc, dd in eff.gamma}[action.buffer]
+        answers.append((encode_store(eff.store), cid, delay, eff.atoms))
+    return answers
+
+
 _NIL_TERM = encode_chunk(NIL_CHUNK)
 
 
 def _modify(
-    buffer: Symbol,
     pairs: tuple[tuple[Symbol, Symbol], ...],
+    incumbent: Compound,
     listed: dict[Term, tuple[Term, ...]],
-    gamma: dict[Symbol, tuple[Symbol, int]],
     ids: IdGen,
 ) -> tuple[TList, Symbol, int, tuple[Atom, ...]]:
-    """The incumbent's term copied under a fresh id, visible, with the
-    update slots set.  An update value that names no listed chunk becomes
-    nil; an update slot the incumbent lacks is ignored.  ``listed`` is the
-    store's index, where nil may be missing."""
-    if buffer not in gamma:
-        raise ChrError(f"no buffer {buffer}")
-    (incumbent,) = listed.get(gamma[buffer][0], (_NIL_TERM,))
+    """The incumbent term copied under a fresh id, visible, with the update
+    slots set.  An update value that names no listed chunk becomes nil; an
+    update slot the incumbent lacks is ignored.  ``listed`` is the store's
+    index, where nil may be missing."""
     _, type, old = _chunk_fields(incumbent)
     updates = dict(pairs)
     new_pairs = []
@@ -674,7 +760,7 @@ def _modify(
     fresh = ids.fresh()
     copy = Compound("chunk", (fresh, type, TList(tuple(new_pairs))))
     object.__setattr__(copy, "_chunk", Chunk(fresh, type, [p.args for p in new_pairs]))
-    return TList((copy,)), fresh, 0, ()
+    return _one_chunk_list(copy), fresh, 0, ()
 
 
 def _solve_merge(regs: list, operands: tuple, _ctx: tuple) -> tuple:
@@ -899,7 +985,7 @@ def chr_step(state: ChrState, program: Iterable[ChrRule], run: Run | None = None
             index.setdefault((c.name, len(args), args[0]), []).append(gi)
     if run is None:
         run = Run(ArchitectureConfig(), fresh_gen_for(state))
-    ctx = (state.facts, run.config, run.ids)
+    ctx = (state.facts, run.config, run.ids, run.memo)
     matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:

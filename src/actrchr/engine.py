@@ -24,7 +24,6 @@ binding, the chunks its modifications copy and its requests' answers: a
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from bisect import bisect_left
@@ -504,7 +503,12 @@ class Run:
     only parsed chunks and facts.  An entry keeps its rule and fact tuple
     alive, so their ids stay unique.  A hit draws as many ids as its miss
     did, in order, and renames the recorded chunks and rows; a step that
-    raises records nothing."""
+    raises records nothing.
+
+    That is the abstract side's use of ``memo``.  On the CHR side,
+    :func:`~actrchr.chr.chr_step` hands it to the ``action`` built-in,
+    which keys it over chunk terms by code of its own (see
+    :func:`~actrchr.chr._solve_action`); a run serves one side only."""
 
     config: ArchitectureConfig
     ids: IdGen
@@ -629,6 +633,8 @@ def canonical_key(state: AbstractState):
 
 def state_fingerprint(state: AbstractState) -> str:
     """Short stable hash of the canonical state form."""
+    import hashlib  # here, so that importing the package does not load it
+
     return hashlib.sha256(repr(canonical_key(state)).encode()).hexdigest()[:12]
 
 

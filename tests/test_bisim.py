@@ -23,7 +23,7 @@ from actrchr.bisim import (
     drop_passthrough_gammas,
     effect_lemma_check,
 )
-from actrchr.chr import ChrRule, ChrState, constraint, is_ground, render_term
+from actrchr.chr import ChrRule, ChrState, Compound, TList, constraint, is_ground, render_term
 from actrchr.core import NIL, Chunk, ChunkStore, Symbol, Variable
 from actrchr.engine import (
     Answer,
@@ -110,6 +110,27 @@ UNTESTED_COPY_SEEDS = (7, 18, 59, 79, 81)
 # corpus models whose checks must visit explore's states in explore's order
 # (all 200 agree at depths 0, 3 and 4 under both policies; 60 keep it quick)
 VISIT_ORDER_MODELS = 60
+
+# corpus models in which one buffer's modification, under equal update
+# pairs, meets incumbents of one type with different slot values in the
+# translated run by depth 4 (3 of 200 do)
+INCUMBENT_PAIRS_SEEDS = (79, 146, 149)
+
+# note's handler adds dm(b), after which ask has a second answer
+FACT_ADDING_SRC = (
+    "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: b }\nchunk g : t { s: a }\n"
+    "dm { a }\nbuffer goal = g\nbuffer retrieval = a\nbuffer imaginal = a\n"
+    "rule ask { goal: t { s: X } ==> request retrieval t {} }\n"
+    "rule note { goal: t { s: a } ==> request imaginal t {} }\n"
+)
+
+
+def fact_adding_config():
+    """The configuration whose imaginal handler answers note with dm(b)."""
+    t, s, a, b = (Symbol(n) for n in "tsab")
+    answer = Answer(t, ((s, a),), 1, (Atom("dm", (b,)),))
+    return ArchitectureConfig({Symbol("imaginal"): lambda *_: [answer]})
+
 
 TWO_ANSWER_SRC = """
 type q { want }
@@ -248,6 +269,28 @@ class TestFaultInjection:
         doubled = (prog[0],) + prog  # the rule fires twice per state
         report = bisim_check(counting_model, depth=3, program=doubled)
         assert any(c.direction == BIJECTION for c in report.counterexamples)
+
+    def test_counterexamples_come_in_a_fixed_order(self, counting_model):
+        # forward in abstract successor order, backward in translated order,
+        # then bijection per class, in the order the abstract side meets it
+        prog = chr_of_model(counting_model)
+        report = bisim_check(counting_model, depth=3, program=(prog[0],) + prog)
+        assert [(c.direction, c.depth, c.label) for c in report.counterexamples] == [
+            (BIJECTION, 1, "apply(inc)"),
+        ]
+        model = random_model(random.Random(198))
+        prog = chr_of_model(model)
+        # the rules in reverse without their pass-throughs, then r1 again
+        shuffled = drop_passthrough_gammas(prog[-2::-1]) + (prog[0], prog[-1])
+        report = bisim_check(model, depth=1, program=shuffled)
+        assert [(c.direction, c.depth, c.label) for c in report.counterexamples] == [
+            (FORWARD, 0, "apply(r2)"),
+            (FORWARD, 0, "apply(r4)"),
+            (BACKWARD, 0, "apply(r4)"),
+            (BACKWARD, 0, "apply(r2)"),
+            (BIJECTION, 0, "apply(r1)"),
+            (BIJECTION, 0, "apply(r1)"),
+        ]
 
     def test_state_translation_that_drops_the_facts_fails(self, monkeypatch):
         model = parse_model(UNREAD_MEMORY_SRC)
@@ -434,17 +477,7 @@ class TestFaultMatrix:
 
 
     def test_a_memo_keyed_without_the_facts_is_caught(self, monkeypatch):
-        # note's handler adds dm(b), after which ask has a second answer
-        src = (
-            "type t { s }\nchunk a : t { s: a }\nchunk b : t { s: b }\nchunk g : t { s: a }\n"
-            "dm { a }\nbuffer goal = g\nbuffer retrieval = a\nbuffer imaginal = a\n"
-            "rule ask { goal: t { s: X } ==> request retrieval t {} }\n"
-            "rule note { goal: t { s: a } ==> request imaginal t {} }\n"
-        )
-        t, s, a, b = (Symbol(n) for n in "tsab")
-        answer = Answer(t, ((s, a),), 1, (Atom("dm", (b,)),))
-        config = ArchitectureConfig({Symbol("imaginal"): lambda *_: [answer]})
-        model = parse_model(src)
+        model, config = parse_model(FACT_ADDING_SRC), fact_adding_config()
         report = bisim_check(model, depth=6, config=config)
         assert report.ok and report.nodes == 193
         memo_key = actrchr.engine._memo_key
@@ -456,6 +489,31 @@ class TestFaultMatrix:
         monkeypatch.setattr(actrchr.engine, "_memo_key", without_facts)
         cx = bisim_check(model, depth=6, config=config).counterexamples[0]
         assert (cx.direction, cx.depth, cx.label) == (BACKWARD, 1, "apply(ask)")
+
+    def test_a_chr_memo_keyed_without_the_incumbents_pairs_is_caught(self, monkeypatch):
+        modify_key = actrchr.chr._modify_key
+
+        def without_pairs(buffer, pairs, incumbent, listed):
+            id, type, _ = incumbent.args
+            return modify_key(buffer, pairs, Compound("chunk", (id, type, TList(()))), listed)
+
+        models = [random_model(random.Random(seed)) for seed in INCUMBENT_PAIRS_SEEDS]
+        assert all(bisim_check(m, depth=4).ok for m in models)
+        monkeypatch.setattr(actrchr.chr, "_modify_key", without_pairs)
+        for m in models:
+            report = bisim_check(m, depth=4)
+            assert {FORWARD, BACKWARD} <= {c.direction for c in report.counterexamples}
+
+    def test_a_chr_memo_keyed_without_the_facts_is_caught(self, monkeypatch):
+        model, config = parse_model(FACT_ADDING_SRC), fact_adding_config()
+        assert bisim_check(model, depth=6, config=config).ok
+        request_key = actrchr.chr._request_key
+        monkeypatch.setattr(
+            actrchr.chr, "_request_key",
+            lambda buffer, type, pairs, _facts: request_key(buffer, type, pairs, ()),
+        )
+        cx = bisim_check(model, depth=6, config=config).counterexamples[0]
+        assert (cx.direction, cx.depth, cx.label) == (FORWARD, 1, "apply(ask)")
 
 
 class TestEffectCorrespondence:

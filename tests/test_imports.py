@@ -1,12 +1,15 @@
 """Every module-level import is used, every package parameter read and
 every package default overridden somewhere, every public function has a
 caller outside the tests, the CHR engine imports no effect code of the
-abstract machine, the package keeps no process-wide mutable state, and
-every name the benchmark traces exists (stdlib-only lint)."""
+abstract machine, the package keeps no process-wide mutable state, every
+name the benchmark traces exists, and importing the package loads no
+module only one rarely called function needs (stdlib-only lint)."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,3 +203,15 @@ def test_every_name_the_benchmark_traces_resolves():
     targets = [t for ts in tracing.LAYERS.values() for t in ts]
     missing = [(m, a) for m, a in targets if not hasattr(importlib.import_module(m), a)]
     assert targets and not missing, f"traced names missing from the package: {missing}"
+
+
+def test_importing_the_package_loads_neither_hashlib_nor_json():
+    # each has one user (state_fingerprint, BisimReport.records), which
+    # imports it when called, so start-up does not pay for it
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import actrchr;"
+        " print(sorted({'hashlib', 'json'} & sys.modules.keys()))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
