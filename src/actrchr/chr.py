@@ -29,13 +29,14 @@ bisimulation check tests modification and merge against an independent
 implementation.
 
 A run memoizes ``action`` in its :class:`~actrchr.engine.Run`'s memo, the
-CHR form of tabling: an answer is reused up to the fresh ids it draws.
-The key is computed here from chunk terms, and the abstract machine's
-memo shares no key code with it, so a wrong key on one side cannot cancel
-out in the bisimulation check.  A modification is keyed by all it reads
-(see :func:`_modify_key`), a request to the default retrieval by its
-buffer, type, pairs and the fact tuple's identity (see
-:func:`_request_key`); a request to any other handler is not memoized.
+CHR form of tabling: a hit draws as many fresh ids as its miss did, in
+the same order, and rebuilds the recorded chunk terms under them.  The
+key is computed here from chunk terms, and the abstract machine's memo
+shares no key code with it, so a wrong key on one side cannot cancel out
+in the bisimulation check.  A modification is keyed by all it reads (see
+:func:`_modify_key`), a request to the default retrieval by its buffer,
+type, pairs and the fact tuple's identity (see :func:`_request_key`); a
+request to any other handler is not memoized.
 
 Each rule is planned once, when it is made (see :class:`ChrRule`): its
 variables become registers of a flat list, numbered in the order the rule
@@ -608,12 +609,8 @@ def _solve_action(regs: list, operands: tuple, ctx: tuple) -> Union[tuple, list]
     parameter: :func:`~actrchr.engine.interpret_request` reads the store
     the list carries (see :func:`_store_of`).
 
-    Both kinds are memoized in the run's memo once every operand is
-    checked: a modification keyed by :func:`_modify_key`, a request to
-    :func:`~actrchr.engine.declarative_retrieval` by :func:`_request_key`.
-    A hit draws as many fresh ids as its miss did, in the same order, and
-    rebuilds the recorded chunk terms under them; a call that raises
-    records nothing.
+    The run's memo is read only once every operand is checked (see the
+    module docstring); a call that raises records nothing.
     """
     (kind, buffer, type, slots, values), d, g, (dres, cres, eres), atoms, c = operands
     pairs = tuple(zip(slots, map(regs.__getitem__, values)))
