@@ -55,11 +55,12 @@ matching is.  The action term and cognitive-state list of ``action``
 ``merge`` are written out in the rule.  An unbound input, and a
 constraint outside the theory, is :class:`Undecided` when the step
 reaches it.  :func:`chr_step` is the one way to run the theory.
-Compounds and lists cache their groundness once asked, and a store
-encoding, a checked chunk list and a merged one are marked ground when
-made.  A list also keeps its first-argument index, which finds the chunk
-a bound id names for ``in``, ``map`` and ``action`` and serves ``merge``.
-A term carries the value it was built from and is decoded only otherwise:
+:func:`_checked` alone marks a chunk list checked (chunk terms strictly
+ordered by id): ground, keeping its first-argument index, which serves
+``in``, ``map``, ``action`` and ``merge``, and maybe the store it encodes.
+A store encoding, an ``action`` result and a merged list are checked when
+made, any other list when a built-in first reads it as a chunk list.  A
+term carries the value it was built from and is decoded only otherwise:
 a chunk term its chunk, a store encoding its store, a merged list the
 store derived from its first operand's (see
 :meth:`~actrchr.core.ChunkStore.adding`).
@@ -116,24 +117,21 @@ Term = Union[Symbol, Variable, int, "Compound", "TList"]
 class Compound:
     functor: str
     args: tuple[Term, ...]
-    # groundness, filled in by the first is_ground query (see there)
-    _ground: bool = field(init=False, repr=False, compare=False)
     # the chunk a chunk term encodes, set when the term is built from it or
     # by its first successful decode_chunk (see there)
     _chunk: Chunk = field(init=False, repr=False, compare=False)
 
-    def __reduce__(self):  # the caches may be unset, so copy the fields only
+    def __reduce__(self):  # the chunk may be unset, so copy the fields only
         return Compound, (self.functor, self.args)
 
 
 @dataclass(frozen=True, slots=True)
 class TList:
     items: tuple[Term, ...]
+    # groundness, filled in by the first is_ground query (see there)
     _ground: bool = field(init=False, repr=False, compare=False)
-    # filled in on first use, or by encode_store and merge_chunk_lists: see
-    # _first_args, _chunk_index and _store_of
+    # set on a checked chunk list only, by _checked (see there)
     _ids: dict = field(init=False, repr=False, compare=False)
-    _ordered: bool = field(init=False, repr=False, compare=False)
     _store: ChunkStore = field(init=False, repr=False, compare=False)
 
     def __reduce__(self):
@@ -148,24 +146,18 @@ def tuple_term(*args: Term) -> Compound:
 def is_ground(t: Term) -> bool:
     """Whether the term holds no variable.
 
-    Compounds and lists compute this on the first query and keep it in
-    their ``_ground`` slot, left unset at construction because most
-    terms are never asked; the lists known ground when made (a store
-    encoding, a checked or merged chunk list) are marked then.
+    A list keeps the answer in its ``_ground`` slot, filled by the first
+    query or by :func:`_checked`.  A compound keeps nothing: only a plan
+    asks of one, when its rule is made.
     """
     if isinstance(t, Compound):
-        g = getattr(t, "_ground", None)
-        if g is not None:
-            return g
-        g = all(is_ground(a) for a in t.args)
-    elif isinstance(t, TList):
-        g = getattr(t, "_ground", None)
-        if g is not None:
-            return g
-        g = all(is_ground(a) for a in t.items)
-    else:
+        return all(is_ground(a) for a in t.args)
+    if not isinstance(t, TList):
         return not isinstance(t, Variable)
-    object.__setattr__(t, "_ground", g)
+    g = getattr(t, "_ground", None)
+    if g is None:
+        g = all(is_ground(a) for a in t.items)
+        object.__setattr__(t, "_ground", g)
     return g
 
 
@@ -233,20 +225,32 @@ def encode_pairs(pairs: Iterable[tuple[Symbol, Term]]) -> TList:
 
 def encode_chunk(chunk: Chunk) -> Compound:
     """The chunk's pairs as they are, in slot-name order; carries ``chunk``."""
-    pairs = TList(tuple(tuple_term(s, v) for s, v in chunk.pairs))
+    return _chunk_term(chunk, TList(tuple(tuple_term(s, v) for s, v in chunk.pairs)))
+
+
+def _chunk_term(chunk: Chunk, pairs: TList) -> Compound:
+    """``chunk(Id, Type, pairs)`` carrying ``chunk``, whose pairs ``pairs`` encodes."""
     out = Compound("chunk", (chunk.id, chunk.type, pairs))
     object.__setattr__(out, "_chunk", chunk)
     return out
 
 
 def encode_store(store: ChunkStore) -> TList:
-    """Chunk list sorted by identifier name; the canonical encoding, which
-    carries ``store`` with its index, ordered and ground marks set."""
+    """Chunk list sorted by identifier name; the canonical encoding, checked
+    and carrying ``store`` (see :func:`_checked`)."""
     out = TList(tuple(encode_chunk(c) for c in store.sorted_chunks()))
-    index = {t.args[0]: (t,) for t in out.items}
-    for name, value in (("_ids", index), ("_ordered", True), ("_ground", True), ("_store", store)):
-        object.__setattr__(out, name, value)
-    return out
+    return _checked(out, {t.args[0]: (t,) for t in out.items}, store)
+
+
+def _checked(lst: TList, index: dict, store: Optional[ChunkStore] = None) -> TList:
+    """``lst``, chunk terms strictly ordered by id, marked ground with its
+    first-argument index (see :func:`_first_args`) and ``store``, if given.
+    Only this sets ``_ids``, so a list has it exactly when it is checked."""
+    object.__setattr__(lst, "_ids", index)
+    object.__setattr__(lst, "_ground", True)
+    if store is not None:
+        object.__setattr__(lst, "_store", store)
+    return lst
 
 
 def encode_action(action: Action) -> Compound:
@@ -582,15 +586,14 @@ def _solve_in(regs: list, operands: tuple, _ctx: tuple) -> Union[tuple, list]:
 
 def _first_args(t: TList) -> dict[Term, tuple[Term, ...]]:
     """The first argument of each compound item (a chunk term's id),
-    mapped to the items with it in list order; built once and kept in the
-    list's ``_ids`` slot, so it lives exactly as long as the list."""
+    mapped to the items with it in list order: the index a checked list
+    keeps (see :func:`_checked`), else one built anew and not kept."""
     index = getattr(t, "_ids", None)
     if index is None:
         index = {}
         for item in t.items:
             if isinstance(item, Compound) and item.args:
                 index[item.args[0]] = index.get(item.args[0], ()) + (item,)
-        object.__setattr__(t, "_ids", index)
     return index
 
 
@@ -693,20 +696,9 @@ def _redrawn(answer: tuple, ids: IdGen) -> tuple:
     if not lst.items:
         return answer
     (term,) = lst.items
-    _, type, pairs = term.args
     fresh = ids.fresh()
-    copy = Compound("chunk", (fresh, type, pairs))
-    object.__setattr__(copy, "_chunk", term._chunk.renamed(fresh))
-    return _one_chunk_list(copy), fresh, delay, added
-
-
-def _one_chunk_list(term: Compound) -> TList:
-    """The list of one chunk term, with its index and its ordered and
-    ground marks set."""
-    out = TList((term,))
-    for name, value in (("_ids", {term.args[0]: (term,)}), ("_ordered", True), ("_ground", True)):
-        object.__setattr__(out, name, value)
-    return out
+    copy = _chunk_term(term._chunk.renamed(fresh), term.args[2])
+    return _checked(TList((copy,)), {fresh: (copy,)}), fresh, delay, added
 
 
 def _request(
@@ -755,9 +747,8 @@ def _modify(
             p = tuple_term(slot, v if v in listed else NIL)
         new_pairs.append(p)
     fresh = ids.fresh()
-    copy = Compound("chunk", (fresh, type, TList(tuple(new_pairs))))
-    object.__setattr__(copy, "_chunk", Chunk(fresh, type, [p.args for p in new_pairs]))
-    return _one_chunk_list(copy), fresh, 0, ()
+    copy = _chunk_term(Chunk(fresh, type, [p.args for p in new_pairs]), TList(tuple(new_pairs)))
+    return _checked(TList((copy,)), {fresh: (copy,)}), fresh, 0, ()
 
 
 def _solve_merge(regs: list, operands: tuple, _ctx: tuple) -> tuple:
@@ -776,9 +767,9 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     A shared identifier must carry equal terms and keeps the left
     operand's, so a successor store holds its parent's term objects.  A
     clash or an operand out of order raises :class:`ChrError`.  A lone
-    non-empty operand comes back as it is, checked and indexed; any other
-    result comes with its index, its ordered and ground marks set, and the
-    store derived from the first operand's when that carries one.
+    non-empty operand comes back as it is, checked; any other result is
+    checked (see :func:`_checked`) and carries the store derived from the
+    first operand's when that carries one.
     """
     merged: dict[Term, tuple[Term, ...]] = {}
     ids: list[Term] = []  # the first operand's order, each added id inserted by name
@@ -804,45 +795,40 @@ def merge_chunk_lists(lists: Iterable[Term]) -> TList:
     if len(nonempty) == 1:
         return nonempty[0]  # type: ignore[return-value]
     entries = tuple(map(merged.__getitem__, ids))
-    out = TList(tuple(chain.from_iterable(entries)))
-    object.__setattr__(out, "_ids", dict(zip(ids, entries)))
-    object.__setattr__(out, "_ordered", True)
-    object.__setattr__(out, "_ground", True)
     store = getattr(nonempty[0], "_store", None) if nonempty else None
     if store is not None:
-        object.__setattr__(out, "_store", store.adding([decode_chunk(t) for t in added]))
-    return out
+        store = store.adding([decode_chunk(t) for t in added])
+    return _checked(TList(tuple(chain.from_iterable(entries))), dict(zip(ids, entries)), store)
 
 
 _NAME = attrgetter("name")
 
 
 def _chunk_index(t: Term) -> dict[Term, tuple[Term, ...]]:
-    """The index (see :func:`_first_args`) of a chunk list strictly ordered
-    by id, checked once and then marked in its ``_ordered`` slot, and as
-    ground, since every item decodes; any other term raises ChrError."""
-    if getattr(t, "_ordered", False):
-        return t._ids
+    """A checked chunk list's index; any other list is checked here and
+    marked (see :func:`_checked`), and any other term raises ChrError."""
+    index = getattr(t, "_ids", None)
+    if index is not None:
+        return index
     if not isinstance(t, TList):
         raise ChrError(f"not a chunk list: {render_term(t)}")
     names = [decode_chunk(term).id.name for term in t.items]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ChrError(f"chunk list not in strict id order: {render_term(t)}")
-    index = _first_args(t)
-    object.__setattr__(t, "_ordered", True)
-    object.__setattr__(t, "_ground", True)
-    return index
+    return _checked(t, _first_args(t))._ids
 
 
 def _store_of(t: TList) -> ChunkStore:
-    """The store a chunk list carries, else its decoding, ids checked distinct."""
+    """The store a chunk list carries, else its decoding, ids checked
+    distinct, then carried if they are strictly ordered (see :func:`_checked`)."""
     store = getattr(t, "_store", None)
     if store is None:
         chunks = [decode_chunk(x) for x in t.items]
         if len({c.id for c in chunks}) != len(chunks):
             raise ChrError(f"chunk id listed twice in delta: {render_term(t)}")
         store = ChunkStore(chunks)
-        object.__setattr__(t, "_store", store)
+        if all(a.id.name < b.id.name for a, b in zip(chunks, chunks[1:])):
+            _checked(t, _first_args(t), store)
     return store
 
 
@@ -965,10 +951,9 @@ def chr_step(state: ChrState, program: Iterable[ChrRule], run: Run | None = None
     injective head matching and every guard/body solution yields one
     successor: the matched constraints are removed, the body's user
     constraints are added ground, and the built-in store grows only by the
-    facts contributed by ``action``.  Rules that share one head tuple
-    (as :func:`~actrchr.translate.chr_of_model` makes them) share its
-    matchings.  ``run`` supplies the configuration and fresh identifiers,
-    by default the default configuration and :func:`fresh_gen_for` the state.
+    facts contributed by ``action``.  ``run`` supplies the configuration
+    and fresh identifiers, by default the default configuration and
+    :func:`fresh_gen_for` the state.
     """
     goal = state.goal
     index: dict = {}  # goal constraints by (name, arity[, symbol first argument])
@@ -983,15 +968,10 @@ def chr_step(state: ChrState, program: Iterable[ChrRule], run: Run | None = None
     if run is None:
         run = Run(ArchitectureConfig(), fresh_gen_for(state))
     ctx = (state.facts, run.config, run.ids, run.memo)
-    matchings: dict = {}
     out: list[tuple[str, ChrState]] = []
     for rule in program:
         plan = rule._plan
-        # keyed by identity; the entry keeps the head alive, so ids stay unique
-        entry = matchings.get(id(rule.removed))
-        if entry is None:
-            entry = matchings[id(rule.removed)] = (rule.removed, _match_heads(plan.heads, goal, index))
-        for vals, used in entry[1]:
+        for vals, used in _match_heads(plan.heads, goal, index):
             for regs in _run(plan.guard, [[*vals, *plan.tail]], ctx):
                 for regs in _run(plan.body, [regs], ctx):
                     out.append((rule.name, plan.successor(regs, goal, used, state)))

@@ -57,12 +57,7 @@ def chr_of_state(state: AbstractState) -> ChrState:
 
 
 def chr_of_rule(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> ChrRule:
-    """Translate one set-normal-form rule (see :func:`_rule_parts`)."""
-    return ChrRule(*_rule_parts(rule, buffers, types))
-
-
-def _rule_parts(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> tuple:
-    """The fields of one set-normal-form rule's translation.
+    """Translate one set-normal-form rule.
 
     Head: the delta constraint and every buffer's gamma.  Guard: one store
     membership per test plus a zero-delay check.  Body: the rebuilt delta,
@@ -119,7 +114,7 @@ def _rule_parts(rule: Rule, buffers: tuple[Symbol, ...], types: TypeTable) -> tu
         else:
             body_user.append(gamma_c(b, cvar[b], dvar[b]))
 
-    return rule.name, tuple(head), tuple(guard), tuple(body_user), tuple(body_builtin)
+    return ChrRule(rule.name, tuple(head), tuple(guard), tuple(body_user), tuple(body_builtin))
 
 
 def no_rule() -> ChrRule:
@@ -138,14 +133,7 @@ _NO_RULE = no_rule()  # planned once, shared by every program
 
 
 def chr_of_model(model: Model) -> tuple[ChrRule, ...]:
-    """The full program: one rule per (normalised, kept) model rule, the
-    generic ``no`` rule last.  Rules with equal heads share one head tuple,
-    so :func:`~actrchr.chr.chr_step` matches it once per step."""
-    normalized = normalize_model(model)
-    heads: dict = {}
-    rules = []
-    for r in normalized.rules:
-        name, head, *rest = _rule_parts(r, model.buffers, model.types)
-        rules.append(ChrRule(name, heads.setdefault(head, head), *rest))
-    rules.append(_NO_RULE)
-    return tuple(rules)
+    """The full program: the translation of each (normalised, kept) model
+    rule, the generic ``no`` rule last."""
+    rules = normalize_model(model).rules
+    return tuple([chr_of_rule(r, model.buffers, model.types) for r in rules]) + (_NO_RULE,)

@@ -51,6 +51,7 @@ from actrchr.chr import (
     render_state,
     tuple_term,
 )
+from actrchr.bisim import bisim_check
 from actrchr.chr import encode_cogstate
 from actrchr.engine import (
     FAIL_NIL,
@@ -356,7 +357,7 @@ class TestBuiltinTheory:
         for pattern, env in cases:
             scan = [reference_match(pattern, item, env) for item in lst.items]
             expected = [e for e in scan if e is not None]
-            for _ in range(2):  # the second round reads the built index
+            for _ in range(2):  # an unchecked list is indexed anew each round
                 sols = solve([constraint("in", pattern, lst)], env)
                 assert [e for e, _ in sols] == expected
         assert [e[x] for e, _ in solve([constraint("in", f(sym("a"), x), lst)])] == [
@@ -369,14 +370,13 @@ class TestBuiltinTheory:
         pattern = Compound("chunk", (sym("k"), var("T"), var("P")))
         assert len(solve([constraint("in", pattern, asked)])) == 1
         merge_chunk_lists([asked])  # marks the list id-ordered
-        assert getattr(asked, "_ids") and getattr(asked, "_ordered")
+        assert getattr(asked, "_ids")
         assert asked == unasked and hash(asked) == hash(unasked)
         assert repr(asked) == repr(unasked)
         for u in (asked, unasked):
             for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
                 assert v == u
                 assert getattr(v, "_ids", None) is None
-                assert getattr(v, "_ordered", None) is None
 
     def test_membership_over_unbound_list_is_undecided(self):
         with pytest.raises(Undecided):
@@ -701,7 +701,7 @@ class TestTermMerge:
             union = ChunkStore(chunks[n] for n in sorted({n for ns in operands for n in ns}))
             expected = sorted((t for lst in lists for t in lst.items), key=lambda t: t.args[0].name)
             assert out.items == tuple(dict.fromkeys(expected))
-            assert out._ordered and list(out._ids) == [t.args[0] for t in out.items]
+            assert list(out._ids) == [t.args[0] for t in out.items]
             assert out._ids == {t.args[0]: (t,) for t in out.items}
             if any(operands):  # the empty merge carries no store
                 assert out._store == union
@@ -732,6 +732,23 @@ class TestTermMerge:
         for bad in (sym("x"), TList((tuple_term(sym("k"), sym("t")),))):
             with pytest.raises(ChrError):
                 merge_chunk_lists([TList((k,)), bad])
+
+    @pytest.mark.parametrize("policy", [FAIL_NIL, FAIL_STUCK])
+    def test_a_check_indexes_no_chunk_list_lazily(self, policy, monkeypatch):
+        # every list a check reads as a chunk list is checked when made:
+        # the translated initial state, each action result and each merge
+        calls = Counter()
+        first_args = actrchr.chr._first_args
+
+        def counted(t):
+            calls[getattr(t, "_ids", None) is None] += 1
+            return first_args(t)
+
+        monkeypatch.setattr(actrchr.chr, "_first_args", counted)
+        config = ArchitectureConfig(fail_request=policy)
+        for i in range(60):
+            assert bisim_check(random_model(random.Random(i)), depth=4, config=config).ok
+        assert calls[True] == 0 and calls[False] > 500  # 860 under nil, 574 under stuck
 
 
 REVEAL = ChrRule(
