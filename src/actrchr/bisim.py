@@ -40,7 +40,6 @@ matching counts, mates and reports on those numbers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 
 from .chr import (
     ChrError,
@@ -52,7 +51,7 @@ from .chr import (
     render_state,
 )
 from .chr import fresh_gen_for as chr_fresh_gen_for
-from .core import CoreError, TypeTable
+from .core import CoreError, Record, TypeTable
 from .engine import (
     DROPPED,
     ArchitectureConfig,
@@ -81,8 +80,7 @@ ERROR = "error"
 MAX_COUNTEREXAMPLES = 10
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """One failed transition match at a related pair.
 
     ``missing`` renders the transition that found no counterpart and
@@ -90,13 +88,12 @@ class Counterexample:
     when that side has no transition with the label at all.
     """
 
-    direction: str
-    depth: int
-    label: str
-    state: AbstractState
-    chr_state: ChrState
-    missing: str
-    nearest: str = ""
+    __slots__ = ("direction", "depth", "label", "state", "chr_state", "missing", "nearest")
+
+    def __init__(self, direction: str, depth: int, label: str, state: AbstractState,
+                 chr_state: ChrState, missing: str, nearest: str = "") -> None:
+        self.direction, self.depth, self.label, self.state = direction, depth, label, state
+        self.chr_state, self.missing, self.nearest = chr_state, missing, nearest
 
     def __str__(self) -> str:
         msg = f"{self.direction} mismatch at depth {self.depth}"
@@ -108,15 +105,18 @@ class Counterexample:
         return msg
 
 
-@dataclass
-class BisimReport:
+class BisimReport(Record):
     """Outcome of a bounded check; passes iff no counterexamples."""
 
-    depth: int
-    nodes: int = 0
-    transitions: int = 0
-    counterexamples: list[Counterexample] = field(default_factory=list)
-    states: list[AbstractState] = field(default_factory=list)
+    __slots__ = ("depth", "nodes", "transitions", "counterexamples", "states")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, depth: int, nodes: int = 0, transitions: int = 0,
+                 counterexamples: list[Counterexample] | None = None,
+                 states: list[AbstractState] | None = None) -> None:
+        self.depth, self.nodes, self.transitions = depth, nodes, transitions
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.states = [] if states is None else states
 
     @property
     def ok(self) -> bool:
@@ -286,7 +286,8 @@ def drop_passthrough_gammas(program: tuple[ChrRule, ...]) -> tuple[ChrRule, ...]
     body constraints that restate a head constraint verbatim (the buffer
     pass-throughs) are removed."""
     return tuple(
-        replace(r, body_user=tuple(c for c in r.body_user if c not in r.removed))
+        ChrRule(r.name, r.removed, r.guard, tuple(c for c in r.body_user if c not in r.removed),
+                r.body_builtin)
         for r in program
     )
 

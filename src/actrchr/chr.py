@@ -78,7 +78,6 @@ raises :class:`ChrError` naming what breaks the shape.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Optional, Union
@@ -89,6 +88,7 @@ from .core import (
     NIL_CHUNK,
     Chunk,
     ChunkStore,
+    Record,
     Symbol,
     Variable,
     fresh_gen_avoiding,
@@ -113,26 +113,27 @@ class Undecided(ChrError):
 Term = Union[Symbol, Variable, int, "Compound", "TList"]
 
 
-@dataclass(frozen=True, slots=True)
-class Compound:
-    functor: str
-    args: tuple[Term, ...]
-    # the chunk a chunk term encodes, set when the term is built from it or
-    # by its first successful decode_chunk (see there)
-    _chunk: Chunk = field(init=False, repr=False, compare=False)
+class Compound(Record):
+    # _chunk: the chunk a chunk term encodes, set when the term is built
+    # from it or by its first successful decode_chunk (see there)
+    __slots__ = ("functor", "args", "_chunk")
+    _fields = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple[Term, ...]) -> None:
+        self.functor, self.args = functor, args
 
     def __reduce__(self):  # the chunk may be unset, so copy the fields only
         return Compound, (self.functor, self.args)
 
 
-@dataclass(frozen=True, slots=True)
-class TList:
-    items: tuple[Term, ...]
-    # groundness, filled in by the first is_ground query (see there)
-    _ground: bool = field(init=False, repr=False, compare=False)
-    # set on a checked chunk list only, by _checked (see there)
-    _ids: dict = field(init=False, repr=False, compare=False)
-    _store: ChunkStore = field(init=False, repr=False, compare=False)
+class TList(Record):
+    # _ground: groundness, filled in by the first is_ground query (see
+    # there); _ids and _store: set on a checked chunk list only, by _checked
+    __slots__ = ("items", "_ground", "_ids", "_store")
+    _fields = ("items",)
+
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        self.items = items
 
     def __reduce__(self):
         return TList, (self.items,)
@@ -156,18 +157,18 @@ def is_ground(t: Term) -> bool:
         return not isinstance(t, Variable)
     g = getattr(t, "_ground", None)
     if g is None:
-        g = all(is_ground(a) for a in t.items)
-        object.__setattr__(t, "_ground", g)
+        g = t._ground = all(is_ground(a) for a in t.items)
     return g
 
 
 # ---------------------------------------------------------------------------
 # constraints, rules, states
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    name: str
-    args: tuple[Term, ...]
+class Constraint(Record):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...]) -> None:
+        self.name, self.args = name, args
 
 
 def constraint(name: str, *args: Term) -> Constraint:
@@ -182,31 +183,30 @@ def gamma_c(buffer: Term, chunk: Term, delay: Term) -> Constraint:
     return constraint("gamma", buffer, chunk, delay)
 
 
-@dataclass(frozen=True)
-class ChrState:
+class ChrState(Record):
     """Ground goal multiset beside the built-in store, the abstract
     state's ground facts as they are; there are no global variables."""
 
-    goal: tuple[Constraint, ...]
-    facts: tuple[Atom, ...]
+    __slots__ = ("goal", "facts")
+
+    def __init__(self, goal: tuple[Constraint, ...], facts: tuple[Atom, ...]) -> None:
+        self.goal, self.facts = goal, facts
 
 
-@dataclass(frozen=True)
-class ChrRule:
+class ChrRule(Record):
     """Simplification rule ``name @ removed <=> guard | body``: a step
     removes every head constraint.  A rule outside the fragment its plan
     covers raises :class:`ChrError` here (see :class:`_RulePlan`)."""
 
-    name: str
-    removed: tuple[Constraint, ...]
-    guard: tuple[Constraint, ...]
-    body_user: tuple[Constraint, ...]
-    body_builtin: tuple[Constraint, ...]
-    # what chr_step runs, made with the rule (see _RulePlan)
-    _plan: "_RulePlan" = field(init=False, repr=False, compare=False)
+    # _plan: what chr_step runs, made with the rule (see _RulePlan)
+    __slots__ = ("name", "removed", "guard", "body_user", "body_builtin", "_plan")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_plan", _RulePlan(self))
+    def __init__(self, name: str, removed: tuple[Constraint, ...], guard: tuple[Constraint, ...],
+                 body_user: tuple[Constraint, ...], body_builtin: tuple[Constraint, ...]) -> None:
+        self.name, self.removed, self.guard = name, removed, guard
+        self.body_user, self.body_builtin = body_user, body_builtin
+        self._plan = _RulePlan(self)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def encode_chunk(chunk: Chunk) -> Compound:
 def _chunk_term(chunk: Chunk, pairs: TList) -> Compound:
     """``chunk(Id, Type, pairs)`` carrying ``chunk``, whose pairs ``pairs`` encodes."""
     out = Compound("chunk", (chunk.id, chunk.type, pairs))
-    object.__setattr__(out, "_chunk", chunk)
+    out._chunk = chunk
     return out
 
 
@@ -246,10 +246,9 @@ def _checked(lst: TList, index: dict, store: Optional[ChunkStore] = None) -> TLi
     """``lst``, chunk terms strictly ordered by id, marked ground with its
     first-argument index (see :func:`_first_args`) and ``store``, if given.
     Only this sets ``_ids``, so a list has it exactly when it is checked."""
-    object.__setattr__(lst, "_ids", index)
-    object.__setattr__(lst, "_ground", True)
+    lst._ids, lst._ground = index, True
     if store is not None:
-        object.__setattr__(lst, "_store", store)
+        lst._store = store
     return lst
 
 
@@ -291,8 +290,7 @@ def decode_chunk(t: Term) -> Chunk:
     names = [s.name for s, _ in decoded]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ChrError(f"slots not in strict name order: {render_term(t)}")
-    chunk = Chunk(id, type, decoded)
-    object.__setattr__(t, "_chunk", chunk)
+    chunk = t._chunk = Chunk(id, type, decoded)
     return chunk
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -23,6 +24,34 @@ class CoreError(Exception):
 
 class IdClash(CoreError):
     """Two stores disagree about the chunk behind a shared identifier."""
+
+
+class Record:
+    """Base of the package's plain record types.  A subclass names its
+    fields in ``__slots__``; equality (same class only), hashing and the
+    ``Name(field=value, ...)`` repr cover those in ``_fields``, all of them
+    unless the class names fewer, so spans and caches stay out.  Records
+    are immutable by convention, as chunks and stores are; a mutable one
+    sets ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
 
 
 class _Name:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .core import (
@@ -36,6 +35,7 @@ from .core import (
     NIL,
     Chunk,
     ChunkStore,
+    Record,
     Symbol,
     TypeTable,
     Value,
@@ -274,13 +274,14 @@ def normalize_model(model: Model) -> Model:
 # actions and effects
 
 
-@dataclass(frozen=True, slots=True)
-class Effect:
+class Effect(Record):
     """Partial successor description: new chunks, buffer updates, facts."""
 
-    store: ChunkStore
-    gamma: tuple[tuple[Symbol, Symbol, int], ...]
-    atoms: tuple[Atom, ...]
+    __slots__ = ("store", "gamma", "atoms")
+
+    def __init__(self, store: ChunkStore, gamma: tuple[tuple[Symbol, Symbol, int], ...],
+                 atoms: tuple[Atom, ...]) -> None:
+        self.store, self.gamma, self.atoms = store, gamma, atoms
 
     @staticmethod
     def make(
@@ -298,14 +299,14 @@ class Effect:
 EMPTY_EFFECT = Effect(ChunkStore(), (), ())
 
 
-@dataclass(frozen=True, slots=True)
-class Answer:
+class Answer(Record):
     """One request result: chunk content, delay and extra facts."""
 
-    type: Symbol
-    val: tuple[tuple[Symbol, Symbol], ...]
-    delay: int = 1
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = ("type", "val", "delay", "atoms")
+
+    def __init__(self, type: Symbol, val: tuple[tuple[Symbol, Symbol], ...], delay: int = 1,
+                 atoms: tuple[Atom, ...] = ()) -> None:
+        self.type, self.val, self.delay, self.atoms = type, val, delay, atoms
 
 
 Handler = Callable[[Symbol, tuple[Pair, ...], AbstractState], list[Answer]]
@@ -332,18 +333,20 @@ FAIL_NIL = "nil"
 FAIL_STUCK = "stuck"
 
 
-@dataclass
-class ArchitectureConfig:
+class ArchitectureConfig(Record):
     """Pluggable pieces of the machine: request handlers and the policy
     for requests that produce no answer."""
 
-    handlers: dict[Symbol, Handler] = field(default_factory=dict)
-    default_handler: Optional[Handler] = declarative_retrieval
-    fail_request: str = FAIL_NIL
+    __slots__ = ("handlers", "default_handler", "fail_request")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.fail_request not in (FAIL_NIL, FAIL_STUCK):
-            raise ValueError(f"unknown fail_request policy {self.fail_request!r}")
+    def __init__(self, handlers: Optional[dict[Symbol, Handler]] = None,
+                 default_handler: Optional[Handler] = declarative_retrieval,
+                 fail_request: str = FAIL_NIL) -> None:
+        if fail_request not in (FAIL_NIL, FAIL_STUCK):
+            raise ValueError(f"unknown fail_request policy {fail_request!r}")
+        self.handlers = {} if handlers is None else handlers
+        self.default_handler, self.fail_request = default_handler, fail_request
 
     def handler_for(self, buffer: Symbol) -> Optional[Handler]:
         return self.handlers.get(buffer, self.default_handler)
@@ -492,8 +495,7 @@ def _memo_key(theta: dict[Variable, Symbol], state: AbstractState, copied: tuple
     return (id(state.upsilon), tuple(theta.items()), tuple(contents))
 
 
-@dataclass(slots=True)
-class Run:
+class Run(Record):
     """One side of a run: its configuration, fresh-id supply and memo.
 
     :meth:`effects` memoizes a rule whose requests all go to
@@ -510,9 +512,11 @@ class Run:
     which keys it over chunk terms by code of its own (see
     :func:`~actrchr.chr._solve_action`); a run serves one side only."""
 
-    config: ArchitectureConfig
-    ids: IdGen
-    memo: dict = field(default_factory=dict, init=False)
+    __slots__ = ("config", "ids", "memo")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, config: ArchitectureConfig, ids: IdGen) -> None:
+        self.config, self.ids, self.memo = config, ids, {}
 
     def effects(self, rule: Rule, theta: dict[Variable, Symbol], state: AbstractState) -> list[Effect]:
         """The rule's effects under the binding, as :func:`interpret_rule`."""
@@ -642,13 +646,15 @@ DEDUP_EXACT = "exact"
 DEDUP_CANONICAL = "canonical"
 
 
-@dataclass
-class Graph:
+class Graph(Record):
     """Reachable labelled transition graph; node 0 is the initial state."""
 
-    states: list[AbstractState]
-    edges: list[tuple[int, str, int]]
-    truncated: bool = False
+    __slots__ = ("states", "edges", "truncated")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, states: list[AbstractState], edges: list[tuple[int, str, int]],
+                 truncated: bool = False) -> None:
+        self.states, self.edges, self.truncated = states, edges, truncated
 
 
 def breadth_first(root, root_key, expand: Callable, depth: int, edges: list | None = None):

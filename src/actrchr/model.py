@@ -10,10 +10,9 @@ a run's memo lives in its :class:`~actrchr.engine.Run`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import Chunk, ChunkStore, NIL, Symbol, TypeTable, Value, Variable, is_fresh_id
+from .core import Chunk, ChunkStore, NIL, Record, Symbol, TypeTable, Value, Variable, is_fresh_id
 
 #: A single slot test or slot update, e.g. ``current: X``.
 Pair = tuple[Symbol, Value]
@@ -24,29 +23,28 @@ REQUEST = "request"
 NO_LABEL = "no"
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(Record):
     """Line/column position of a syntax element (1-based)."""
 
-    line: int
-    col: int
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int) -> None:
+        self.line, self.col = line, col
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Record):
     """Ground fact carried alongside the machine state, e.g. ``dm(b)``."""
 
-    pred: str
-    args: tuple[Symbol, ...]
-    _content: tuple = field(init=False, repr=False, compare=False)  # as Chunk's
+    __slots__ = ("pred", "args", "_content")  # _content as Chunk's
+    _fields = ("pred", "args")
 
-    def __post_init__(self) -> None:
-        names = (self.pred, tuple(a.name for a in self.args))
-        fresh = next((a for a in self.args if is_fresh_id(a)), None)
-        object.__setattr__(self, "_content", (names, fresh))
+    def __init__(self, pred: str, args: tuple[Symbol, ...]) -> None:
+        self.pred, self.args = pred, args
+        fresh = next((a for a in args if is_fresh_id(a)), None)
+        self._content = ((pred, tuple(a.name for a in args)), fresh)
 
     def content(self) -> tuple[tuple[str, tuple[str, ...]], Symbol | None]:
         """As :meth:`Chunk.content`: predicate and argument names, first fresh argument."""
@@ -65,45 +63,45 @@ def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=lambda a: a.content()[0]))
 
 
-@dataclass(frozen=True)
-class BufferTest:
+class BufferTest(Record):
     """LHS test: the buffer must hold a visible chunk of ``type`` whose
     slots agree with ``pairs``."""
 
-    buffer: Symbol
-    type: Symbol
-    pairs: tuple[Pair, ...]
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    __slots__ = ("buffer", "type", "pairs", "span")
+    _fields = __slots__[:-1]
+
+    def __init__(self, buffer: Symbol, type: Symbol, pairs: tuple[Pair, ...],
+                 span: Optional[Span] = None) -> None:
+        self.buffer, self.type, self.pairs, self.span = buffer, type, pairs, span
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """RHS action; ``kind`` is ``modify`` (type stays anonymous) or
     ``request`` (typed)."""
 
-    kind: str
-    buffer: Symbol
-    type: Optional[Symbol]
-    pairs: tuple[Pair, ...]
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    __slots__ = ("kind", "buffer", "type", "pairs", "span")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        if self.kind not in (MODIFY, REQUEST):
-            raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.kind == MODIFY and self.type is not None:
+    def __init__(self, kind: str, buffer: Symbol, type: Optional[Symbol], pairs: tuple[Pair, ...],
+                 span: Optional[Span] = None) -> None:
+        if kind not in (MODIFY, REQUEST):
+            raise ValueError(f"unknown action kind {kind!r}")
+        if kind == MODIFY and type is not None:
             raise ValueError("modifications carry no type")
+        self.kind, self.buffer, self.type, self.pairs, self.span = kind, buffer, type, pairs, span
 
 
 def pair_vars(pairs: Iterable[Pair]) -> set[Variable]:
     return {v for _, v in pairs if isinstance(v, Variable)}
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    tests: tuple[BufferTest, ...]
-    actions: tuple[Action, ...]
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+class Rule(Record):
+    __slots__ = ("name", "tests", "actions", "span")
+    _fields = __slots__[:-1]
+
+    def __init__(self, name: str, tests: tuple[BufferTest, ...], actions: tuple[Action, ...],
+                 span: Optional[Span] = None) -> None:
+        self.name, self.tests, self.actions, self.span = name, tests, actions, span
 
     def lhs_vars(self) -> set[Variable]:
         out: set[Variable] = set()
@@ -118,8 +116,7 @@ class Rule:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractState:
+class AbstractState(Record):
     """A machine state: chunk store, buffer contents, ground facts.
 
     ``gamma`` is total on the model's buffers and maps each to a chunk
@@ -127,9 +124,11 @@ class AbstractState:
     Stored sorted by buffer name so equal states compare equal.
     """
 
-    store: ChunkStore
-    gamma: tuple[tuple[Symbol, Symbol, int], ...]
-    upsilon: tuple[Atom, ...]
+    __slots__ = ("store", "gamma", "upsilon")
+
+    def __init__(self, store: ChunkStore, gamma: tuple[tuple[Symbol, Symbol, int], ...],
+                 upsilon: tuple[Atom, ...]) -> None:
+        self.store, self.gamma, self.upsilon = store, gamma, upsilon
 
     @staticmethod
     def make(
@@ -172,16 +171,16 @@ def check_rows(store: ChunkStore, rows: Iterable[tuple[Symbol, Symbol, int]]) ->
             raise ValueError(f"buffer {b} has non-binary delay {d}")
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A parsed model; use :func:`validate` before running it."""
 
-    types: TypeTable
-    chunks: tuple[Chunk, ...]
-    dm: tuple[Symbol, ...]
-    buffers: tuple[Symbol, ...]
-    init: tuple[tuple[Symbol, Symbol, int], ...]
-    rules: tuple[Rule, ...]
+    __slots__ = ("types", "chunks", "dm", "buffers", "init", "rules")
+
+    def __init__(self, types: TypeTable, chunks: tuple[Chunk, ...], dm: tuple[Symbol, ...],
+                 buffers: tuple[Symbol, ...], init: tuple[tuple[Symbol, Symbol, int], ...],
+                 rules: tuple[Rule, ...]) -> None:
+        self.types, self.chunks, self.dm, self.buffers, self.init, self.rules = (
+            types, chunks, dm, buffers, init, rules)
 
     def store(self) -> ChunkStore:
         return ChunkStore(self.chunks).with_nil()
@@ -194,11 +193,15 @@ class Model:
         )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    span: Optional[Span] = field(default=None, compare=False)
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "span")
+    _fields = __slots__[:-1]
+
+    def __init__(self, code: str, message: str, span: Optional[Span] = None) -> None:
+        self.code, self.message, self.span = code, message, span
+
+    def __repr__(self) -> str:  # shows the span it does not compare
+        return f"Diagnostic(code={self.code!r}, message={self.message!r}, span={self.span!r})"
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span else ""

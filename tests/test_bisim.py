@@ -5,7 +5,6 @@ import json
 import random
 import string
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -312,7 +311,7 @@ class TestFaultInjection:
         prog = chr_of_model(counting_model)
         inc = prog[0]
         (again,) = [c for c in inc.body_user if c.name == "gamma" and c.args[0] == Symbol("goal")]
-        doubled = replace(inc, body_user=inc.body_user + (again,))
+        doubled = ChrRule(inc.name, inc.removed, inc.guard, inc.body_user + (again,), inc.body_builtin)
         report = bisim_check(counting_model, depth=3, program=(doubled, *prog[1:]))
         assert [(c.direction, c.depth) for c in report.counterexamples] == [(ERROR, 1)]
         (cx,) = report.counterexamples

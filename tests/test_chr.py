@@ -7,7 +7,6 @@ import itertools
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -56,6 +55,7 @@ from actrchr.chr import encode_cogstate
 from actrchr.engine import (
     FAIL_NIL,
     FAIL_STUCK,
+    Answer,
     ArchitectureConfig,
     EngineError,
     Run,
@@ -880,7 +880,8 @@ class TestStepRelation:
 
         def adding(type, pairs, state):
             asked.append(state)
-            return [replace(a, atoms=(Atom("added", (type,)),)) for a in declarative_retrieval(type, pairs, state)]
+            return [Answer(a.type, a.val, a.delay, (Atom("added", (type,)),))
+                    for a in declarative_retrieval(type, pairs, state)]
 
         config = ArchitectureConfig(default_handler=adding)
         prog = chr_of_model(counting_model)
@@ -1191,7 +1192,7 @@ class TestStateEquivalence:
 def noting(type, pairs, state):
     """Retrieval whose every answer also adds a fact."""
     answers = declarative_retrieval(type, pairs, state)
-    return [replace(a, atoms=(Atom("seen", (type,)),)) for a in answers]
+    return [Answer(a.type, a.val, a.delay, (Atom("seen", (type,)),)) for a in answers]
 
 
 class TestKeyParts:

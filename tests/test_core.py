@@ -1,9 +1,11 @@
-"""Chunk store basics and the merge operation's algebraic laws."""
+"""Chunk store basics, the merge operation's algebraic laws, and the value
+semantics of the package's record types."""
 
 import copy
 import gc
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +24,23 @@ from actrchr.core import (
     is_fresh_id,
     merge,
 )
-from actrchr.model import Atom
+from actrchr.bisim import BisimReport, Counterexample
+from actrchr.chr import ChrRule, ChrState, Compound, Constraint, TList, encode_chunk, encode_store
+from actrchr.engine import Answer, ArchitectureConfig, Effect, Graph, Run, declarative_retrieval
+from actrchr.model import (
+    MODIFY,
+    AbstractState,
+    Action,
+    Atom,
+    BufferTest,
+    Diagnostic,
+    Model,
+    Rule,
+    Span,
+)
 from actrchr.modelgen import chunk_pool, clashing_variant, random_store
 from actrchr.parser import parse_model
+from actrchr.translate import chr_of_model, chr_of_state
 
 
 def sym(name: str) -> Symbol:
@@ -388,3 +404,101 @@ class TestMergeLaws:
             with pytest.raises(IdClash):
                 merge(bad, s)
         assert hits > 100
+
+
+# ---------------------------------------------------------------------------
+# the package's record types
+
+COUNTING = (Path(__file__).parents[1] / "models" / "counting.actr").read_text()
+
+
+def _records():
+    """Per record type: two values whose compared fields are equal, the first
+    built positionally with every default spelled out, the second by keyword
+    on the defaults, their excluded fields (spans, caches) differing; the
+    fields its repr lists, or the repr itself; and whether it hashes."""
+    t, s, v, g = sym("t"), sym("s"), sym("v"), sym("goal")
+    here, there = Span(1, 1), Span(2, 3)
+    pairs = ((s, v),)
+    model, moved = parse_model(COUNTING), parse_model("\n" + COUNTING)
+    state, again = model.initial_state(), moved.initial_state()
+    state.store.key_parts()  # a cache on one side only
+    rule, other = chr_of_model(model)[0], chr_of_model(moved)[0]
+    chr_state = chr_of_state(state)
+    test = BufferTest(g, t, pairs, here)
+    action = Action(MODIFY, g, None, pairs, here)
+    ids, config = IdGen(), ArchitectureConfig()
+    chunk = Chunk(sym("k"), t, pairs)
+    return {
+        "Span": (Span(1, 2), Span(line=1, col=2), ("line", "col"), True),
+        "Atom": (Atom("dm", (s,)), Atom(pred="dm", args=(s,)), "dm(s)", True),
+        "BufferTest": (test, BufferTest(buffer=g, type=t, pairs=pairs), ("buffer", "type", "pairs"), True),
+        "Action": (action, Action(kind=MODIFY, buffer=g, type=None, pairs=pairs, span=there),
+                   ("kind", "buffer", "type", "pairs"), True),
+        "Rule": (Rule("r", (test,), (action,), here),
+                 Rule(name="r", tests=(BufferTest(g, t, pairs, there),),
+                      actions=(Action(MODIFY, g, None, pairs),)),
+                 ("name", "tests", "actions"), True),
+        "AbstractState": (AbstractState(state.store, state.gamma, state.upsilon),
+                          AbstractState(store=again.store, gamma=again.gamma, upsilon=again.upsilon),
+                          ("store", "gamma", "upsilon"), True),
+        # a type table is unhashable, so a model is too
+        "Model": (model, Model(types=moved.types, chunks=moved.chunks, dm=moved.dm, buffers=moved.buffers,
+                               init=moved.init, rules=moved.rules),
+                  ("types", "chunks", "dm", "buffers", "init", "rules"), False),
+        "Diagnostic": (Diagnostic("c", "m", here), Diagnostic(code="c", message="m"),
+                       ("code", "message", "span"), True),
+        "Effect": (Effect(state.store, state.gamma, state.upsilon),
+                   Effect(store=again.store, gamma=again.gamma, atoms=again.upsilon),
+                   ("store", "gamma", "atoms"), True),
+        "Answer": (Answer(t, pairs, 1, ()), Answer(type=t, val=pairs),
+                   "Answer(type=t, val=((s, v),), delay=1, atoms=())", True),
+        "ArchitectureConfig": (ArchitectureConfig({}, declarative_retrieval, "nil"), ArchitectureConfig(),
+                               ("handlers", "default_handler", "fail_request"), False),
+        "Run": (Run(config, ids), Run(config=ArchitectureConfig(), ids=ids),
+                ("config", "ids", "memo"), False),
+        "Graph": (Graph([state], [(0, "no", 0)], False), Graph(states=[again], edges=[(0, "no", 0)]),
+                  ("states", "edges", "truncated"), False),
+        "Compound": (encode_chunk(chunk), Compound(functor="chunk", args=encode_chunk(chunk).args),
+                     ("functor", "args"), True),
+        "TList": (encode_store(state.store), TList(items=encode_store(again.store).items),
+                  ("items",), True),
+        "Constraint": (Constraint("delta", (v,)), Constraint(name="delta", args=(v,)),
+                       ("name", "args"), True),
+        "ChrState": (ChrState(chr_state.goal, chr_state.facts),
+                     ChrState(goal=chr_state.goal, facts=chr_state.facts), ("goal", "facts"), True),
+        "ChrRule": (rule, ChrRule(name=other.name, removed=other.removed, guard=other.guard,
+                                  body_user=other.body_user, body_builtin=other.body_builtin),
+                    ("name", "removed", "guard", "body_user", "body_builtin"), True),
+        "Counterexample": (Counterexample("forward", 1, "inc", state, chr_state, "x", ""),
+                           Counterexample(direction="forward", depth=1, label="inc", state=again,
+                                          chr_state=chr_state, missing="x"),
+                           ("direction", "depth", "label", "state", "chr_state", "missing", "nearest"), True),
+        "BisimReport": (BisimReport(3, 0, 0, [], []), BisimReport(depth=3),
+                        ("depth", "nodes", "transitions", "counterexamples", "states"), False),
+    }
+
+
+RECORDS = sorted(_records())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_compares_hashes_copies_and_prints_its_fields(name):
+    a, b, shown, hashable = _records()[name]
+    assert type(a).__name__ == type(b).__name__ == name
+    assert a == b and not a != b and a.__eq__(object()) is NotImplemented
+    if name == "Run":
+        assert a.memo == {} and a.memo is not b.memo
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    # an id generator compares by identity, so a run's deep copy is equal in print only
+    same = (lambda x, y: repr(x) == repr(y)) if name == "Run" else (lambda x, y: x == y)
+    assert copy.copy(a) == a
+    for c in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(c) is type(a) and same(c, a)
+    if not isinstance(shown, str):
+        shown = f"{name}({', '.join(f'{f}={getattr(a, f)!r}' for f in shown)})"
+    assert repr(a) == shown

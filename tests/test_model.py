@@ -3,7 +3,7 @@
 import pytest
 
 from actrchr.core import Chunk, ChunkStore, NIL, Symbol
-from actrchr.model import AbstractState, Atom, dm_atom, validate
+from actrchr.model import MODIFY, AbstractState, Action, Atom, dm_atom, validate
 from actrchr.parser import parse_model
 
 
@@ -60,6 +60,14 @@ class TestAbstractState:
         a = dm_atom(sym("c1"))
         assert a.pred == "dm"
         assert a.args == (sym("c1"),)
+
+
+class TestAction:
+    def test_an_action_refuses_an_unknown_kind_and_a_typed_modification(self):
+        with pytest.raises(ValueError, match="unknown action kind 'delete'"):
+            Action("delete", sym("goal"), None, ())
+        with pytest.raises(ValueError, match="modifications carry no type"):
+            Action(MODIFY, sym("goal"), sym("g"), ())
 
 
 def diagnose(src: str) -> set[str]:
